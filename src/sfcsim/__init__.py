@@ -2,7 +2,7 @@
 migration over time-varying substrate networks."""
 
 from .engine import (EventKind, MalformedScenario, SimEvent, SimulationReport,
-                     build_event_queue, run, running_count_series)
+                     build_event_queue, run)
 from .mano import (DuplicateSfc, EmbeddingPlan, FailureReason, InsufficientResources,
                    ResourceLedger, UnknownSfc, build_plan, check_plan,
                    find_affected_sfcs, plan_structure_errors)
@@ -13,8 +13,8 @@ from .solver import (SOLVERS, GreedySolver, RandomSolver, SolveMode, Solver,
                      SolverDecision, SolverInput, make_solver)
 from .topology import (InvalidPath, PhysicalPath, SubstrateSnapshot,
                        SubstrateTopology, TimeBeforeStart, as_fraction,
-                       path_latency, shortest_feasible_path, snapshot_at,
-                       topology_from_json, topology_to_json)
+                       path_latency, shortest_feasible_path, topology_from_json,
+                       topology_to_json)
 from .trace import TraceLog, TraceRecord, UtilizationSample
 from .workload import (SfcRequest, ValidationReport, VnfCatalog, VnfTemplate,
                        validate_workload, workload_from_json, workload_to_json)

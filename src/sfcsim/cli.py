@@ -131,17 +131,24 @@ def _print_summary(results: list[RunResult]) -> None:
             print(f"{'':<24} failures: {reasons}")
 
 
+def _sweep_counts(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--sweep takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_run(args) -> int:
     try:
         cfg = RunConfig(scenario_path=Path(args.scenario),
                         out_dir=Path(args.out) if args.out else _default_out_root(),
                         solvers=args.solver.split(",") if args.solver else None,
                         seed=args.seed,
-                        sweep=[int(v) for v in args.sweep.split(",")] if args.sweep else None,
+                        sweep=_sweep_counts(args.sweep) if args.sweep else None,
                         repeat=args.repeat)
         scenario = load_scenario(cfg.scenario_path)
         results = execute_runs(cfg, scenario)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

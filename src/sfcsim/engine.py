@@ -43,13 +43,30 @@ class SimEvent:
 
 @dataclass
 class SimulationReport:
+    """End of a run plus its trace; every counter is read from the trace."""
+
     end_time: float
-    arrivals: int
-    accepted: int
-    rejected: int
-    terminated_early: int
-    running_count: list[tuple[float, int]]
     trace: TraceLog
+
+    @property
+    def arrivals(self) -> int:
+        return self.trace.arrival_count()
+
+    @property
+    def accepted(self) -> int:
+        return self.trace.accepted_count()
+
+    @property
+    def rejected(self) -> int:
+        return self.trace.rejected_count()
+
+    @property
+    def terminated_early(self) -> int:
+        return self.trace.terminated_count()
+
+    @property
+    def running_count(self) -> list[tuple[float, int]]:
+        return self.trace.running_count_series()
 
 
 def build_event_queue(topo: SubstrateTopology,
@@ -77,11 +94,14 @@ def build_event_queue(topo: SubstrateTopology,
     return events
 
 
-def _solver_input(ledger: ResourceLedger, request: SfcRequest, catalog: VnfCatalog,
-                  mode: SolveMode, old_plan=None) -> SolverInput:
-    return SolverInput(request=request, catalog=catalog, snapshot=ledger.snapshot,
-                       cpu_free=ledger.cpu_free_all(), ram_free=ledger.ram_free_all(),
-                       band_free=ledger.band_free_map(), mode=mode, old_plan=old_plan)
+# Per solve mode: record kind, outcome on commit, outcome otherwise, and the
+# reason recorded when the solver's Accept fails the orchestrator's gate.
+_OUTCOMES = {
+    SolveMode.EMBED: (tr.KIND_ARRIVAL, tr.OUTCOME_ACCEPTED, tr.OUTCOME_REJECTED,
+                      FailureReason.SOLVER_REJECTED),
+    SolveMode.MIGRATE: (tr.KIND_MIGRATION, tr.OUTCOME_MIGRATED, tr.OUTCOME_TERMINATED,
+                        FailureReason.MIGRATION_FAILED),
+}
 
 
 def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog,
@@ -99,6 +119,8 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
 
     ``boundary_hook(time, ledger)``, when given, runs after every event; the
     test suite uses it to assert resource conservation at event boundaries.
+    The report's counters are read from the trace, so a ``trace_sink`` passed
+    in should start empty.
     """
     report = validate_workload(requests, catalog, topo)
     if not report.ok:
@@ -110,46 +132,30 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
     by_id = {r.sfc_id: r for r in requests}
     queue = build_event_queue(topo, requests)
 
-    arrivals = accepted = rejected = terminated = 0
-    running: list[tuple[float, int]] = []
-
-    def vetted_plan(decision, request):
-        """Plan from an Accept decision iff it honors the solver contract."""
-        if not decision.accepted:
-            return None
+    def decide(time, request, mode, old_plan=None):
+        """Solve once, vet an Accept through the gate, then commit or record why not."""
+        kind, committed, failed, broken = _OUTCOMES[mode]
+        decision = solver.solve(SolverInput(
+            request=request, catalog=catalog, snapshot=ledger.snapshot,
+            cpu_free=ledger.cpu_free_all(), ram_free=ledger.ram_free_all(),
+            band_free=ledger.band_free_map(), mode=mode, old_plan=old_plan), rng)
         plan = decision.plan
-        if plan.sfc_id != request.sfc_id:
-            return None
-        if plan_structure_errors(plan, request, catalog, ledger.snapshot):
-            return None
-        if check_plan(plan, ledger, ledger.snapshot, request, catalog) is not None:
-            return None
-        return plan
+        if plan is None:
+            trace.record(time, kind, request.sfc_id, failed, decision.reason)
+        elif (plan_structure_errors(plan, request, catalog, ledger.snapshot)
+              or check_plan(plan, ledger, request) is not None):
+            # Solver broke its contract: an Accept that fails validation.
+            trace.record(time, kind, request.sfc_id, failed, broken)
+            trace.record(time, tr.KIND_DISCREPANCY, request.sfc_id, reason=broken,
+                         plan_nodes=plan.vnf_placement)
+        else:
+            ledger.allocate(plan)
+            trace.record(time, kind, request.sfc_id, committed,
+                         plan_nodes=plan.vnf_placement)
 
     for ev in queue:
         if ev.kind == EventKind.SFC_ARRIVAL:
-            request = by_id[ev.sfc_id]
-            arrivals += 1
-            decision = solver.solve(
-                _solver_input(ledger, request, catalog, SolveMode.EMBED), rng)
-            plan = vetted_plan(decision, request)
-            if plan is not None:
-                ledger.allocate(plan)
-                accepted += 1
-                trace.record(ev.time, tr.KIND_ARRIVAL, ev.sfc_id,
-                             tr.OUTCOME_ACCEPTED, plan_nodes=plan.vnf_placement)
-            elif decision.accepted:
-                # Solver broke its contract: Accept that fails validation.
-                rejected += 1
-                trace.record(ev.time, tr.KIND_ARRIVAL, ev.sfc_id,
-                             tr.OUTCOME_REJECTED, FailureReason.SOLVER_REJECTED)
-                trace.record(ev.time, tr.KIND_DISCREPANCY, ev.sfc_id,
-                             reason=FailureReason.SOLVER_REJECTED,
-                             plan_nodes=decision.plan.vnf_placement)
-            else:
-                rejected += 1
-                trace.record(ev.time, tr.KIND_ARRIVAL, ev.sfc_id,
-                             tr.OUTCOME_REJECTED, decision.reason)
+            decide(ev.time, by_id[ev.sfc_id], SolveMode.EMBED)
 
         elif ev.kind == EventKind.SFC_DEPARTURE:
             if ev.sfc_id in ledger.allocations:
@@ -165,39 +171,11 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
             ledger.set_snapshot(new_snap)
             trace.record(ev.time, tr.KIND_TOPO_CHANGE)
             for sfc_id, _cause in affected:
-                old_plan = ledger.release(sfc_id)
-                request = by_id[sfc_id]
-                decision = solver.solve(
-                    _solver_input(ledger, request, catalog, SolveMode.MIGRATE,
-                                  old_plan), rng)
-                plan = vetted_plan(decision, request)
-                if plan is not None:
-                    ledger.allocate(plan)
-                    trace.record(ev.time, tr.KIND_MIGRATION, sfc_id,
-                                 tr.OUTCOME_MIGRATED, plan_nodes=plan.vnf_placement)
-                elif decision.accepted:
-                    terminated += 1
-                    trace.record(ev.time, tr.KIND_MIGRATION, sfc_id,
-                                 tr.OUTCOME_TERMINATED, FailureReason.MIGRATION_FAILED)
-                    trace.record(ev.time, tr.KIND_DISCREPANCY, sfc_id,
-                                 reason=FailureReason.MIGRATION_FAILED,
-                                 plan_nodes=decision.plan.vnf_placement)
-                else:
-                    terminated += 1
-                    trace.record(ev.time, tr.KIND_MIGRATION, sfc_id,
-                                 tr.OUTCOME_TERMINATED, decision.reason)
+                decide(ev.time, by_id[sfc_id], SolveMode.MIGRATE, ledger.release(sfc_id))
 
         trace.sample_utilization(ev.time, ledger)
-        running.append((ev.time, len(ledger.allocations)))
         if boundary_hook is not None:
             boundary_hook(ev.time, ledger)
 
     end_time = max(queue[-1].time, topo.time_points[-1]) if queue else topo.time_points[-1]
-    return SimulationReport(end_time=end_time, arrivals=arrivals, accepted=accepted,
-                            rejected=rejected, terminated_early=terminated,
-                            running_count=running, trace=trace)
-
-
-def running_count_series(report: SimulationReport) -> list[tuple[float, int]]:
-    """Step series of active SFCs, one point per processed event."""
-    return list(report.running_count)
+    return SimulationReport(end_time=end_time, trace=trace)

@@ -107,9 +107,12 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     """Structural completeness check for a solver-produced plan.
 
     Returns human-readable problems; an empty list means the plan is wired
-    correctly (placements cover the chain, paths connect end to end, and the
-    allocation maps and latency match what the placement implies).
+    correctly: it is for this request, placements cover the chain, every leg
+    runs between its waypoints over nodes and edges of ``snap``, and the
+    allocation maps and latency match what the placement implies.
     """
+    if plan.sfc_id != request.sfc_id:
+        return [f"plan is for sfc {plan.sfc_id}, not {request.sfc_id}"]
     problems: list[str] = []
     k = len(request.vnf_chain)
     if len(plan.vnf_placement) != k:
@@ -125,6 +128,8 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
             problems.append(
                 f"leg {i} runs {path.nodes[0]}->{path.nodes[-1]}, "
                 f"expected {waypoints[i]}->{waypoints[i + 1]}")
+        elif not path_is_valid(snap, path):
+            problems.append(f"leg {i} {path.nodes} leaves the substrate's nodes or edges")
     if problems:
         return problems
 
@@ -266,18 +271,22 @@ class ResourceLedger:
         return plan
 
 
-def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger, snap: SubstrateSnapshot,
-               request: SfcRequest, catalog: VnfCatalog) -> FailureReason | None:
+def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger,
+               request: SfcRequest) -> FailureReason | None:
     """Orchestrator-side validation of a plan against the live ledger.
 
-    Pure: never mutates the ledger.  Returns None for a deployable plan,
-    otherwise the first failing check's reason.
+    Pure: never mutates the ledger.  Reads the free amounts of the plan's own
+    nodes and edges only (an edge absent from the snapshot has none free).
+    Returns None for a deployable plan, otherwise the first failing check's
+    reason.
     """
-    return check_plan_against(plan, request, snap,
-                              cpu_free=[ledger.cpu_free(n) for n in range(snap.node_count)],
-                              ram_free=[ledger.ram_free(n) for n in range(snap.node_count)],
-                              band_free={key: ledger.band_free(*key)
-                                         for key in map(tuple, snap.edges())})
+    snap = ledger.snapshot
+    return check_plan_against(
+        plan, request, snap,
+        cpu_free={node: ledger.cpu_free(node) for node in plan.cpu_alloc},
+        ram_free={node: ledger.ram_free(node) for node in plan.ram_alloc},
+        band_free={key: ledger.band_free(*key) for key in plan.band_alloc
+                   if snap.has_edge(*key)})
 
 
 def find_affected_sfcs(ledger: ResourceLedger,

@@ -102,10 +102,6 @@ def _latlon_to_cart(lat_deg: float, lon_deg: float, radius: float):
             radius * math.sin(lat))
 
 
-def _dist(p, q) -> float:
-    return math.dist(p, q)
-
-
 def _sat_position(p: SaginParams, orbit: int, slot: int, t: float):
     a = p.earth_radius_km + p.altitude_km
     omega = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s, circular orbit
@@ -211,7 +207,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         band = [[Fraction(0)] * n for _ in range(n)]
 
         def add_edge(u: int, v: int, band_mbps: Fraction):
-            d = _dist(pos[u], pos[v])
+            d = math.dist(pos[u], pos[v])
             if u == v or d <= 0:
                 return
             adjacency[u][v] = adjacency[v][u] = True
@@ -233,7 +229,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 for v in range(sat_n):
                     if v // m == u // m:
                         continue
-                    d = _dist(pos[u], pos[v])
+                    d = math.dist(pos[u], pos[v])
                     if d < best:
                         nearest, best = v, d
                 if nearest >= 0 and _line_of_sight(pos[u], pos[nearest], p.earth_radius_km):
@@ -249,7 +245,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         # interconnect directly (the terrestrial backhaul is assumed gone).
         for u in range(sat_n, sat_n + p.uav_count):
             for v in range(u + 1, n):
-                if _dist(pos[u], pos[v]) <= p.air_range_km:
+                if math.dist(pos[u], pos[v]) <= p.air_range_km:
                     add_edge(u, v, p.sg_band_mbps)
 
         return SubstrateSnapshot(
@@ -347,6 +343,13 @@ class Scenario:
         return _poisson_from_config(self.topo, self.catalog, cfg)
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
+
+
 def _sagin_from_config(cfg: dict) -> SaginParams:
     fraction_fields = {"sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
                        "isl_band_mbps", "sg_band_mbps"}
@@ -357,12 +360,12 @@ def _sagin_from_config(cfg: dict) -> SaginParams:
     for key, value in cfg.items():
         if key not in known:
             raise ValidationError(f"substrate.generator.sagin: unknown field {key!r}")
-        if key in fraction_fields:
-            kwargs[key] = as_fraction(value)
-        elif key in int_fields:
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
+        convert = (as_fraction if key in fraction_fields
+                   else int if key in int_fields else _finite)
+        try:
+            kwargs[key] = convert(value)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"substrate.generator.sagin.{key}: {exc}") from None
     try:
         return SaginParams(**kwargs)
     except TypeError as exc:
@@ -375,15 +378,16 @@ def _poisson_from_config(topo, catalog, cfg: dict) -> list[SfcRequest]:
     if unknown:
         raise ValidationError(f"workload.generator.poisson: unknown fields {sorted(unknown)}")
     try:
-        return generate_poisson_workload(
-            topo, catalog,
-            sfc_count=int(cfg["sfc_count"]),
-            mean_lifetime_s=float(cfg["mean_lifetime_s"]),
-            chain_len=int(cfg["chain_len"]),
-            qos_ms=float(cfg["qos_ms"]),
-            seed=int(cfg.get("seed", 0)))
+        params = dict(sfc_count=int(cfg["sfc_count"]),
+                      mean_lifetime_s=_finite(cfg["mean_lifetime_s"]),
+                      chain_len=int(cfg["chain_len"]),
+                      qos_ms=_finite(cfg["qos_ms"]),
+                      seed=int(cfg.get("seed", 0)))
     except KeyError as exc:
         raise ValidationError(f"workload.generator.poisson: missing field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"workload.generator.poisson: {exc}") from None
+    return generate_poisson_workload(topo, catalog, **params)
 
 
 def scenario_from_json(doc: dict) -> Scenario:
@@ -391,7 +395,10 @@ def scenario_from_json(doc: dict) -> Scenario:
     for key in ("substrate", "workload", "catalog", "solver"):
         if key not in doc:
             raise ValidationError(f"scenario: missing top-level field {key!r}")
-    seed = int(doc.get("seed", 0))
+    try:
+        seed = int(doc.get("seed", 0))
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"seed: {exc}") from None
 
     try:
         catalog = catalog_from_json(doc["catalog"])

@@ -155,6 +155,8 @@ class SubstrateTopology:
     def __post_init__(self):
         if not self.time_points:
             raise ValueError("topology needs at least one time point")
+        if not all(math.isfinite(t) for t in self.time_points):
+            raise ValueError("time_points must be finite")
         if any(b <= a for a, b in zip(self.time_points, self.time_points[1:])):
             raise ValueError("time_points must be strictly increasing")
         if set(self.snapshots) != set(self.time_points):
@@ -177,10 +179,6 @@ class SubstrateTopology:
             raise TimeBeforeStart(f"t={t} precedes first snapshot at {self.time_points[0]}")
         idx = bisect_right(self.time_points, t) - 1
         return self.snapshots[self.time_points[idx]]
-
-
-def snapshot_at(topo: SubstrateTopology, t: float) -> SubstrateSnapshot:
-    return topo.snapshot_at(t)
 
 
 def path_latency(snap: SubstrateSnapshot, path: PhysicalPath) -> float:

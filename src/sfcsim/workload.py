@@ -1,5 +1,6 @@
 """SFC requests and the VNF template catalog with inter-VNF bandwidth demands."""
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,9 +85,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.issues
 
-    def issues_for(self, sfc_id: int) -> list[ValidationIssue]:
-        return [i for i in self.issues if i.sfc_id == sfc_id]
-
     def summary(self) -> str:
         if self.ok:
             return f"{self.checked} requests, all valid"
@@ -100,7 +98,7 @@ def validate_workload(requests, catalog: VnfCatalog,
     """Check every request against the catalog and substrate.
 
     A workload that passes here cannot make the engine trip over malformed
-    input: lifecycles are ordered and inside the topology's time range,
+    input: lifecycles are finite, ordered and inside the topology's time range,
     endpoints exist, every chain VNF has a template, and every consecutive
     chain pair has a declared bandwidth demand.
     """
@@ -112,9 +110,9 @@ def validate_workload(requests, catalog: VnfCatalog,
         if req.sfc_id in seen:
             bad(ValidationIssue(req.sfc_id, "DuplicateSfcId", "sfc_id used twice"))
         seen.add(req.sfc_id)
-        if req.start_time >= req.end_time:
+        if not req.start_time < req.end_time < math.inf:  # false for NaN too
             bad(ValidationIssue(req.sfc_id, "BadLifecycle",
-                                f"start {req.start_time} >= end {req.end_time}"))
+                                f"start {req.start_time} must precede a finite end {req.end_time}"))
         elif req.start_time < topo.start_time:
             bad(ValidationIssue(req.sfc_id, "BadLifecycle",
                                 f"start {req.start_time} precedes topology start {topo.start_time}"))
@@ -122,9 +120,9 @@ def validate_workload(requests, catalog: VnfCatalog,
             if not 0 <= node < n:
                 bad(ValidationIssue(req.sfc_id, "BadEndpoint",
                                     f"{role} {node} outside 0..{n - 1}"))
-        if req.qos_max_latency <= 0:
+        if not 0 < req.qos_max_latency < math.inf:
             bad(ValidationIssue(req.sfc_id, "BadQos",
-                                f"qos_max_latency {req.qos_max_latency} must be > 0"))
+                                f"qos_max_latency {req.qos_max_latency} must be finite and > 0"))
         unknown = [v for v in req.vnf_chain if v not in catalog]
         if unknown:
             bad(ValidationIssue(req.sfc_id, "UnknownVnf",

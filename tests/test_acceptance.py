@@ -112,10 +112,12 @@ def test_criterion_2_conservation_fuzz():
         for i in range(1000):
             topo, requests, catalog = _random_small_scenario(rng)
             solver = make_solver("random" if i % 2 else "greedy")
+            live_counts = []
 
             def check(time_, ledger):
                 nonlocal boundaries
                 boundaries += 1
+                live_counts.append((time_, len(ledger.allocations)))
                 snap = ledger.snapshot
                 n = snap.node_count
                 cpu = [Fraction(0)] * n
@@ -138,8 +140,11 @@ def test_criterion_2_conservation_fuzz():
                         == band.get((u, v), Fraction(0))
                     assert ledger.band_free(u, v) >= 0
 
-            run(topo, requests, catalog, solver, TraceLog(), seed=i,
-                boundary_hook=check)
+            trace = TraceLog()
+            report = run(topo, requests, catalog, solver, trace, seed=i,
+                         boundary_hook=check)
+            assert trace.running_count_series() == live_counts
+            assert report.accepted + report.rejected == report.arrivals == len(requests)
         assert boundaries > 5000
         print(f"[acceptance]   fuzz covered {boundaries} event boundaries")
 

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIO_DIR
+from sfcsim import cli
 from sfcsim.cli import main
+from sfcsim.mano import InsufficientResources
 
 CSV_NAMES = ("events.csv", "utilization.csv", "running_count.csv", "summary.csv")
 
@@ -67,6 +69,28 @@ class TestRunCommand:
                        "--sweep", "0,50", "--out", tmp_path) == 2
         assert run_cli("run", SCENARIO_DIR / "sagin_desk.json",
                        "--repeat", "0", "--out", tmp_path) == 2
+
+    def test_non_integer_sweep(self, tmp_path, capsys):
+        assert run_cli("run", SCENARIO_DIR / "sagin_desk.json",
+                       "--sweep", "a,b", "--out", tmp_path) == 2
+        assert "--sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("orbit_count", "two"),
+                                              ("duration_s", float("nan"))])
+    def test_malformed_generator_number_exits_2(self, tmp_path, capsys, field, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["substrate"]["generator"]["sagin"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad, "--out", tmp_path / "out") == 2
+        assert field in capsys.readouterr().err
+
+    def test_internal_fault_is_not_reported_as_invalid_input(self, tmp_path, monkeypatch):
+        def broken_engine(*args, **kwargs):
+            raise InsufficientResources("cpu deficit on node 0")
+        monkeypatch.setattr(cli, "run_engine", broken_engine)
+        with pytest.raises(InsufficientResources):
+            run_cli("run", SCENARIO_DIR / "example_a.json", "--out", tmp_path)
 
     def test_unknown_solver_flag(self, tmp_path):
         assert run_cli("run", SCENARIO_DIR / "example_a.json",

@@ -1,14 +1,18 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (F, make_catalog, make_request, make_snapshot, make_topo,
                       single_topo)
-from sfcsim.engine import (EventKind, MalformedScenario, build_event_queue, run,
-                           running_count_series)
+from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
 from sfcsim.mano import FailureReason
-from sfcsim.solver import GreedySolver, RandomSolver
+from sfcsim.solver import GreedySolver, RandomSolver, SolveMode, Solver, SolverDecision
+from sfcsim.topology import PhysicalPath
 from sfcsim.trace import TraceLog
 
 
@@ -150,7 +154,7 @@ class TestRunningCount:
     def test_example_a_series(self):
         topo, reqs, cat = example_a()
         report = run(topo, reqs, cat, GreedySolver(), TraceLog(), seed=0)
-        assert running_count_series(report) == [(5.0, 1), (10.0, 2), (25.0, 1), (50.0, 0)]
+        assert report.running_count == [(5.0, 1), (10.0, 2), (25.0, 1), (50.0, 0)]
 
     def test_all_rejected_gives_zero_series(self):
         snap = make_snapshot(1, [], cpu=[0.1], ram=[8])
@@ -203,3 +207,205 @@ class TestDeterminism:
             placements.add(tuple(r.plan_nodes for r in t.records
                                  if r.outcome == "accepted"))
         assert len(placements) > 1
+
+
+def assert_conserved(time, ledger):
+    """Capacity minus free equals the sum of active allocations, exactly."""
+    snap = ledger.snapshot
+    cpu = [Fraction(0)] * snap.node_count
+    ram = [Fraction(0)] * snap.node_count
+    band: dict = {}
+    for plan in ledger.allocations.values():
+        for node, x in plan.cpu_alloc.items():
+            cpu[node] += x
+        for node, x in plan.ram_alloc.items():
+            ram[node] += x
+        for key, x in plan.band_alloc.items():
+            band[key] = band.get(key, Fraction(0)) + x
+    for node in range(snap.node_count):
+        assert snap.node_cpu_capacity[node] - ledger.cpu_free(node) == cpu[node]
+        assert snap.node_ram_capacity[node] - ledger.ram_free(node) == ram[node]
+        assert ledger.cpu_free(node) >= 0 and ledger.ram_free(node) >= 0
+    assert set(band) <= set(snap.edges())
+    for u, v in snap.edges():
+        assert snap.edge_band(u, v) - ledger.band_free(u, v) == band.get((u, v), 0)
+        assert ledger.band_free(u, v) >= 0
+
+
+class TamperingSolver(Solver):
+    """Greedy, except that every Accept in ``modes`` is rewritten by ``tamper``."""
+
+    def __init__(self, tamper, modes=(SolveMode.EMBED, SolveMode.MIGRATE)):
+        self.tamper, self.modes, self.tampered = tamper, modes, 0
+
+    def solve(self, inp, rng):
+        decision = GreedySolver().solve(inp, rng)
+        if not decision.accepted or inp.mode not in self.modes:
+            return decision
+        self.tampered += 1
+        return SolverDecision.accept(self.tamper(decision.plan, inp))
+
+
+def moved(plan, i, node, paths):
+    """The plan with VNF position ``i`` moved to ``node`` via the given two legs."""
+    placement = list(plan.vnf_placement)
+    placement[i] = node
+    legs = list(plan.virtual_link_paths)
+    legs[i:i + 2] = [PhysicalPath(p) for p in paths]
+    return dataclasses.replace(plan, vnf_placement=tuple(placement),
+                               virtual_link_paths=tuple(legs))
+
+
+def rows(trace):
+    return [(r.time, r.kind, r.sfc_id, r.outcome, r.reason, r.plan_nodes)
+            for r in trace.records if r.kind != "topo_change"]
+
+
+class TestSolverContractBreaks:
+    """An Accept the gate refuses is demoted and logged, never committed."""
+
+    def test_tampered_arrival_is_demoted_to_solver_rejected(self):
+        topo, reqs, cat = example_a()
+
+        def tamper(plan, inp):
+            return dataclasses.replace(plan, cpu_alloc={**plan.cpu_alloc, 0: F(9)})
+
+        trace = TraceLog()
+        report = run(topo, reqs, cat, TamperingSolver(tamper), trace, seed=0,
+                     boundary_hook=assert_conserved)
+        demoted = FailureReason.SOLVER_REJECTED
+        assert rows(trace) == [
+            (5.0, "arrival", 0, "rejected", demoted, None),
+            (5.0, "discrepancy", 0, None, demoted, (1, 1, 1)),
+            (10.0, "arrival", 1, "rejected", demoted, None),
+            (10.0, "discrepancy", 1, None, demoted, (1, 1, 1)),
+            (25.0, "departure", 0, None, None, None),
+            (50.0, "departure", 1, None, None, None)]
+        assert (report.arrivals, report.accepted, report.rejected,
+                report.terminated_early) == (2, 0, 2, 0)
+        assert trace.failure_breakdown() == {demoted: 2}
+
+    def test_tampered_migration_is_demoted_to_migration_failed(self):
+        full = make_snapshot(3, [(0, 1), (1, 2), (0, 2)], cpu=[1, 1, 1])
+        broken = make_snapshot(3, [(0, 1), (1, 2)], cpu=[1, 1, 1])
+        topo = make_topo({0.0: full, 10.0: broken})
+        cat = make_catalog([(0, 0.5, 32)], [])
+        reqs = [make_request(sfc_id=0, start=1, end=20, ingress=0, egress=2,
+                             chain=(0,), qos=100.0)]
+
+        def tamper(plan, inp):
+            return dataclasses.replace(plan, total_latency=-1.0)
+
+        trace = TraceLog()
+        report = run(topo, reqs, cat, TamperingSolver(tamper, (SolveMode.MIGRATE,)),
+                     trace, seed=0, boundary_hook=assert_conserved)
+        failed = FailureReason.MIGRATION_FAILED
+        assert rows(trace) == [
+            (1.0, "arrival", 0, "accepted", None, (0,)),
+            (10.0, "migration", 0, "terminated", failed, None),
+            (10.0, "discrepancy", 0, None, failed, (0,)),
+            (20.0, "departure", 0, None, None, None)]
+        assert (report.arrivals, report.accepted, report.rejected,
+                report.terminated_early) == (1, 1, 0, 1)
+        assert report.running_count == [(1.0, 1), (10.0, 0), (20.0, 0)]
+
+    @pytest.mark.parametrize("node, paths", [
+        (2, ((0, 2), (2,))),   # (0,2) is not an edge of the chain 0-1-2
+        (7, ((0, 7), (7, 2))),  # node 7 is outside the three-node substrate
+    ])
+    def test_plan_off_the_substrate_is_demoted_not_raised(self, node, paths):
+        snap = make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 4, 2], ram=[256, 512, 256])
+        cat = make_catalog([(0, 0.2, 64)], [])
+        reqs = [make_request(sfc_id=0, start=1, end=9, ingress=0, egress=2, chain=(0,))]
+        trace = TraceLog()
+        report = run(single_topo(snap), reqs, cat,
+                     TamperingSolver(lambda plan, inp: moved(plan, 0, node, paths)),
+                     trace, seed=0, boundary_hook=assert_conserved)
+        assert rows(trace)[:2] == [
+            (1.0, "arrival", 0, "rejected", FailureReason.SOLVER_REJECTED, None),
+            (1.0, "discrepancy", 0, None, FailureReason.SOLVER_REJECTED, (node,))]
+        assert (report.accepted, report.rejected) == (0, 1)
+
+
+def line_scenario():
+    """Five nodes in a line; at t=10 node 2, where greedy packs, loses its cpu."""
+    before = make_snapshot(5, [(i, i + 1) for i in range(4)], cpu=[1, 1, 4, 1, 1])
+    after = make_snapshot(5, [(i, i + 1) for i in range(4)], cpu=[4, 1, 0.1, 1, 1])
+    cat = make_catalog([(0, 0.5, 32), (1, 0.5, 32)], [(0, 1, 10)])
+    reqs = [make_request(sfc_id=i, start=1 + i, end=20 + i, ingress=0, egress=4,
+                         chain=(0, 1), qos=100.0) for i in range(3)]
+    return make_topo({0.0: before, 10.0: after}), reqs, cat
+
+
+def _bump(mapping, key, delta):
+    return {**mapping, key: mapping.get(key, Fraction(0)) + delta}
+
+
+@st.composite
+def tampers(draw):
+    """A rewrite that turns any honest Accept on ``line_scenario`` into a bad plan."""
+    kind = draw(st.sampled_from(["sfc_id", "legs", "placement", "node", "edge",
+                                 "alloc", "latency"]))
+    i = draw(st.integers(0, 1))  # VNF position to move
+    if kind == "sfc_id":
+        k = draw(st.integers(1, 3))
+        return lambda plan, inp: dataclasses.replace(plan, sfc_id=plan.sfc_id + k)
+    if kind == "legs":
+        drop = draw(st.booleans())
+        return lambda plan, inp: dataclasses.replace(
+            plan, virtual_link_paths=plan.virtual_link_paths[:-1] if drop else
+            plan.virtual_link_paths + (PhysicalPath((inp.request.egress,)),))
+    if kind == "placement":
+        return lambda plan, inp: dataclasses.replace(
+            plan, vnf_placement=plan.vnf_placement + plan.vnf_placement[-1:])
+    if kind in ("node", "edge"):
+        bad = draw(st.sampled_from([-1, 5, 7]))
+
+        def tamper(plan, inp):
+            req = inp.request
+            ways = (req.ingress, *plan.vnf_placement, req.egress)
+            # a node off the substrate, or the line's end farthest from the
+            # previous waypoint, which is never its neighbour
+            node = bad if kind == "node" else (0 if ways[i] >= 2 else 4)
+            legs = [(ways[i], node) if ways[i] != node else (node,),
+                    (node, ways[i + 2]) if ways[i + 2] != node else (node,)]
+            return moved(plan, i, node, legs)
+        return tamper
+    if kind == "alloc":
+        field = draw(st.sampled_from(["cpu_alloc", "ram_alloc", "band_alloc"]))
+        delta = draw(st.sampled_from([F(1), F(-1) / 4, F(1) / 1000]))
+        node = draw(st.integers(0, 4))
+        drop = draw(st.booleans())
+
+        def tamper(plan, inp):
+            mapping = dict(getattr(plan, field))
+            if drop and mapping:
+                mapping.pop(next(iter(mapping)))
+            else:
+                mapping = _bump(mapping, (node, node + 1) if field == "band_alloc"
+                                else node, delta)
+            return dataclasses.replace(plan, **{field: mapping})
+        return tamper
+    latency = draw(st.sampled_from([math.nan, -1.0, -math.inf]))
+    return lambda plan, inp: dataclasses.replace(plan, total_latency=latency)
+
+
+class TestAdversarialSolver:
+    @given(tampers(), st.sampled_from([SolveMode.EMBED, SolveMode.MIGRATE]))
+    @settings(max_examples=80, deadline=None)
+    def test_bad_plans_are_demoted_and_resources_conserved(self, tamper, mode):
+        topo, reqs, cat = line_scenario()
+        solver = TamperingSolver(tamper, (mode,))
+        trace = TraceLog()
+        report = run(topo, reqs, cat, solver, trace, seed=0,
+                     boundary_hook=assert_conserved)
+        broken = (FailureReason.SOLVER_REJECTED if mode == SolveMode.EMBED
+                  else FailureReason.MIGRATION_FAILED)
+        discrepancies = [i for i, r in enumerate(trace.records) if r.kind == "discrepancy"]
+        assert solver.tampered >= 1
+        assert len(discrepancies) == solver.tampered
+        for i in discrepancies:
+            outcome, note = trace.records[i - 1], trace.records[i]
+            assert (outcome.sfc_id, outcome.reason) == (note.sfc_id, broken)
+            assert note.reason is broken
+        assert report.accepted + report.rejected == report.arrivals == len(reqs)

@@ -35,7 +35,7 @@ class TestCheckPlan:
         snap, cat = chain_snapshot(), catalog()
         ledger = ResourceLedger(snap)
         req, plan = plan_all_on(1, snap, cat)
-        assert check_plan(plan, ledger, snap, req, cat) is None
+        assert check_plan(plan, ledger, req) is None
         ledger.allocate(plan)
         assert ledger.ram_free(1) == F(512) - 3 * F(64) == F(320)
 
@@ -45,27 +45,27 @@ class TestCheckPlan:
                              ram=[256, 512, 256])
         cat = catalog()
         req, plan = plan_all_on(1, snap, cat, sfc_id=7)
-        assert check_plan(plan, ResourceLedger(snap), snap, req, cat) \
+        assert check_plan(plan, ResourceLedger(snap), req) \
             is FailureReason.NODE_CPU_INSUFFICIENT
 
     def test_colocated_chain_zero_latency_passes_tight_qos(self):
         snap, cat = chain_snapshot(), catalog()
         req, plan = plan_all_on(1, snap, cat, ingress=1, egress=1, qos=1.0)
         assert plan.total_latency == 0.0
-        assert check_plan(plan, ResourceLedger(snap), snap, req, cat) is None
+        assert check_plan(plan, ResourceLedger(snap), req) is None
 
     def test_check_order_path_before_cpu(self):
         snap, cat = chain_snapshot(), catalog()
         req, plan = plan_all_on(1, snap, cat)
         broken = make_snapshot(3, [(0, 1)], cpu=[0, 0, 0], ram=[1, 1, 1])
-        assert check_plan(plan, ResourceLedger(broken), broken, req, cat) \
+        assert check_plan(plan, ResourceLedger(broken), req) \
             is FailureReason.NO_PATH
 
     def test_qos_reason(self):
         snap, cat = chain_snapshot(), catalog()
         req, plan = plan_all_on(1, snap, cat, qos=1.5)  # path latency is 2 ms
         assert plan.total_latency == 2.0
-        assert check_plan(plan, ResourceLedger(snap), snap, req, cat) \
+        assert check_plan(plan, ResourceLedger(snap), req) \
             is FailureReason.QOS_LATENCY_VIOLATED
 
     def test_band_reason(self):
@@ -75,12 +75,12 @@ class TestCheckPlan:
         plan = build_plan(req, cat, snap, (0, 1),
                           [PhysicalPath((0,)), PhysicalPath((0, 1)), PhysicalPath((1,))])
         ledger = ResourceLedger(snap)
-        assert check_plan(plan, ledger, snap, req, cat) is None
+        assert check_plan(plan, ledger, req) is None
         ledger.allocate(plan)
         req2 = make_request(sfc_id=1, ingress=0, egress=1, chain=(0, 1), qos=50.0)
         plan2 = build_plan(req2, cat, snap, (0, 1),
                            [PhysicalPath((0,)), PhysicalPath((0, 1)), PhysicalPath((1,))])
-        assert check_plan(plan2, ledger, snap, req2, cat) \
+        assert check_plan(plan2, ledger, req2) \
             is FailureReason.LINK_BANDWIDTH_INSUFFICIENT
 
     def test_pure_and_repeatable(self):
@@ -88,7 +88,7 @@ class TestCheckPlan:
         ledger = ResourceLedger(snap)
         req, plan = plan_all_on(1, snap, cat)
         before = (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map())
-        verdicts = {check_plan(plan, ledger, snap, req, cat) for _ in range(5)}
+        verdicts = {check_plan(plan, ledger, req) for _ in range(5)}
         assert verdicts == {None}
         assert (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map()) == before
 
@@ -238,7 +238,7 @@ class TestConservation:
                 req, plan = plan_all_on(node, snap, cat, sfc_id=next_id,
                                         ingress=node, egress=node)
                 next_id += 1
-                if check_plan(plan, ledger, snap, req, cat) is None:
+                if check_plan(plan, ledger, req) is None:
                     ledger.allocate(plan)
             for node in range(3):
                 used_cpu = sum((p.cpu_alloc.get(node, Fraction(0))

@@ -179,6 +179,23 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="sfc 1.*BadLifecycle"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("start", float("nan"), "sfc 0.*BadLifecycle"),
+        ("end", float("inf"), "sfc 0.*BadLifecycle"),
+        ("qos_latency_ms", float("nan"), "sfc 0.*BadQos"),
+        ("time_points", float("nan"), "substrate: time_points must be finite"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, value, problem):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        if field == "time_points":
+            doc["substrate"]["time_points"][0] = value
+        else:
+            doc["workload"]["sfcs"][0][field] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))  # written as the NaN / Infinity literals
+        with pytest.raises(ValidationError, match=problem):
+            load_scenario(path)
+
     def test_unknown_solver(self, tmp_path):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         doc["solver"] = "pso"

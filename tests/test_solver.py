@@ -58,7 +58,7 @@ class TestContract:
             inp = fresh_input(snap, cat, req)
             dec = make_solver(name).solve(inp, random.Random(3))
             assert dec.accepted
-            assert check_plan(dec.plan, ResourceLedger(snap), snap, req, cat) is None
+            assert check_plan(dec.plan, ResourceLedger(snap), req) is None
 
     def test_no_path_reason(self):
         snap = make_snapshot(3, [(0, 1)], cpu=[0.1, 10, 10])  # node 2 isolated
@@ -183,7 +183,7 @@ class TestContractSoundnessFuzz:
                 dec = make_solver(name).solve(inp, random.Random(trial))
                 if dec.accepted:
                     accepts += 1
-                    assert check_plan(dec.plan, ResourceLedger(snap), snap, req, cat) is None
+                    assert check_plan(dec.plan, ResourceLedger(snap), req) is None
                     # independent recheck through the brute-force validator
                     assert placement_feasible(
                         snap, req, cat, dec.plan.vnf_placement,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from conftest import F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
 from sfcsim.topology import (InvalidPath, PhysicalPath, SubstrateTopology,
                              TimeBeforeStart, path_latency, shortest_feasible_path,
-                             snapshot_at, topology_from_json, topology_to_json)
+                             topology_from_json, topology_to_json)
 
 
 def three_step_topo():
@@ -20,26 +21,26 @@ def three_step_topo():
 class TestSnapshotAt:
     def test_floor_between_points(self):
         topo = three_step_topo()
-        assert snapshot_at(topo, 15) is topo.snapshots[10.0]
+        assert topo.snapshot_at(15) is topo.snapshots[10.0]
 
     def test_exact_hit(self):
         topo = three_step_topo()
-        assert snapshot_at(topo, 0) is topo.snapshots[0.0]
+        assert topo.snapshot_at(0) is topo.snapshots[0.0]
 
     def test_past_last_point(self):
         topo = three_step_topo()
-        assert snapshot_at(topo, 25) is topo.snapshots[20.0]
+        assert topo.snapshot_at(25) is topo.snapshots[20.0]
 
     def test_before_start_raises(self):
         with pytest.raises(TimeBeforeStart):
-            snapshot_at(three_step_topo(), -0.5)
+            three_step_topo().snapshot_at(-0.5)
 
     @given(st.floats(min_value=0, max_value=30, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_piecewise_constant(self, t):
         topo = three_step_topo()
         points = [p for p in topo.time_points if p <= t]
-        assert snapshot_at(topo, t) is topo.snapshots[points[-1]]
+        assert topo.snapshot_at(t) is topo.snapshots[points[-1]]
 
 
 class TestPathLatency:
@@ -175,6 +176,12 @@ class TestValidation:
         snap = make_snapshot(2, [(0, 1)])
         with pytest.raises(ValueError, match="increasing"):
             SubstrateTopology(time_points=(0.0, 0.0), snapshots={0.0: snap})
+
+    @pytest.mark.parametrize("points", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)])
+    def test_time_points_must_be_finite(self, points):
+        snap = make_snapshot(2, [(0, 1)])
+        with pytest.raises(ValueError, match="time_points must be finite"):
+            SubstrateTopology(time_points=points, snapshots=dict.fromkeys(points, snap))
 
     def test_node_count_must_be_stable(self):
         with pytest.raises(ValueError, match="node count"):

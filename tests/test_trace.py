@@ -9,7 +9,7 @@ from sfcsim.solver import GreedySolver
 from sfcsim.trace import EVENT_KINDS, TraceLog
 
 
-def example_a_run():
+def example_a_run(boundary_hook=None):
     snap = make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 4, 2], ram=[256, 512, 256])
     cat = make_catalog([(0, 0.2, 64), (1, 0.2, 64), (2, 0.2, 64)],
                        [(0, 1, 20), (1, 2, 20)])
@@ -18,19 +18,27 @@ def example_a_run():
             make_request(sfc_id=1, start=10, end=50, ingress=0, egress=2,
                          chain=(0, 1, 2), qos=50.0)]
     trace = TraceLog()
-    report = run(single_topo(snap), reqs, cat, GreedySolver(), trace, seed=0)
+    report = run(single_topo(snap), reqs, cat, GreedySolver(), trace, seed=0,
+                 boundary_hook=boundary_hook)
     return report, trace, reqs, cat
 
 
-def saturated_run(arrivals=4):
+def saturated_run(arrivals=4, boundary_hook=None):
     """One-node substrate; each chain takes 0.8 cpu, capacity fits one at a time."""
     snap = make_snapshot(1, [], cpu=[1.0], ram=[4096])
     cat = make_catalog([(0, 0.8, 64)], [])
     reqs = [make_request(sfc_id=i, start=10 * i + 1, end=10 * i + 25, chain=(0,))
             for i in range(arrivals)]
     trace = TraceLog()
-    report = run(single_topo(snap), reqs, cat, GreedySolver(), trace, seed=0)
+    report = run(single_topo(snap), reqs, cat, GreedySolver(), trace, seed=0,
+                 boundary_hook=boundary_hook)
     return report, trace
+
+
+def live_counts():
+    """A boundary hook and the (time, active allocations) it reads off the ledger."""
+    counts = []
+    return counts, lambda time, ledger: counts.append((time, len(ledger.allocations)))
 
 
 class TestAcceptanceRatio:
@@ -78,12 +86,14 @@ class TestFailureBreakdown:
 
 class TestRunningCountFromTrace:
     def test_matches_engine_series(self):
-        report, trace, _, _ = example_a_run()
-        assert trace.running_count_series() == report.running_count
+        counts, hook = live_counts()
+        _, trace, _, _ = example_a_run(boundary_hook=hook)
+        assert trace.running_count_series() == counts
 
     def test_matches_on_saturated_run(self):
-        report, trace = saturated_run()
-        assert trace.running_count_series() == report.running_count
+        counts, hook = live_counts()
+        _, trace = saturated_run(boundary_hook=hook)
+        assert trace.running_count_series() == counts
 
 
 class TestUtilizationReconstruction:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import (F, make_catalog, make_request, make_snapshot, make_topo,
@@ -61,6 +63,17 @@ class TestValidateWorkload:
         topo = single_topo(make_snapshot(2, [(0, 1)]), t0=100.0)
         report = validate_workload([make_request(start=5.0, end=50.0)], catalog, topo)
         assert [i.reason for i in report.issues] == ["BadLifecycle"]
+
+    @pytest.mark.parametrize("start, end", [(math.nan, 5.0), (1.0, math.inf),
+                                            (math.nan, math.nan)])
+    def test_non_finite_lifecycle(self, topo, catalog, start, end):
+        report = validate_workload([make_request(start=start, end=end)], catalog, topo)
+        assert [i.reason for i in report.issues] == ["BadLifecycle"]
+
+    @pytest.mark.parametrize("qos", [math.nan, math.inf])
+    def test_non_finite_qos(self, topo, catalog, qos):
+        report = validate_workload([make_request(qos=qos)], catalog, topo)
+        assert [i.reason for i in report.issues] == ["BadQos"]
 
     def test_unknown_vnf(self, topo, catalog):
         report = validate_workload([make_request(chain=(0, 77))], catalog, topo)
