@@ -220,15 +220,25 @@ class ResourceLedger:
     def band_free(self, u: int, v: int) -> Fraction:
         return self._snapshot.edge_band(u, v) - self.band_used(u, v)
 
+    # Most nodes and edges carry no load, so the whole-substrate views start
+    # from the capacities and subtract only where usage is non-zero.
+
     def cpu_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(self.cpu_free(n) for n in range(self._snapshot.node_count))
+        return tuple(cap - used if used else cap for cap, used
+                     in zip(self._snapshot.node_cpu_capacity, self._cpu_used))
 
     def ram_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(self.ram_free(n) for n in range(self._snapshot.node_count))
+        return tuple(cap - used if used else cap for cap, used
+                     in zip(self._snapshot.node_ram_capacity, self._ram_used))
 
     def band_free_map(self) -> dict[tuple[int, int], Fraction]:
         """Free bandwidth for every edge of the current snapshot."""
-        return {(u, v): self.band_free(u, v) for u, v in self._snapshot.edges()}
+        band = self._snapshot.link_band_capacity
+        free = {(u, v): band[u][v] for u, v in self._snapshot.edges()}
+        for key, used in self._band_used.items():
+            if key in free:  # usage on an edge the snapshot dropped has no view
+                free[key] -= used
+        return free
 
     # -- mutation
 

@@ -395,8 +395,11 @@ def scenario_from_json(doc: dict) -> Scenario:
     for key in ("substrate", "workload", "catalog", "solver"):
         if key not in doc:
             raise ValidationError(f"scenario: missing top-level field {key!r}")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
+        raise ValidationError(f"seed: expected an integer, got {seed!r}")
     try:
-        seed = int(doc.get("seed", 0))
+        seed = int(seed)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"seed: {exc}") from None
 
@@ -442,6 +445,8 @@ def scenario_from_json(doc: dict) -> Scenario:
             raise ValidationError(f"workload.sfcs: {exc}") from None
 
     solver_name = doc["solver"]
+    if not isinstance(solver_name, str):
+        raise ValidationError(f"solver: expected a solver name, got {solver_name!r}")
     if solver_name not in SOLVERS:
         raise ValidationError(
             f"solver: UnknownSolver {solver_name!r}; available: {sorted(SOLVERS)}")

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .mano import (EmbeddingPlan, FailureReason, build_plan, check_plan_against,
@@ -70,6 +71,11 @@ class Solver:
         raise NotImplementedError
 
 
+def _units(values, den: int) -> list[int]:
+    """Exact numbers as integer multiples of ``1/den`` (den divides out each)."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     """Shared position-by-position skeleton for the baseline solvers.
 
@@ -78,18 +84,37 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     with the minimum-latency bandwidth-feasible path, and the first empty
     candidate set / missing path / QoS excess aborts with that reason.
     No backtracking.
+
+    The walk runs on plain ints: each resource kind is expressed over one
+    common denominator (the LCM of every denominator that kind meets in this
+    decision), which keeps every comparison and deduction exact.
+    ``choose(candidates, cpu, ram, max_cpu, max_ram)`` sees the free amounts
+    and the snapshot's largest node capacities in those units.
     """
     req, cat, snap = inp.request, inp.catalog, inp.snapshot
-    cpu = list(inp.cpu_free)
-    ram = list(inp.ram_free)
-    band = dict(inp.band_free)
-    demands = leg_band_demands(req, cat)
+    cpu_exact = [cat.templates[vnf_id].cpu_demand for vnf_id in req.vnf_chain]
+    ram_exact = [cat.templates[vnf_id].ram_demand for vnf_id in req.vnf_chain]
+    band_exact = leg_band_demands(req, cat)
+
+    cpu_den = lcm(*{x.denominator for x in (*inp.cpu_free, *cpu_exact,
+                                            *snap.node_cpu_capacity)})
+    ram_den = lcm(*{x.denominator for x in (*inp.ram_free, *ram_exact,
+                                            *snap.node_ram_capacity)})
+    band_den = lcm(*{x.denominator for x in (*inp.band_free.values(), *band_exact)})
+    cpu = _units(inp.cpu_free, cpu_den)
+    ram = _units(inp.ram_free, ram_den)
+    band = dict(zip(inp.band_free, _units(inp.band_free.values(), band_den)))
+    cpu_demand = _units(cpu_exact, cpu_den)
+    ram_demand = _units(ram_exact, ram_den)
+    demands = _units(band_exact, band_den)
+    max_cpu = max(_units(snap.node_cpu_capacity, cpu_den))
+    max_ram = max(_units(snap.node_ram_capacity, ram_den))
 
     placement: list[int] = []
     paths = []
     latency = 0.0
 
-    def route(src: int, dst: int, demand: Fraction):
+    def route(src: int, dst: int, demand: int):
         nonlocal latency
         path = shortest_feasible_path(snap, src, dst, demand, band)
         if path is None:
@@ -103,22 +128,21 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
         return path
 
     prev = req.ingress
-    for pos, vnf_id in enumerate(req.vnf_chain):
-        template = cat.templates[vnf_id]
-        cpu_ok = [n for n in range(snap.node_count) if cpu[n] >= template.cpu_demand]
+    for pos, (cpu_need, ram_need) in enumerate(zip(cpu_demand, ram_demand)):
+        cpu_ok = [n for n in range(snap.node_count) if cpu[n] >= cpu_need]
         if not cpu_ok:
             return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT)
-        candidates = [n for n in cpu_ok if ram[n] >= template.ram_demand]
+        candidates = [n for n in cpu_ok if ram[n] >= ram_need]
         if not candidates:
             return SolverDecision.reject(FailureReason.NODE_RAM_INSUFFICIENT)
-        node = choose(candidates, cpu, ram)
+        node = choose(candidates, cpu, ram, max_cpu, max_ram)
         path = route(prev, node, demands[pos])
         if path is None:
             return SolverDecision.reject(FailureReason.NO_PATH)
         if latency > req.qos_max_latency:
             return SolverDecision.reject(FailureReason.QOS_LATENCY_VIOLATED)
-        cpu[node] -= template.cpu_demand
-        ram[node] -= template.ram_demand
+        cpu[node] -= cpu_need
+        ram[node] -= ram_need
         assert cpu[node] >= 0 and ram[node] >= 0
         placement.append(node)
         paths.append(path)
@@ -150,7 +174,7 @@ class RandomSolver(Solver):
     name = "random"
 
     def solve(self, inp: SolverInput, rng: random.Random) -> SolverDecision:
-        def choose(candidates, cpu, ram):
+        def choose(candidates, cpu, ram, max_cpu, max_ram):
             return candidates[rng.randrange(len(candidates))]
         return _solve_sequential(inp, choose)
 
@@ -159,31 +183,28 @@ class GreedySolver(Solver):
     """Deterministic baseline: prefer the most spacious node.
 
     Each position takes the feasible node with the highest
-    ``cpu_free + ram_free`` score, both normalized by the snapshot-wide
-    maximum capacity so the two resources weigh equally and bigger nodes win
-    while they have headroom.  Ties go to the smallest node index; the RNG is
-    never touched.
+    ``cpu_free / max_cpu + ram_free / max_ram`` score, where the maxima are
+    the snapshot-wide largest capacities, so the two resources weigh equally
+    and bigger nodes win while they have headroom.  A resource whose maximum
+    capacity is 0 drops out of the score.  Ties go to the smallest node
+    index; the RNG is never touched.
+
+    The score is compared division-free: multiplied through by
+    ``max_cpu * max_ram`` (a zero maximum counted as 1) it becomes
+    ``cpu_free * max_ram + ram_free * max_cpu`` in the decision's integer
+    units, which orders the nodes exactly as the quotients do.
     """
 
     name = "greedy"
 
     def solve(self, inp: SolverInput, rng: random.Random) -> SolverDecision:
-        snap = inp.snapshot
-        max_cpu = max(snap.node_cpu_capacity)
-        max_ram = max(snap.node_ram_capacity)
-
-        def choose(candidates, cpu, ram):
-            def score(n):
-                s = Fraction(0)
-                if max_cpu:
-                    s += cpu[n] / max_cpu
-                if max_ram:
-                    s += ram[n] / max_ram
-                return s
+        def choose(candidates, cpu, ram, max_cpu, max_ram):
+            cpu_weight = max(max_ram, 1) if max_cpu else 0
+            ram_weight = max(max_cpu, 1) if max_ram else 0
             best = candidates[0]
-            best_score = score(best)
+            best_score = cpu[best] * cpu_weight + ram[best] * ram_weight
             for n in candidates[1:]:
-                s = score(n)
+                s = cpu[n] * cpu_weight + ram[n] * ram_weight
                 if s > best_score:
                     best, best_score = n, s
             return best

@@ -200,14 +200,16 @@ def shortest_feasible_path(
     src: int,
     dst: int,
     min_band: Fraction | int = 0,
-    residual_band: Mapping[tuple[int, int], Fraction] | None = None,
+    residual_band: Mapping[tuple[int, int], Fraction | int] | None = None,
 ) -> PhysicalPath | None:
     """Minimum-latency simple path using only edges with enough free bandwidth.
 
-    ``residual_band`` maps canonical edge keys to free Mbps; when ``None`` the
-    snapshot capacities are used (empty network).  Among equal-latency paths
-    the lexicographically smallest node sequence wins, which keeps traces
-    reproducible.  Returns ``None`` when src and dst are disconnected under
+    ``residual_band`` maps canonical edge keys to free bandwidth (an edge it
+    lacks has none free); when ``None`` the snapshot capacities are used
+    (empty network).  ``min_band`` and the residuals may be any exact numbers,
+    ints or Fractions, as long as they share one unit.  Among equal-latency
+    paths the lexicographically smallest node sequence wins, which keeps
+    traces reproducible.  Returns ``None`` when src and dst are disconnected under
     the bandwidth filter.
     """
     n = snap.node_count
@@ -216,10 +218,10 @@ def shortest_feasible_path(
     if src == dst:
         return PhysicalPath((src,))
 
-    def free(u: int, v: int) -> Fraction:
+    def free(u: int, v: int) -> Fraction | int:
         if residual_band is None:
             return snap.link_band_capacity[u][v]
-        return residual_band.get(edge_key(u, v), Fraction(0))
+        return residual_band.get(edge_key(u, v), 0)
 
     # Lazy Dijkstra keyed on (latency, node sequence): the tuple comparison
     # settles latency ties lexicographically, and extending two simple paths

@@ -3,7 +3,8 @@
 Everything here is written from the problem statement alone and must stay
 independent of the library's own pathfinding and plan checking: exhaustive
 simple-path enumeration, a from-scratch feasibility verdict for a complete
-plan, and an exhaustive search over all placements and path combinations.
+plan, an exhaustive search over all placements and path combinations, and
+the baseline solvers' sequential rule written in plain Fractions.
 """
 
 import itertools
@@ -126,3 +127,73 @@ def exhaustive_embedding(snap, request, catalog):
             if placement_feasible(snap, request, catalog, placement, combo):
                 return placement, combo
     return None
+
+
+def sequential_decision(snap, request, catalog, cpu_free, ram_free, band_free, pick):
+    """The baselines' chain walk in plain Fractions: (placement, paths, reason).
+
+    Position by position, the nodes with enough free cpu (none: the reason is
+    "NodeCpuInsufficient"), then enough free ram ("NodeRamInsufficient"), go
+    to ``pick(candidates, cpu, ram)``; the leg from the previous waypoint
+    takes the best (latency, node sequence) bandwidth-feasible path by
+    enumeration ("NoPath"), and the running latency must stay within the QoS
+    bound ("QosLatencyViolated").  Only then are the node's and the path's
+    resources deducted.  The egress leg follows the last position.
+    Accepted walks return reason None; rejected ones placement and paths None.
+    """
+    cpu, ram, band = list(cpu_free), list(ram_free), dict(band_free)
+    demands = leg_demands(request, catalog)
+    placement, paths, latency = [], [], 0.0
+    chain = list(request.vnf_chain)
+    for pos in range(len(chain) + 1):
+        prev = placement[-1] if placement else request.ingress
+        node = request.egress
+        if pos < len(chain):
+            t = catalog.templates[chain[pos]]
+            cpu_ok = [n for n in range(snap.node_count) if cpu[n] >= t.cpu_demand]
+            if not cpu_ok:
+                return None, None, "NodeCpuInsufficient"
+            candidates = [n for n in cpu_ok if ram[n] >= t.ram_demand]
+            if not candidates:
+                return None, None, "NodeRamInsufficient"
+            node = pick(candidates, cpu, ram)
+        best = min_latency_path(snap, prev, node, demands[pos], band)
+        if best is None:
+            return None, None, "NoPath"
+        latency += path_cost(snap, best[1])
+        if latency > request.qos_max_latency:
+            return None, None, "QosLatencyViolated"
+        for a, b in zip(best[1], best[1][1:]):
+            key = (a, b) if a < b else (b, a)
+            band[key] = band.get(key, Fraction(0)) - demands[pos]
+        paths.append(best[1])
+        if pos < len(chain):
+            cpu[node] -= t.cpu_demand
+            ram[node] -= t.ram_demand
+            placement.append(node)
+    return tuple(placement), tuple(paths), None
+
+
+def greedy_pick(snap):
+    """Greedy's choice: highest cpu/max_cpu + ram/max_ram, first index on ties.
+
+    A resource whose largest snapshot capacity is 0 adds nothing to the score.
+    """
+    max_cpu = max(snap.node_cpu_capacity)
+    max_ram = max(snap.node_ram_capacity)
+
+    def pick(candidates, cpu, ram):
+        def score(n):
+            return ((cpu[n] / max_cpu if max_cpu else Fraction(0))
+                    + (ram[n] / max_ram if max_ram else Fraction(0)))
+        best = candidates[0]
+        for n in candidates[1:]:
+            if score(n) > score(best):
+                best = n
+        return best
+    return pick
+
+
+def random_pick(rng):
+    """Random's choice: a uniform index drawn with ``rng.randrange``."""
+    return lambda candidates, cpu, ram: candidates[rng.randrange(len(candidates))]

@@ -139,6 +139,12 @@ def test_criterion_2_conservation_fuzz():
                     assert snap.link_band_capacity[u][v] - ledger.band_free(u, v) \
                         == band.get((u, v), Fraction(0))
                     assert ledger.band_free(u, v) >= 0
+                # the solver-facing views agree with the per-entry reads,
+                # including edges whose usage was released back to 0
+                assert ledger.cpu_free_all() == tuple(map(ledger.cpu_free, range(n)))
+                assert ledger.ram_free_all() == tuple(map(ledger.ram_free, range(n)))
+                assert ledger.band_free_map() == {e: ledger.band_free(*e)
+                                                  for e in snap.edges()}
 
             trace = TraceLog()
             report = run(topo, requests, catalog, solver, trace, seed=i,

@@ -92,6 +92,14 @@ class TestRunCommand:
         with pytest.raises(InsufficientResources):
             run_cli("run", SCENARIO_DIR / "example_a.json", "--out", tmp_path)
 
+    def test_non_string_solver_in_scenario_exits_2(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["solver"] = ["greedy"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad, "--out", tmp_path / "out") == 2
+        assert "solver" in capsys.readouterr().err
+
     def test_unknown_solver_flag(self, tmp_path):
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
                        "--solver", "pso", "--out", tmp_path) == 2

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
 from sfcsim.scenario import (InvalidParams, ParseError, SaginParams, ValidationError,
-                             generate_poisson_workload, generate_sagin, load_scenario)
+                             generate_poisson_workload, generate_sagin, load_scenario,
+                             scenario_from_json)
 from sfcsim.topology import topology_to_json
 from sfcsim.workload import validate_workload
 
@@ -203,6 +204,27 @@ class TestLoadScenario:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="UnknownSolver"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("value", [["greedy"], {"name": "greedy"}, 1, None])
+    def test_non_string_solver_rejected(self, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["solver"] = value
+        with pytest.raises(ValidationError, match="^solver: "):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("value", [1.9, True, False, float("inf"), float("nan"),
+                                       "1.5", [3]])
+    def test_bad_seed_rejected(self, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["seed"] = value
+        with pytest.raises(ValidationError, match="^seed: "):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_integral_seed_accepted(self, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["seed"] = value
+        assert scenario_from_json(doc).seed == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="missing.json"):

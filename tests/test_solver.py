@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import F, make_catalog, make_request, make_snapshot
-from oracle import exhaustive_embedding, placement_feasible
+from oracle import (exhaustive_embedding, greedy_pick, placement_feasible, random_pick,
+                    sequential_decision)
 from sfcsim.mano import FailureReason, ResourceLedger, check_plan
 from sfcsim.solver import (SOLVERS, GreedySolver, RandomSolver, SolverDecision,
                            SolverInput, make_solver)
@@ -155,6 +158,94 @@ class TestGreedySolver:
                 accepted += 1
                 assert exhaustive_embedding(snap, req, cat) is not None
         assert accepted > 5
+
+    def test_zero_max_capacity_drops_out_of_score(self):
+        # every cpu capacity is 0, so only ram/max_ram ranks the nodes even
+        # though the residuals handed in still show free cpu
+        snap = make_snapshot(2, [(0, 1)], cpu=[0, 0], ram=[64, 128])
+        cat = make_catalog([(0, 1, 8)], [])
+        req = make_request(chain=(0,), ingress=0, egress=0)
+        inp = SolverInput(request=req, catalog=cat, snapshot=snap,
+                          cpu_free=(F(5), F(1)), ram_free=(F(10), F(20)),
+                          band_free={(0, 1): F(100)})
+        assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (1,)
+
+
+def _exact(draw, lo, hi):
+    # coprime denominators make the per-decision LCM grow
+    return Fraction(draw(st.integers(lo, hi)), draw(st.sampled_from((1, 7, 11, 13))))
+
+
+@st.composite
+def solver_inputs(draw):
+    """Small decisions with partly used residuals; sometimes every node's
+    cpu (or ram) capacity is 0 while the residuals still offer some."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.sampled_from((None, None, "cpu", "ram")))
+    edges = [(u, v, draw(st.sampled_from((0.5, 1.0, 2.0))), _exact(draw, 0, 30))
+             for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    caps = {kind: [F(0) if zero == kind else _exact(draw, 1, 60) for _ in range(n)]
+            for kind in ("cpu", "ram")}
+    snap = make_snapshot(n, edges, cpu=caps["cpu"], ram=caps["ram"])
+
+    def residual(cap, kind=None):
+        if kind is not None and zero == kind:
+            return _exact(draw, 0, 40)
+        # drawn apart from the capacity, so the two denominators differ
+        return min(cap, _exact(draw, 0, 60))
+
+    cat = make_catalog([(i, _exact(draw, 1, 6), _exact(draw, 1, 6)) for i in range(3)],
+                       [(a, b, _exact(draw, 1, 15)) for a in range(3) for b in range(a, 3)])
+    req = make_request(chain=draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+                       ingress=draw(st.integers(0, n - 1)),
+                       egress=draw(st.integers(0, n - 1)),
+                       qos=draw(st.sampled_from((1.0, 3.0, 1000.0))))
+    return SolverInput(
+        request=req, catalog=cat, snapshot=snap,
+        cpu_free=tuple(residual(c, "cpu") for c in snap.node_cpu_capacity),
+        ram_free=tuple(residual(c, "ram") for c in snap.node_ram_capacity),
+        band_free={(u, v): residual(snap.link_band_capacity[u][v])
+                   for u, v in snap.edges()})
+
+
+class TestIntegerUnitsMatchReference:
+    """The baselines decide in integer units exactly as the Fraction rule does."""
+
+    @given(solver_inputs(), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_same_decision_as_fraction_reference(self, inp, seed):
+        for solver, pick in ((GreedySolver(), greedy_pick(inp.snapshot)),
+                             (RandomSolver(), random_pick(random.Random(seed)))):
+            dec = solver.solve(inp, random.Random(seed))
+            got = ((dec.plan.vnf_placement,
+                    tuple(p.nodes for p in dec.plan.virtual_link_paths), None)
+                   if dec.accepted else (None, None, dec.reason.value))
+            assert got == sequential_decision(inp.snapshot, inp.request, inp.catalog,
+                                              inp.cpu_free, inp.ram_free,
+                                              inp.band_free, pick)
+
+    def test_capacity_only_denominator(self):
+        # only the cpu capacities have sevenths; node 0 wins on cpu
+        # (3/2 / 13/7 + 10/100) over node 1 (1/2 / 13/7 + 20/100)
+        snap = make_snapshot(2, [(0, 1)], cpu=[F(13) / 7, F(6) / 7], ram=[100, 100])
+        cat = make_catalog([(0, 0.5, 1)], [])
+        inp = SolverInput(request=make_request(chain=(0,)), catalog=cat, snapshot=snap,
+                          cpu_free=(F(3) / 2, F(1) / 2), ram_free=(F(10), F(20)),
+                          band_free={(0, 1): F(100)})
+        assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (0,)
+
+    def test_demand_only_denominator(self):
+        # each node hosts one VNF, so the 3/7 Mbps leg between them must
+        # cross the only edge, which has 2/5 free
+        snap = make_snapshot(2, [(0, 1)], cpu=[1, 1])
+        cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, F(3) / 7)])
+        req = make_request(chain=(0, 1), ingress=0, egress=0)
+        inp = SolverInput(request=req, catalog=cat, snapshot=snap,
+                          cpu_free=(F(1), F(1)), ram_free=(F(1024), F(1024)),
+                          band_free={(0, 1): F(2) / 5})
+        for name in SOLVERS:
+            dec = make_solver(name).solve(inp, random.Random(0))
+            assert dec.reason is FailureReason.NO_PATH
 
 
 class TestContractSoundnessFuzz:
