@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from .solver import SOLVERS
@@ -74,6 +75,10 @@ class SaginParams:
             raise InvalidParams("uav_count and ground_count cannot be negative")
         if self.altitude_km <= 0:
             raise InvalidParams("altitude_km must be > 0")
+        if not all(map(math.isfinite, (self.altitude_km, self.earth_radius_km,
+                                       self.inclination_deg))):
+            raise InvalidParams(
+                "altitude_km, earth_radius_km and inclination_deg must be finite")
         if self.duration_s <= 0 or self.snapshot_interval_s <= 0:
             raise InvalidParams("duration and snapshot interval must be > 0")
         steps = self.duration_s / self.snapshot_interval_s
@@ -119,26 +124,18 @@ def _sat_position(p: SaginParams, orbit: int, slot: int, t: float):
             z)
 
 
-def _elevation_deg(ground, sat) -> float:
-    """Angle of the satellite above the local horizon of a surface point."""
-    gr = math.sqrt(sum(c * c for c in ground))
-    d = tuple(s - g for s, g in zip(sat, ground))
-    dn = math.sqrt(sum(c * c for c in d))
-    sin_el = sum(di * gi for di, gi in zip(d, ground)) / (dn * gr)
-    return math.degrees(math.asin(max(-1.0, min(1.0, sin_el))))
-
-
 def _line_of_sight(p, q, earth_radius: float) -> bool:
     """True when the segment p-q clears the Earth sphere."""
-    d = tuple(b - a for a, b in zip(p, q))
-    dd = sum(c * c for c in d)
+    px, py, pz = p
+    dx, dy, dz = q[0] - px, q[1] - py, q[2] - pz
+    dd = dx * dx + dy * dy + dz * dz
     if dd == 0:
         return True
-    t = -sum(a * b for a, b in zip(p, d)) / dd
+    t = -(px * dx + py * dy + pz * dz) / dd
     if not 0 < t < 1:
         return True  # closest approach outside the segment; endpoints are above ground
-    closest = tuple(a + t * b for a, b in zip(p, d))
-    return math.sqrt(sum(c * c for c in closest)) >= earth_radius
+    cx, cy, cz = px + t * dx, py + t * dy, pz + t * dz
+    return math.sqrt(cx * cx + cy * cy + cz * cz) >= earth_radius
 
 
 def generate_sagin(params: SaginParams) -> SubstrateTopology:
@@ -195,6 +192,12 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
                 + [p.ground_cpu] * p.ground_count)
     ram = tuple([p.node_ram_mb] * n)
+    m = p.sats_per_orbit
+    # Per orbit, the satellites of every other plane in index order: the
+    # candidates for its cross-plane links.
+    other_planes = [[v for v in range(sat_n) if v // m != orbit]
+                    for orbit in range(p.orbit_count)]
+    zero_band = Fraction(0)
 
     def snapshot_at(t: float) -> SubstrateSnapshot:
         pos = [_sat_position(p, i // p.sats_per_orbit, i % p.sats_per_orbit, t)
@@ -204,7 +207,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
 
         adjacency = [[False] * n for _ in range(n)]
         latency = [[0.0] * n for _ in range(n)]
-        band = [[Fraction(0)] * n for _ in range(n)]
+        band = [[zero_band] * n for _ in range(n)]
 
         def add_edge(u: int, v: int, band_mbps: Fraction):
             d = math.dist(pos[u], pos[v])
@@ -215,30 +218,36 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             band[u][v] = band[v][u] = band_mbps
 
         # Intra-orbit rings.
-        m = p.sats_per_orbit
         for orbit in range(p.orbit_count):
             base = orbit * m
             if m >= 2:
                 for j in range(m if m > 2 else 1):
                     add_edge(base + j, base + (j + 1) % m, p.isl_band_mbps)
 
-        # Nearest cross-plane neighbor, line-of-sight permitting.
+        # Nearest cross-plane neighbor, line-of-sight permitting.  list.index
+        # returns the first of equal minima, as a strict-< scan would.
         if p.orbit_count >= 2:
-            for u in range(sat_n):
-                nearest, best = -1, math.inf
-                for v in range(sat_n):
-                    if v // m == u // m:
-                        continue
-                    d = math.dist(pos[u], pos[v])
-                    if d < best:
-                        nearest, best = v, d
-                if nearest >= 0 and _line_of_sight(pos[u], pos[nearest], p.earth_radius_km):
-                    add_edge(u, nearest, p.isl_band_mbps)
+            for orbit, cand in enumerate(other_planes):
+                cand_pos = [pos[v] for v in cand]
+                for u in range(orbit * m, (orbit + 1) * m):
+                    ds = list(map(math.dist, repeat(pos[u]), cand_pos))
+                    nearest = cand[ds.index(min(ds))]
+                    if _line_of_sight(pos[u], pos[nearest], p.earth_radius_km):
+                        add_edge(u, nearest, p.isl_band_mbps)
 
-        # Surface/air to satellite, by elevation mask.
+        # Surface/air to satellite, by elevation mask: the angle of the
+        # satellite above the node's local horizon.  The three-term sums are
+        # written out left to right, so the result does not depend on how
+        # the Python version's sum() rounds.
+        sat_pos = pos[:sat_n]
         for g in range(sat_n, n):
-            for s in range(sat_n):
-                if _elevation_deg(pos[g], pos[s]) >= p.elevation_min_deg:
+            gx, gy, gz = pos[g]
+            gr = math.sqrt(gx * gx + gy * gy + gz * gz)
+            for s, (sx, sy, sz) in enumerate(sat_pos):
+                dx, dy, dz = sx - gx, sy - gy, sz - gz
+                sin_el = ((dx * gx + dy * gy + dz * gz)
+                          / (math.sqrt(dx * dx + dy * dy + dz * dz) * gr))
+                if math.degrees(math.asin(max(-1.0, min(1.0, sin_el)))) >= p.elevation_min_deg:
                     add_edge(g, s, p.sg_band_mbps)
 
         # UAV-UAV and UAV-ground, by range.  Ground stations do not
@@ -350,6 +359,14 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    """A JSON integer field: ``3``, ``3.0`` and ``"3"`` load; a bool, 3.5,
+    NaN or infinity raise ValueError instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _sagin_from_config(cfg: dict) -> SaginParams:
     fraction_fields = {"sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
                        "isl_band_mbps", "sg_band_mbps"}
@@ -361,7 +378,7 @@ def _sagin_from_config(cfg: dict) -> SaginParams:
         if key not in known:
             raise ValidationError(f"substrate.generator.sagin: unknown field {key!r}")
         convert = (as_fraction if key in fraction_fields
-                   else int if key in int_fields else _finite)
+                   else _integer if key in int_fields else _finite)
         try:
             kwargs[key] = convert(value)
         except (ValueError, TypeError) as exc:
@@ -373,20 +390,20 @@ def _sagin_from_config(cfg: dict) -> SaginParams:
 
 
 def _poisson_from_config(topo, catalog, cfg: dict) -> list[SfcRequest]:
-    known = {"sfc_count", "mean_lifetime_s", "chain_len", "qos_ms", "seed"}
-    unknown = set(cfg) - known
+    fields = {"sfc_count": _integer, "mean_lifetime_s": _finite, "chain_len": _integer,
+              "qos_ms": _finite, "seed": _integer}
+    unknown = set(cfg) - set(fields)
     if unknown:
         raise ValidationError(f"workload.generator.poisson: unknown fields {sorted(unknown)}")
-    try:
-        params = dict(sfc_count=int(cfg["sfc_count"]),
-                      mean_lifetime_s=_finite(cfg["mean_lifetime_s"]),
-                      chain_len=int(cfg["chain_len"]),
-                      qos_ms=_finite(cfg["qos_ms"]),
-                      seed=int(cfg.get("seed", 0)))
-    except KeyError as exc:
-        raise ValidationError(f"workload.generator.poisson: missing field {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"workload.generator.poisson: {exc}") from None
+    cfg = {"seed": 0, **cfg}
+    params = {}
+    for key, convert in fields.items():
+        if key not in cfg:
+            raise ValidationError(f"workload.generator.poisson: missing field {key!r}")
+        try:
+            params[key] = convert(cfg[key])
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"workload.generator.poisson.{key}: {exc}") from None
     return generate_poisson_workload(topo, catalog, **params)
 
 
@@ -395,11 +412,8 @@ def scenario_from_json(doc: dict) -> Scenario:
     for key in ("substrate", "workload", "catalog", "solver"):
         if key not in doc:
             raise ValidationError(f"scenario: missing top-level field {key!r}")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
-        raise ValidationError(f"seed: expected an integer, got {seed!r}")
     try:
-        seed = int(seed)
+        seed = _integer(doc.get("seed", 0))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"seed: {exc}") from None
 

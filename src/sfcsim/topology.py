@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from typing import Iterator, Mapping
 
 
@@ -104,6 +106,39 @@ class SubstrateSnapshot:
                 raise ValueError(f"{name} must have {n} entries")
             if any(x < 0 for x in vec):
                 raise ValueError(f"{name} has a negative entry")
+        adj = self.adjacency
+        nbrs = tuple(tuple(compress(range(n), row)) for row in adj)
+        # Comparing each row with its column finds an asymmetric pair in C;
+        # the edge loop then looks at the i < j edges only.  Any fault reruns
+        # the full pair scan, which names the first fault in (i, j) order.
+        if (any(adj[i][i] for i in range(n))
+                or any(map(ne, map(tuple, adj), zip(*adj)))
+                or not self._edges_valid(nbrs)):
+            self._raise_first_fault()
+        object.__setattr__(self, "neighbors", nbrs)
+
+    def _edges_valid(self, nbrs) -> bool:
+        """True when every i < j edge is symmetric with a sane latency and band.
+
+        The adjacency pair is compared again because the row/column check
+        treats one object as equal to itself, which a NaN is not.  Likewise
+        a band entry shared by both directions skips its ``!=`` only when it
+        is a ``Fraction``.
+        """
+        adj, lat, band = self.adjacency, self.latency, self.link_band_capacity
+        for i, row in enumerate(nbrs):
+            adj_i, lat_i, band_i = adj[i], lat[i], band[i]
+            for j in row[bisect_right(row, i):]:
+                x, b, b_back = lat_i[j], band_i[j], band[j][i]
+                if (adj_i[j] != adj[j][i] or x != lat[j][i]
+                        or ((b is not b_back or type(b) is not Fraction) and b != b_back)
+                        or not (math.isfinite(x) and x >= 0) or b < 0):
+                    return False
+        return True
+
+    def _raise_first_fault(self):
+        """Raise for the first fault of the full (i, j) scan, if it finds one."""
+        n = self.node_count
         for i in range(n):
             if self.adjacency[i][i]:
                 raise ValueError(f"self-loop at node {i}")
@@ -121,8 +156,6 @@ class SubstrateSnapshot:
                     raise ValueError(f"bad latency {lat!r} on edge ({i},{j})")
                 if self.link_band_capacity[i][j] < 0:
                     raise ValueError(f"negative bandwidth on edge ({i},{j})")
-        nbrs = tuple(tuple(j for j in range(n) if self.adjacency[i][j]) for i in range(n))
-        object.__setattr__(self, "neighbors", nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and self.adjacency[u][v]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,45 @@ class TestSaginGenerator:
     def test_invalid_params(self, bad):
         with pytest.raises(InvalidParams):
             desk_params(**bad)
+
+    @pytest.mark.parametrize("field", ["altitude_km", "earth_radius_km", "inclination_deg"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_satellite_geometry_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match=field):
+            desk_params(**{field: value})
+
+    # SHA-256 of json.dumps(topology_to_json(generate_sagin(...))), recorded
+    # from the generator's earlier loop-per-pair form; a speed-up of the
+    # generator must reproduce every snapshot bit for bit.
+    PINNED = {
+        "desk": ({}, "387e84ccb6d5881e2648c07b997331a18f903405d37c45ee35ac06aeff5bb361"),
+        # one plane: no cross-plane links
+        "one_orbit": (dict(orbit_count=1, sats_per_orbit=5),
+                      "9e086e256d6adf2b2df6d3e5d500dc1c7d46cf6bebf95f3816e091b7af6ef181"),
+        # rings of one and two satellites are the ring's special cases
+        "ring_of_one": (dict(orbit_count=3, sats_per_orbit=1),
+                        "b97f47b3b59e8d046e7882e4ec92ab2b355b075c64c3c607bd10cda8ef720654"),
+        "ring_of_two": (dict(orbit_count=3, sats_per_orbit=2),
+                        "8a12aef91f5b7ee364c3446d072bc2fdee50af154953cb8b0409c0ff54b373d1"),
+        "no_uav": (dict(uav_count=0, seed=3),
+                   "728a0b8a4455ff072cd24649bfdb13756b4c43c2ea9c4c86ec9d32c84a243b2a"),
+        "no_ground": (dict(ground_count=0, seed=5),
+                      "be2b51145555cc785a6c2a14a9d6c7e5af66445f085b52932a2a866153052d26"),
+        "horizon_mask": (dict(elevation_min_deg=0.0, orbit_count=3, sats_per_orbit=6),
+                         "bf2708fd6a3b55675e3b4782accea6d63e4ec473b6f99e26c07c5a3ccfeeae91"),
+        "shell_8x20": (dict(orbit_count=8, sats_per_orbit=20, uav_count=5, ground_count=3,
+                            duration_s=1200.0, seed=11),
+                       "9acff68d0c39946e6cef20a4c90bd9fa1459fb5319fbbaa165bd5bff96f0bf8f"),
+        "full_4x10": (dict(orbit_count=4, sats_per_orbit=10, uav_count=5, ground_count=3,
+                           duration_s=36000.0, elevation_min_deg=5.0, seed=123),
+                      "969f1b6ec6fb47b14c05ef94495701b8c5c87a60bbb58c4962a3a762355b068d"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_snapshots_match_pinned_digest(self, name):
+        overrides, digest = self.PINNED[name]
+        doc = topology_to_json(generate_sagin(desk_params(**overrides)))
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
 
 class TestPoissonWorkload:
@@ -225,6 +266,38 @@ class TestLoadScenario:
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         doc["seed"] = value
         assert scenario_from_json(doc).seed == 3
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("poisson", "sfc_count", 7.9),
+        ("poisson", "sfc_count", True),
+        ("poisson", "chain_len", 2.5),
+        ("poisson", "chain_len", False),
+        ("poisson", "seed", 1.5),
+        ("poisson", "seed", math.nan),
+        ("poisson", "seed", math.inf),
+        ("sagin", "orbit_count", True),
+        ("sagin", "orbit_count", 2.5),
+        ("sagin", "sats_per_orbit", math.inf),
+        ("sagin", "uav_count", False),
+        ("sagin", "seed", math.nan),
+        ("sagin", "uav_waypoints", 4.5),
+    ])
+    def test_non_integral_generator_count_rejected(self, section, field, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        parent = "workload" if section == "poisson" else "substrate"
+        doc[parent]["generator"][section][field] = value
+        with pytest.raises(ValidationError,
+                           match=rf"^{parent}\.generator\.{section}\.{field}: expected an integer"):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_integral_generator_counts_accepted(self, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["substrate"]["generator"]["sagin"]["orbit_count"] = value
+        doc["workload"]["generator"]["poisson"]["sfc_count"] = value
+        sc = scenario_from_json(doc)
+        assert sc.topo.node_count == 3 * 4 + 2 + 2
+        assert len(sc.requests) == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="missing.json"):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
-from sfcsim.topology import (InvalidPath, PhysicalPath, SubstrateTopology,
-                             TimeBeforeStart, path_latency, shortest_feasible_path,
-                             topology_from_json, topology_to_json)
+from sfcsim.topology import (InvalidPath, PhysicalPath, SubstrateSnapshot,
+                             SubstrateTopology, TimeBeforeStart, path_latency,
+                             shortest_feasible_path, topology_from_json, topology_to_json)
 
 
 def three_step_topo():
@@ -190,6 +190,167 @@ class TestValidation:
     def test_path_must_be_simple(self):
         with pytest.raises(ValueError, match="revisits"):
             PhysicalPath((0, 1, 0))
+
+
+def reference_first_fault(adj, lat, band):
+    """The full pair scan of the snapshot checks: the first fault's message."""
+    n = len(adj)
+    for i in range(n):
+        if adj[i][i]:
+            return f"self-loop at node {i}"
+        for j in range(i + 1, n):
+            if adj[i][j] != adj[j][i]:
+                return f"adjacency not symmetric at ({i},{j})"
+            if not adj[i][j]:
+                continue
+            if lat[i][j] != lat[j][i]:
+                return f"latency not symmetric at ({i},{j})"
+            if band[i][j] != band[j][i]:
+                return f"bandwidth not symmetric at ({i},{j})"
+            if not (math.isfinite(lat[i][j]) and lat[i][j] >= 0):
+                return f"bad latency {lat[i][j]!r} on edge ({i},{j})"
+            if band[i][j] < 0:
+                return f"negative bandwidth on edge ({i},{j})"
+    return None
+
+
+def matrices(n, edges):
+    """Mutable symmetric adjacency/latency/band rows for an edge list."""
+    adj = [[False] * n for _ in range(n)]
+    lat = [[0.0] * n for _ in range(n)]
+    band = [[F(0)] * n for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = True
+        lat[u][v] = lat[v][u] = 1.0 + u + v
+        band[u][v] = band[v][u] = F(10 + u)
+    return adj, lat, band
+
+
+def build(adj, lat, band, rows=tuple):
+    n = len(adj)
+    return SubstrateSnapshot(
+        node_count=n,
+        adjacency=tuple(rows(r) for r in adj),
+        latency=tuple(rows(r) for r in lat),
+        node_cpu_capacity=(F(1),) * n,
+        node_ram_capacity=(F(1),) * n,
+        link_band_capacity=tuple(rows(r) for r in band))
+
+
+class TestSnapshotRejections:
+    """Each rejection, with the first fault in (i, j) order named."""
+
+    def expect(self, adj, lat, band, message):
+        assert reference_first_fault(adj, lat, band) == message
+        with pytest.raises(ValueError) as exc:
+            build(adj, lat, band)
+        assert str(exc.value) == message
+
+    def test_asymmetric_pair_reported_before_later_self_loop(self):
+        adj, lat, band = matrices(3, [(1, 2)])
+        adj[0][1] = True
+        adj[2][2] = True
+        self.expect(adj, lat, band, "adjacency not symmetric at (0,1)")
+
+    def test_self_loop_reported_before_later_asymmetric_pair(self):
+        adj, lat, band = matrices(3, [])
+        adj[0][0] = True
+        adj[2][1] = True
+        self.expect(adj, lat, band, "self-loop at node 0")
+
+    def test_earlier_edge_fault_reported_before_later_asymmetric_pair(self):
+        adj, lat, band = matrices(4, [(0, 1)])
+        lat[1][0] = 9.0
+        adj[2][3] = True
+        self.expect(adj, lat, band, "latency not symmetric at (0,1)")
+
+    def test_asymmetric_latency_on_edge(self):
+        adj, lat, band = matrices(3, [(0, 1), (1, 2)])
+        lat[2][1] = 0.5
+        self.expect(adj, lat, band, "latency not symmetric at (1,2)")
+
+    def test_asymmetric_bandwidth_on_edge(self):
+        adj, lat, band = matrices(3, [(0, 1), (1, 2)])
+        band[1][2] = F(3)
+        self.expect(adj, lat, band, "bandwidth not symmetric at (1,2)")
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_nan_latency_is_never_symmetric(self, shared):
+        adj, lat, band = matrices(2, [(0, 1)])
+        lat[0][1] = math.nan
+        lat[1][0] = lat[0][1] if shared else float("nan")
+        self.expect(adj, lat, band, "latency not symmetric at (0,1)")
+
+    @pytest.mark.parametrize("value", [math.inf, -1.0])
+    def test_bad_latency(self, value):
+        adj, lat, band = matrices(2, [(0, 1)])
+        lat[0][1] = lat[1][0] = value
+        self.expect(adj, lat, band, f"bad latency {value!r} on edge (0,1)")
+
+    def test_negative_bandwidth(self):
+        adj, lat, band = matrices(3, [(0, 1), (1, 2)])
+        band[1][2] = band[2][1] = F(-1)
+        self.expect(adj, lat, band, "negative bandwidth on edge (1,2)")
+
+    def test_one_nan_object_in_both_directions_is_still_asymmetric(self):
+        nan = float("nan")
+        adj, lat, band = matrices(2, [(0, 1)])
+        band[0][1] = band[1][0] = nan
+        self.expect(adj, lat, band, "bandwidth not symmetric at (0,1)")
+        adj, lat, band = matrices(2, [])
+        adj[0][1] = adj[1][0] = nan
+        self.expect(adj, lat, band, "adjacency not symmetric at (0,1)")
+
+    def test_asymmetry_off_the_edges_is_accepted(self):
+        adj, lat, band = matrices(3, [(0, 1)])
+        lat[1][2], band[2][1] = 7.0, F(5)
+        lat[0][2] = math.nan
+        band[2][0] = F(-3)
+        snap = build(adj, lat, band)
+        assert snap.neighbors == ((1,), (0,), ())
+
+    def test_list_rows_validate(self):
+        adj, lat, band = matrices(4, [(0, 1), (1, 3), (2, 3)])
+        snap = build(adj, lat, band, rows=list)
+        assert snap.neighbors == ((1,), (0, 3), (3,), (1, 2))
+        assert list(snap.edges()) == [(0, 1), (1, 3), (2, 3)]
+        lat[3][2] = 0.0
+        with pytest.raises(ValueError, match=r"^latency not symmetric at \(2,3\)$"):
+            build(adj, lat, band, rows=list)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_the_full_pair_scan(self, data):
+        n = data.draw(st.integers(1, 5))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        adj, lat, band = matrices(n, edges)
+        nodes = st.integers(0, n - 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j, kind = data.draw(nodes), data.draw(nodes), data.draw(st.integers(0, 6))
+            if kind == 0:
+                adj[i][j] = not adj[i][j]
+            elif kind == 1:
+                adj[i][j] = adj[j][i] = 1 if adj[i][j] else 0
+            elif kind == 2:
+                lat[i][j] = data.draw(st.sampled_from([0.0, 2.5, -1.0, math.inf, math.nan]))
+            elif kind == 3:
+                lat[i][j] = lat[j][i] = data.draw(st.sampled_from([0.0, -2.0, math.inf]))
+            elif kind == 4:
+                band[i][j] = F(data.draw(st.integers(-2, 2)))
+            elif kind == 5:
+                band[i][j] = band[j][i] = F(data.draw(st.integers(-2, 2)))
+            else:
+                adj[i][i] = data.draw(st.booleans())
+        expected = reference_first_fault(adj, lat, band)
+        if expected is None:
+            snap = build(adj, lat, band)
+            assert snap.neighbors == tuple(
+                tuple(j for j in range(n) if adj[i][j]) for i in range(n))
+        else:
+            with pytest.raises(ValueError) as exc:
+                build(adj, lat, band)
+            assert str(exc.value) == expected
 
 
 class TestJsonRoundTrip:
