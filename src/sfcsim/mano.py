@@ -208,6 +208,10 @@ class ResourceLedger:
     def ram_used(self, node: int) -> Fraction:
         return self._ram_used[node]
 
+    def node_usage(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Per-node (cpu, ram) usage as copies that later mutations leave alone."""
+        return tuple(self._cpu_used), tuple(self._ram_used)
+
     def band_used(self, u: int, v: int) -> Fraction:
         return self._band_used.get(edge_key(u, v), Fraction(0))
 

@@ -19,7 +19,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .solver import SOLVERS
-from .topology import (SubstrateSnapshot, SubstrateTopology, as_fraction,
+from .topology import (SubstrateSnapshot, SubstrateTopology, as_fraction, as_integer,
                        topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
@@ -359,14 +359,6 @@ def _finite(value) -> float:
     return x
 
 
-def _integer(value) -> int:
-    """A JSON integer field: ``3``, ``3.0`` and ``"3"`` load; a bool, 3.5,
-    NaN or infinity raise ValueError instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _sagin_from_config(cfg: dict) -> SaginParams:
     fraction_fields = {"sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
                        "isl_band_mbps", "sg_band_mbps"}
@@ -378,7 +370,7 @@ def _sagin_from_config(cfg: dict) -> SaginParams:
         if key not in known:
             raise ValidationError(f"substrate.generator.sagin: unknown field {key!r}")
         convert = (as_fraction if key in fraction_fields
-                   else _integer if key in int_fields else _finite)
+                   else as_integer if key in int_fields else _finite)
         try:
             kwargs[key] = convert(value)
         except (ValueError, TypeError) as exc:
@@ -390,8 +382,8 @@ def _sagin_from_config(cfg: dict) -> SaginParams:
 
 
 def _poisson_from_config(topo, catalog, cfg: dict) -> list[SfcRequest]:
-    fields = {"sfc_count": _integer, "mean_lifetime_s": _finite, "chain_len": _integer,
-              "qos_ms": _finite, "seed": _integer}
+    fields = {"sfc_count": as_integer, "mean_lifetime_s": _finite,
+              "chain_len": as_integer, "qos_ms": _finite, "seed": as_integer}
     unknown = set(cfg) - set(fields)
     if unknown:
         raise ValidationError(f"workload.generator.poisson: unknown fields {sorted(unknown)}")
@@ -413,7 +405,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         if key not in doc:
             raise ValidationError(f"scenario: missing top-level field {key!r}")
     try:
-        seed = _integer(doc.get("seed", 0))
+        seed = as_integer(doc.get("seed", 0))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"seed: {exc}") from None
 

@@ -49,6 +49,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a resource quantity")
 
 
+def as_integer(value) -> int:
+    """Convert a JSON integer field: ``3``, ``3.0`` and ``"3"`` load; a bool,
+    3.5, NaN or infinity raise ValueError instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (low, high) key for an undirected edge."""
     return (u, v) if u <= v else (v, u)

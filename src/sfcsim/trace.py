@@ -2,16 +2,18 @@
 
 One TraceLog collects everything a single run produces.  Records carry the
 lifecycle outcomes (accepted / rejected / released / migrated / terminated)
-and utilization is sampled once per node at every event boundary, so all
-run metrics can be recomputed from the log alone.
+and utilization is sampled at every event boundary, one block of per-node
+usage each, so all run metrics can be recomputed from the log alone.
 """
 
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .mano import FailureReason, ResourceLedger
+from .topology import SubstrateSnapshot
 
 # Record kinds: the three engine events plus per-SFC sub-records emitted while
 # a topology change is being resolved, and solver-contract discrepancy notes.
@@ -59,6 +61,15 @@ class UtilizationSample:
         return self.ram_used / self.ram_capacity if self.ram_capacity else Fraction(0)
 
 
+class _UtilizationBlock(NamedTuple):
+    """Node usage at one event boundary; capacities come from ``snapshot``."""
+
+    time: float
+    snapshot: SubstrateSnapshot
+    cpu_used: tuple[Fraction, ...]
+    ram_used: tuple[Fraction, ...]
+
+
 def _fmt(x) -> str:
     """Fixed-format decimal for CSV cells (6 places)."""
     return f"{float(x):.6f}"
@@ -69,7 +80,7 @@ class TraceLog:
 
     def __init__(self):
         self.records: list[TraceRecord] = []
-        self.utilization: list[UtilizationSample] = []
+        self._blocks: list[_UtilizationBlock] = []
 
     def record(self, time: float, kind: str, sfc_id: int | None = None,
                outcome: str | None = None, reason: FailureReason | None = None,
@@ -79,14 +90,16 @@ class TraceLog:
                                         plan_nodes=plan_nodes))
 
     def sample_utilization(self, time: float, ledger: ResourceLedger) -> None:
-        snap = ledger.snapshot
-        for node in range(snap.node_count):
-            self.utilization.append(UtilizationSample(
-                time=time, node=node,
-                cpu_used=ledger.cpu_used(node),
-                cpu_capacity=snap.node_cpu_capacity[node],
-                ram_used=ledger.ram_used(node),
-                ram_capacity=snap.node_ram_capacity[node]))
+        self._blocks.append(_UtilizationBlock(time, ledger.snapshot, *ledger.node_usage()))
+
+    @property
+    def utilization(self) -> list[UtilizationSample]:
+        """One sample per node per event boundary, in sampling order."""
+        return [UtilizationSample(b.time, node, cpu, cpu_cap, ram, ram_cap)
+                for b in self._blocks
+                for node, (cpu, cpu_cap, ram, ram_cap) in enumerate(zip(
+                    b.cpu_used, b.snapshot.node_cpu_capacity,
+                    b.ram_used, b.snapshot.node_ram_capacity))]
 
     # -- derived metrics
 
@@ -159,12 +172,24 @@ class TraceLog:
 
         path = out / "utilization.csv"
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["time", "node", "cpu_used", "cpu_capacity",
-                        "ram_used_mb", "ram_capacity_mb"])
-            for s in self.utilization:
-                w.writerow([_fmt(s.time), s.node, _fmt(s.cpu_used), _fmt(s.cpu_capacity),
-                            _fmt(s.ram_used), _fmt(s.ram_capacity)])
+            f.write("time,node,cpu_used,cpu_capacity,ram_used_mb,ram_capacity_mb\n")
+            # A node's text after the time column depends only on its four
+            # values, so it is formatted again only when one of them differs
+            # from the previous block's (tuple == tests identity first, so
+            # untouched Fractions cost no Python-level comparison).  No cell
+            # needs csv quoting: they are ints and fixed-point decimals.
+            keys = texts = []
+            for b in self._blocks:
+                new_keys = list(zip(b.cpu_used, b.snapshot.node_cpu_capacity,
+                                    b.ram_used, b.snapshot.node_ram_capacity))
+                if len(new_keys) != len(keys):  # first block, or another run's substrate
+                    keys = texts = [None] * len(new_keys)
+                texts = [text if key == old else
+                         f"{node},{_fmt(key[0])},{_fmt(key[1])},{_fmt(key[2])},{_fmt(key[3])}"
+                         for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
+                keys = new_keys
+                prefix = _fmt(b.time) + ","
+                f.write(prefix + ("\n" + prefix).join(texts) + "\n")
         written.append(path)
 
         path = out / "running_count.csv"

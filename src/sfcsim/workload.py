@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .topology import SubstrateTopology, as_fraction, edge_key
+from .topology import SubstrateTopology, as_fraction, as_integer, edge_key
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,23 @@ def validate_workload(requests, catalog: VnfCatalog,
 
 # --- JSON (de)serialization -------------------------------------------------
 
+def _integer_at(value, where: str) -> int:
+    """``as_integer(value)``; a rejected value's error names ``where``."""
+    try:
+        return as_integer(value)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def catalog_from_json(doc: dict) -> VnfCatalog:
-    templates = [VnfTemplate(vnf_id=int(t["id"]),
+    templates = [VnfTemplate(vnf_id=_integer_at(t["id"], f"templates[{i}].id"),
                              cpu_demand=as_fraction(t["cpu"]),
                              ram_demand=as_fraction(t["ram_mb"]))
-                 for t in doc["templates"]]
+                 for i, t in enumerate(doc["templates"])]
     catalog = VnfCatalog(templates)
-    for link in doc.get("links", []):
-        catalog.add_link_demand(int(link["a"]), int(link["b"]), link["band_mbps"])
+    for i, link in enumerate(doc.get("links", [])):
+        catalog.add_link_demand(_integer_at(link["a"], f"links[{i}].a"),
+                                _integer_at(link["b"], f"links[{i}].b"), link["band_mbps"])
     return catalog
 
 
@@ -159,14 +168,15 @@ def catalog_to_json(catalog: VnfCatalog) -> dict:
 
 
 def requests_from_json(docs: list[dict]) -> list[SfcRequest]:
-    return [SfcRequest(sfc_id=int(d["id"]),
+    return [SfcRequest(sfc_id=_integer_at(d["id"], f"sfcs[{i}].id"),
                        start_time=float(d["start"]),
                        end_time=float(d["end"]),
-                       ingress=int(d["ingress"]),
-                       egress=int(d["egress"]),
-                       vnf_chain=tuple(int(v) for v in d["chain"]),
+                       ingress=_integer_at(d["ingress"], f"sfcs[{i}].ingress"),
+                       egress=_integer_at(d["egress"], f"sfcs[{i}].egress"),
+                       vnf_chain=tuple(_integer_at(v, f"sfcs[{i}].chain[{j}]")
+                                       for j, v in enumerate(d["chain"])),
                        qos_max_latency=float(d["qos_latency_ms"]))
-            for d in docs]
+            for i, d in enumerate(docs)]
 
 
 def requests_to_json(requests) -> list[dict]:

@@ -3,10 +3,13 @@
 Everything here is written from the problem statement alone and must stay
 independent of the library's own pathfinding and plan checking: exhaustive
 simple-path enumeration, a from-scratch feasibility verdict for a complete
-plan, an exhaustive search over all placements and path combinations, and
-the baseline solvers' sequential rule written in plain Fractions.
+plan, an exhaustive search over all placements and path combinations,
+the baseline solvers' sequential rule written in plain Fractions, and the
+utilization CSV written one sample at a time.
 """
 
+import csv
+import io
 import itertools
 from fractions import Fraction
 
@@ -197,3 +200,15 @@ def greedy_pick(snap):
 def random_pick(rng):
     """Random's choice: a uniform index drawn with ``rng.randrange``."""
     return lambda candidates, cpu, ram: candidates[rng.randrange(len(candidates))]
+
+
+def utilization_csv(samples) -> bytes:
+    """utilization.csv for ``samples``: one csv.writer row per node sample."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["time", "node", "cpu_used", "cpu_capacity", "ram_used_mb", "ram_capacity_mb"])
+    for s in samples:
+        w.writerow([f"{float(s.time):.6f}", s.node,
+                    *(f"{float(x):.6f}" for x in (s.cpu_used, s.cpu_capacity,
+                                                  s.ram_used, s.ram_capacity))])
+    return buf.getvalue().encode()

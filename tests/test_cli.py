@@ -103,6 +103,14 @@ class TestRunCommand:
         assert run_cli("run", bad, "--out", tmp_path / "out") == 2
         assert "solver" in capsys.readouterr().err
 
+    def test_non_integral_chain_entry_exits_2(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["workload"]["sfcs"][0]["chain"] = [0, 1.5, 2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad, "--out", tmp_path / "out") == 2
+        assert "sfcs[0].chain[1]: expected an integer, got 1.5" in capsys.readouterr().err
+
     def test_unknown_solver_flag(self, tmp_path):
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
                        "--solver", "pso", "--out", tmp_path) == 2
@@ -132,22 +140,37 @@ class TestRunCommand:
 
 class TestGoldenOutputs:
     # SHA-256 over the four CSVs, in CSV_NAMES order, of `sfcsim run
-    # <scenario> --solver random`.  Reruns from a scenario and seed are
+    # <scenario> --solver <solver>`.  Reruns from a scenario and seed are
     # byte-identical, so a change made only for speed keeps these digests.
     RANDOM_SOLVER_DIGESTS = {
         "example_a": "735b6265043dd5cb9e65baddc574ebf3d350222a844ee18a71512cd7df5261ba",
         "sagin_desk": "509acad73feef6e704765aaeeb55f21fb94eab0f67acb2888680be37ce906fae",
         "sagin_full": "affd6e8235b63208f5fb4573966c4f110258e1657d4b5b6d71b5501ab823a908",
     }
+    GREEDY_SOLVER_DIGESTS = {
+        "example_a": "d27b1c4eb2edef2847405b24ceee02184f613fac736e683b2fc65aea46ff4904",
+        "sagin_desk": "f40648346fad79bb2911941a45152fc6bb1e1c40f8844e702c8b101670cd807a",
+        "sagin_full": "100dfcc81b1e5c77c2f42386705f83ce9d1a792601d9ce15790c8a915d44840b",
+    }
+
+    @staticmethod
+    def csv_digest(out, scenario, solver):
+        assert run_cli("run", SCENARIO_DIR / f"{scenario}.json", "--solver", solver,
+                       "--out", out) == 0
+        digest = hashlib.sha256()
+        for name in CSV_NAMES:
+            digest.update((out / solver / name).read_bytes())
+        return digest.hexdigest()
 
     @pytest.mark.parametrize("scenario", sorted(RANDOM_SOLVER_DIGESTS))
     def test_random_solver_csvs_match_pinned_digest(self, tmp_path, scenario):
-        assert run_cli("run", SCENARIO_DIR / f"{scenario}.json", "--solver", "random",
-                       "--out", tmp_path) == 0
-        digest = hashlib.sha256()
-        for name in CSV_NAMES:
-            digest.update((tmp_path / "random" / name).read_bytes())
-        assert digest.hexdigest() == self.RANDOM_SOLVER_DIGESTS[scenario]
+        assert self.csv_digest(tmp_path, scenario, "random") == \
+            self.RANDOM_SOLVER_DIGESTS[scenario]
+
+    @pytest.mark.parametrize("scenario", sorted(GREEDY_SOLVER_DIGESTS))
+    def test_greedy_solver_csvs_match_pinned_digest(self, tmp_path, scenario):
+        assert self.csv_digest(tmp_path, scenario, "greedy") == \
+            self.GREEDY_SOLVER_DIGESTS[scenario]
 
 
 class TestGenerateCommand:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,44 @@ class TestLoadScenario:
         sc = scenario_from_json(doc)
         assert sc.topo.node_count == 3 * 4 + 2 + 2
         assert len(sc.requests) == 3
+
+    @pytest.mark.parametrize("path, value", [
+        (("workload", "sfcs", 0, "id"), 1.9),
+        (("workload", "sfcs", 1, "id"), math.inf),
+        (("workload", "sfcs", 0, "ingress"), True),
+        (("workload", "sfcs", 0, "egress"), 2.7),
+        (("workload", "sfcs", 1, "chain", 1), 1.5),
+        (("workload", "sfcs", 0, "chain", 0), False),
+        (("catalog", "templates", 2, "id"), 2.9),
+        (("catalog", "templates", 0, "id"), math.nan),
+        (("catalog", "links", 0, "a"), 0.5),
+        (("catalog", "links", 1, "b"), True),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_non_integral_workload_and_catalog_field_rejected(self, path, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        # e.g. "workload.sfcs: sfcs[1].chain[1]: expected an integer, got 1.5"
+        section = "workload.sfcs" if path[0] == "workload" else "catalog"
+        where = path[1] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                  for k in path[2:])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{section}: {where}: expected an integer, got {value!r}")):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("value", [1, 1.0, "1"], ids=repr)
+    def test_integral_workload_and_catalog_fields_accepted(self, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        sfc = doc["workload"]["sfcs"][1]
+        sfc["id"] = sfc["chain"][1] = value
+        doc["catalog"]["templates"][1]["id"] = doc["catalog"]["links"][0]["b"] = value
+        sc = scenario_from_json(doc)
+        assert sc.requests[1].sfc_id == 1 and sc.requests[1].vnf_chain == (0, 1, 2)
+        assert sorted(sc.catalog.templates) == [0, 1, 2]
+        assert sc.catalog.band_demand(0, 1) is not None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="missing.json"):

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import F, make_catalog, make_request, make_snapshot, single_topo
 from sfcsim.engine import run
-from sfcsim.mano import FailureReason
-from sfcsim.solver import GreedySolver
-from sfcsim.trace import EVENT_KINDS, TraceLog
+from sfcsim.mano import EmbeddingPlan, FailureReason, ResourceLedger
+from sfcsim.solver import GreedySolver, make_solver
+from sfcsim.trace import EVENT_KINDS, TraceLog, UtilizationSample
+from test_acceptance import _random_small_scenario
 
 
 def example_a_run(boundary_hook=None):
@@ -132,6 +135,130 @@ class TestUtilizationReconstruction:
         for s in trace.utilization:
             assert 0 <= s.cpu_used_fraction <= 1
             assert 0 <= s.ram_used_fraction <= 1
+
+
+def ledger_samples(time, ledger):
+    """The samples a boundary at ``time`` records, read off the ledger node by node."""
+    snap = ledger.snapshot
+    return [UtilizationSample(time, node, ledger.cpu_used(node), snap.node_cpu_capacity[node],
+                              ledger.ram_used(node), snap.node_ram_capacity[node])
+            for node in range(snap.node_count)]
+
+
+def node_plan(sfc_id, cpu=(), ram=()):
+    """A plan that holds only node resources: ``cpu``/``ram`` are (node, amount) pairs."""
+    return EmbeddingPlan(sfc_id=sfc_id, vnf_placement=(), virtual_link_paths=(),
+                         cpu_alloc={node: F(x) for node, x in cpu},
+                         ram_alloc={node: F(x) for node, x in ram},
+                         band_alloc={}, total_latency=0.0)
+
+
+class Recorder:
+    """Samples a ledger into a TraceLog and, alongside, node by node."""
+
+    def __init__(self):
+        self.trace = TraceLog()
+        self.expected = []
+
+    def sample(self, time, ledger):
+        self.trace.sample_utilization(time, ledger)
+        self.expected += ledger_samples(time, ledger)
+
+
+def assert_matches_reference(trace, expected, out_dir):
+    assert trace.utilization == expected
+    trace.emit_csv(out_dir)
+    assert (out_dir / "utilization.csv").read_bytes() == oracle.utilization_csv(expected)
+
+
+class TestUtilizationAgainstReference:
+    def test_random_scenarios(self, tmp_path):
+        rng = random.Random(20261018)
+        for i in range(200):
+            topo, requests, catalog = _random_small_scenario(rng)
+            expected = []
+            trace = TraceLog()
+            run(topo, requests, catalog, make_solver("random" if i % 2 else "greedy"),
+                trace, seed=i,
+                boundary_hook=lambda time, ledger: expected.extend(ledger_samples(time, ledger)))
+            assert_matches_reference(trace, expected, tmp_path / str(i))
+
+    def test_usage_changes_on_one_node_under_one_snapshot(self, tmp_path):
+        ledger = ResourceLedger(make_snapshot(3, [(0, 1), (1, 2)]))
+        rec = Recorder()
+        rec.sample(0.0, ledger)
+        ledger.allocate(node_plan(0, cpu=[(1, "1/2")], ram=[(1, 64)]))
+        rec.sample(1.0, ledger)
+        ledger.allocate(node_plan(1, ram=[(1, 32)]))  # ram alone moves
+        rec.sample(2.0, ledger)
+        ledger.allocate(node_plan(2, cpu=[(2, "1/3")]))  # cpu alone moves
+        rec.sample(3.0, ledger)
+        ledger.release(0)
+        rec.sample(4.0, ledger)
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+
+    def test_capacity_changes_while_usage_holds(self, tmp_path):
+        ledger = ResourceLedger(make_snapshot(2, [(0, 1)], cpu=[4, 4], ram=[512, 512]))
+        ledger.allocate(node_plan(0, cpu=[(1, 1)], ram=[(1, 128)]))
+        rec = Recorder()
+        rec.sample(0.0, ledger)
+        for t, cpu, ram in [(1.0, [4, 4], [512, 256]),   # ram capacity alone
+                            (2.0, [4, 2], [512, 256]),   # cpu capacity alone
+                            (3.0, [4, 2], [512, 256])]:  # equal values, new objects
+            ledger.set_snapshot(make_snapshot(2, [(0, 1)], cpu=cpu, ram=ram))
+            rec.sample(t, ledger)
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+
+    def test_node_returns_to_earlier_values(self, tmp_path):
+        a = make_snapshot(2, [(0, 1)], cpu=[2, 2], ram=[256, 256])
+        b = make_snapshot(2, [(0, 1)], cpu=[1, 2], ram=[256, 128])
+        ledger = ResourceLedger(a)
+        rec = Recorder()
+        ledger.allocate(node_plan(0, cpu=[(0, "1/4")], ram=[(0, 16)]))
+        rec.sample(0.0, ledger)
+        ledger.allocate(node_plan(1, cpu=[(0, "1/4")], ram=[(0, 16)]))
+        ledger.set_snapshot(b)
+        rec.sample(1.0, ledger)
+        ledger.release(1)
+        ledger.set_snapshot(a)
+        rec.sample(2.0, ledger)
+        values = [(s.cpu_used, s.cpu_capacity, s.ram_used, s.ram_capacity)
+                  for s in rec.expected]
+        assert values[4:] == values[:2] != values[2:4]
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+
+    def test_one_node_substrate(self, tmp_path):
+        expected = []
+        _, trace = saturated_run(
+            boundary_hook=lambda time, ledger: expected.extend(ledger_samples(time, ledger)))
+        assert expected
+        assert_matches_reference(trace, expected, tmp_path)
+
+    def test_empty_run(self, tmp_path):
+        assert_matches_reference(TraceLog(), [], tmp_path / "fresh")
+        trace = TraceLog()
+        run(single_topo(make_snapshot(2, [(0, 1)])), [], make_catalog([(0, 1, 1)], []),
+            GreedySolver(), trace, seed=0)
+        assert_matches_reference(trace, [], tmp_path / "no_requests")
+
+    def test_substrates_of_different_sizes_in_one_trace(self, tmp_path):
+        rec = Recorder()
+        for t, n in enumerate([3, 1, 3, 2]):
+            ledger = ResourceLedger(make_snapshot(n, []))
+            ledger.allocate(node_plan(0, cpu=[(0, t + 1)], ram=[(n - 1, 8)]))
+            rec.sample(float(t), ledger)
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+
+    def test_earlier_block_survives_ledger_mutation(self):
+        ledger = ResourceLedger(make_snapshot(2, [(0, 1)]))
+        ledger.allocate(node_plan(0, cpu=[(0, 1)], ram=[(0, 64)]))
+        trace = TraceLog()
+        trace.sample_utilization(0.0, ledger)
+        expected = ledger_samples(0.0, ledger)
+        ledger.allocate(node_plan(1, cpu=[(0, 2), (1, 3)], ram=[(0, 32), (1, 32)]))
+        assert trace.utilization == expected
+        ledger.release(0)
+        assert trace.utilization == expected
 
 
 class TestCsvEmission:
