@@ -237,8 +237,7 @@ class ResourceLedger:
 
     def band_free_map(self) -> dict[tuple[int, int], Fraction]:
         """Free bandwidth for every edge of the current snapshot."""
-        band = self._snapshot.link_band_capacity
-        free = {(u, v): band[u][v] for u, v in self._snapshot.edges()}
+        free = {key: self._snapshot.edge_band(*key) for key in self._snapshot.edges()}
         for key, used in self._band_used.items():
             if key in free:  # usage on an edge the snapshot dropped has no view
                 free[key] -= used
@@ -317,9 +316,8 @@ def find_affected_sfcs(ledger: ResourceLedger,
                 if ledger.cpu_used(node) > new_snap.node_cpu_capacity[node]}
     over_ram = {node for node in range(n)
                 if ledger.ram_used(node) > new_snap.node_ram_capacity[node]}
-    over_band = {key for key in ledger._band_used
-                 if new_snap.has_edge(*key)
-                 and ledger._band_used[key] > new_snap.link_band_capacity[key[0]][key[1]]}
+    over_band = {key for key, used in ledger._band_used.items()
+                 if new_snap.has_edge(*key) and used > new_snap.edge_band(*key)}
 
     affected: list[tuple[int, FailureReason]] = []
     for sfc_id in sorted(ledger.allocations):

@@ -73,8 +73,6 @@ class SaginParams:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:
             raise InvalidParams("uav_count and ground_count cannot be negative")
-        if self.altitude_km <= 0:
-            raise InvalidParams("altitude_km must be > 0")
         if not all(map(math.isfinite, (self.altitude_km, self.earth_radius_km,
                                        self.inclination_deg))):
             raise InvalidParams(
@@ -86,10 +84,14 @@ class SaginParams:
             raise InvalidParams("snapshot_interval_s must divide duration_s")
         if not 0 <= self.elevation_min_deg < 90:
             raise InvalidParams("elevation_min_deg must be in [0, 90)")
-        for name in ("sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
-                     "isl_band_mbps", "sg_band_mbps"):
-            if getattr(self, name) <= 0:
+        # Below these bounds a resource is void or the geometry can divide by zero.
+        for name in ("sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb", "isl_band_mbps",
+                     "sg_band_mbps", "altitude_km", "earth_radius_km", "uav_loop_period_s"):
+            if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be > 0")
+        for name, low in (("uav_altitude_km", 0), ("uav_waypoints", 1)):
+            if not getattr(self, name) >= low:
+                raise InvalidParams(f"{name} must be >= {low}")
 
     @property
     def snapshot_count(self) -> int:
@@ -197,7 +199,6 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     # candidates for its cross-plane links.
     other_planes = [[v for v in range(sat_n) if v // m != orbit]
                     for orbit in range(p.orbit_count)]
-    zero_band = Fraction(0)
 
     def snapshot_at(t: float) -> SubstrateSnapshot:
         pos = [_sat_position(p, i // p.sats_per_orbit, i % p.sats_per_orbit, t)
@@ -205,17 +206,13 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         pos += [uav_position(u, t) for u in range(p.uav_count)]
         pos += [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
 
-        adjacency = [[False] * n for _ in range(n)]
-        latency = [[0.0] * n for _ in range(n)]
-        band = [[zero_band] * n for _ in range(n)]
+        links = [{} for _ in range(n)]
 
         def add_edge(u: int, v: int, band_mbps: Fraction):
             d = math.dist(pos[u], pos[v])
             if u == v or d <= 0:
                 return
-            adjacency[u][v] = adjacency[v][u] = True
-            latency[u][v] = latency[v][u] = d / LIGHT_KM_PER_MS
-            band[u][v] = band[v][u] = band_mbps
+            links[u][v] = links[v][u] = (d / LIGHT_KM_PER_MS, band_mbps)
 
         # Intra-orbit rings.
         for orbit in range(p.orbit_count):
@@ -257,13 +254,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 if math.dist(pos[u], pos[v]) <= p.air_range_km:
                     add_edge(u, v, p.sg_band_mbps)
 
-        return SubstrateSnapshot(
-            node_count=n,
-            adjacency=tuple(tuple(row) for row in adjacency),
-            latency=tuple(tuple(row) for row in latency),
-            node_cpu_capacity=cpu,
-            node_ram_capacity=ram,
-            link_band_capacity=tuple(tuple(row) for row in band))
+        return SubstrateSnapshot(n, links, cpu, ram)
 
     times = tuple(float(k * p.snapshot_interval_s) for k in range(p.snapshot_count))
     return SubstrateTopology(time_points=times,

@@ -15,8 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import ne
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
@@ -86,104 +85,97 @@ class PhysicalPath:
 class SubstrateSnapshot:
     """State of the physical network at one timestamp.
 
-    Matrices are full and symmetric; latency and bandwidth entries are only
-    meaningful where ``adjacency`` is true and must be read through
-    :meth:`edge_latency` / :meth:`edge_band`.
+    ``links[u]`` is a read-only mapping ``{v: (latency_ms, band)}`` over the neighbours
+    of ``u`` in ascending order; each edge stores one tuple under both of its ends.
+    :meth:`from_matrices` builds a snapshot from the scenario file's dense matrices.
     """
 
     node_count: int
-    adjacency: tuple[tuple[bool, ...], ...]
-    latency: tuple[tuple[float, ...], ...]
+    links: tuple[Mapping[int, tuple[float, Fraction]], ...]
     node_cpu_capacity: tuple[Fraction, ...]
     node_ram_capacity: tuple[Fraction, ...]
-    link_band_capacity: tuple[tuple[Fraction, ...], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
         if n < 1:
             raise ValueError("snapshot needs at least one node")
-        for name, mat in (("adjacency", self.adjacency),
-                          ("latency", self.latency),
-                          ("link_band_capacity", self.link_band_capacity)):
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ValueError(f"{name} must be {n}x{n}")
+        if len(self.links) != n:
+            raise ValueError(f"links must have {n} entries")
         for name, vec in (("node_cpu_capacity", self.node_cpu_capacity),
                           ("node_ram_capacity", self.node_ram_capacity)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
             if any(x < 0 for x in vec):
                 raise ValueError(f"{name} has a negative entry")
-        adj = self.adjacency
-        nbrs = tuple(tuple(compress(range(n), row)) for row in adj)
-        # Comparing each row with its column finds an asymmetric pair in C;
-        # the edge loop then looks at the i < j edges only.  Any fault reruns
-        # the full pair scan, which names the first fault in (i, j) order.
-        if (any(adj[i][i] for i in range(n))
-                or any(map(ne, map(tuple, adj), zip(*adj)))
-                or not self._edges_valid(nbrs)):
-            self._raise_first_fault()
-        object.__setattr__(self, "neighbors", nbrs)
+        for u, row in enumerate(self.links):
+            for v, edge in row.items():
+                if not (isinstance(v, int) and 0 <= v < n):
+                    raise ValueError(f"neighbour {v!r} of node {u} outside substrate")
+                if v == u:
+                    raise ValueError(f"self-loop at node {u}")
+                back = self.links[v].get(u)
+                if back is not edge and back != edge:
+                    raise ValueError(f"edge ({u},{v}) not symmetric")
+                if u < v:
+                    lat, band = edge
+                    if not (math.isfinite(lat) and lat >= 0):
+                        raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
+                    if not band >= 0:
+                        raise ValueError(f"negative bandwidth on edge ({u},{v})")
+        rows = tuple(MappingProxyType(dict(sorted(row.items()))) for row in self.links)
+        object.__setattr__(self, "links", rows)
+        object.__setattr__(self, "neighbors", tuple(map(tuple, rows)))
 
-    def _edges_valid(self, nbrs) -> bool:
-        """True when every i < j edge is symmetric with a sane latency and band.
-
-        The adjacency pair is compared again because the row/column check
-        treats one object as equal to itself, which a NaN is not.  Likewise
-        a band entry shared by both directions skips its ``!=`` only when it
-        is a ``Fraction``.
-        """
-        adj, lat, band = self.adjacency, self.latency, self.link_band_capacity
-        for i, row in enumerate(nbrs):
-            adj_i, lat_i, band_i = adj[i], lat[i], band[i]
-            for j in row[bisect_right(row, i):]:
-                x, b, b_back = lat_i[j], band_i[j], band[j][i]
-                if (adj_i[j] != adj[j][i] or x != lat[j][i]
-                        or ((b is not b_back or type(b) is not Fraction) and b != b_back)
-                        or not (math.isfinite(x) and x >= 0) or b < 0):
-                    return False
-        return True
-
-    def _raise_first_fault(self):
-        """Raise for the first fault of the full (i, j) scan, if it finds one."""
-        n = self.node_count
-        for i in range(n):
-            if self.adjacency[i][i]:
+    @classmethod
+    def from_matrices(cls, adjacency, latency, link_band_capacity,
+                      node_cpu_capacity, node_ram_capacity) -> "SubstrateSnapshot":
+        """Snapshot from full symmetric n x n matrices, read only where ``adjacency``
+        is true; one pass over the i < j pairs raises the first fault."""
+        n = len(adjacency)
+        for name, mat in (("adjacency", adjacency), ("latency", latency),
+                          ("link_band_capacity", link_band_capacity)):
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ValueError(f"{name} must be {n}x{n}")
+        links = [{} for _ in range(n)]
+        for i, (adj_i, lat_i, band_i) in enumerate(zip(adjacency, latency, link_band_capacity)):
+            if adj_i[i]:
                 raise ValueError(f"self-loop at node {i}")
             for j in range(i + 1, n):
-                if self.adjacency[i][j] != self.adjacency[j][i]:
+                if adj_i[j] != adjacency[j][i]:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
-                if not self.adjacency[i][j]:
+                if not adj_i[j]:
                     continue
-                if self.latency[i][j] != self.latency[j][i]:
+                lat, band = lat_i[j], band_i[j]
+                if lat != latency[j][i]:
                     raise ValueError(f"latency not symmetric at ({i},{j})")
-                if self.link_band_capacity[i][j] != self.link_band_capacity[j][i]:
+                if band != link_band_capacity[j][i]:
                     raise ValueError(f"bandwidth not symmetric at ({i},{j})")
-                lat = self.latency[i][j]
                 if not (math.isfinite(lat) and lat >= 0):
                     raise ValueError(f"bad latency {lat!r} on edge ({i},{j})")
-                if self.link_band_capacity[i][j] < 0:
+                if band < 0:
                     raise ValueError(f"negative bandwidth on edge ({i},{j})")
+                links[i][j] = links[j][i] = (lat, band)
+        return cls(n, links, tuple(node_cpu_capacity), tuple(node_ram_capacity))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and self.adjacency[u][v]
+        return v in self.links[u]
 
     def edge_latency(self, u: int, v: int) -> float:
-        if not self.has_edge(u, v):
+        edge = self.links[u].get(v)
+        if edge is None:
             raise InvalidPath(f"({u},{v}) is not an edge")
-        return self.latency[u][v]
+        return edge[0]
 
     def edge_band(self, u: int, v: int) -> Fraction:
-        if not self.has_edge(u, v):
+        edge = self.links[u].get(v)
+        if edge is None:
             raise InvalidPath(f"({u},{v}) is not an edge")
-        return self.link_band_capacity[u][v]
+        return edge[1]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (low, high) pairs, lexicographic order."""
-        for u in range(self.node_count):
-            for v in self.neighbors[u]:
-                if v > u:
-                    yield u, v
+        return ((u, v) for u, row in enumerate(self.links) for v in row if v > u)
 
 
 @dataclass(frozen=True)
@@ -249,20 +241,14 @@ def shortest_feasible_path(
     lacks has none free); when ``None`` the snapshot capacities are used
     (empty network).  ``min_band`` and the residuals may be any exact numbers,
     ints or Fractions, as long as they share one unit.  Among equal-latency
-    paths the lexicographically smallest node sequence wins, which keeps
-    traces reproducible.  Returns ``None`` when src and dst are disconnected under
-    the bandwidth filter.
+    paths the lexicographically smallest node sequence wins, which keeps traces
+    reproducible.  Returns ``None`` when no path passes the bandwidth filter.
     """
     n = snap.node_count
     if not (0 <= src < n and 0 <= dst < n):
         raise ValueError(f"endpoint outside substrate: src={src}, dst={dst}")
     if src == dst:
         return PhysicalPath((src,))
-
-    def free(u: int, v: int) -> Fraction | int:
-        if residual_band is None:
-            return snap.link_band_capacity[u][v]
-        return residual_band.get(edge_key(u, v), 0)
 
     # Lazy Dijkstra keyed on (latency, node sequence): the tuple comparison
     # settles latency ties lexicographically, and extending two simple paths
@@ -277,12 +263,13 @@ def shortest_feasible_path(
         settled.add(head)
         if head == dst:
             return PhysicalPath(nodes)
-        for nxt in snap.neighbors[head]:
+        for nxt, (latency, band) in snap.links[head].items():
             if nxt in settled:
                 continue
-            if free(head, nxt) < min_band:
-                continue
-            heapq.heappush(heap, (cost + snap.latency[head][nxt], nodes + (nxt,)))
+            if residual_band is not None:
+                band = residual_band.get((head, nxt) if head < nxt else (nxt, head), 0)
+            if band >= min_band:
+                heapq.heappush(heap, (cost + latency, nodes + (nxt,)))
     return None
 
 
@@ -297,28 +284,30 @@ def _num(x) -> int | float:
     return x
 
 
-def snapshot_from_json(doc: dict) -> SubstrateSnapshot:
-    adjacency = tuple(tuple(bool(x) for x in row) for row in doc["adjacency"])
-    n = len(adjacency)
-    return SubstrateSnapshot(
-        node_count=n,
-        adjacency=adjacency,
-        latency=tuple(tuple(float(x) for x in row) for row in doc["latency_ms"]),
-        node_cpu_capacity=tuple(as_fraction(x) for x in doc["node_cpu"]),
-        node_ram_capacity=tuple(as_fraction(x) for x in doc["node_ram_mb"]),
-        link_band_capacity=tuple(tuple(as_fraction(x) for x in row)
-                                 for row in doc["link_band_mbps"]),
-    )
+def _flag(x) -> bool:
+    if type(x) in (bool, int) and x in (0, 1):
+        return bool(x)
+    raise ValueError(f"expected a boolean or 0/1, got {x!r}")
 
 
-def snapshot_to_json(snap: SubstrateSnapshot) -> dict:
-    return {
-        "adjacency": [list(row) for row in snap.adjacency],
-        "latency_ms": [[_num(x) for x in row] for row in snap.latency],
-        "node_cpu": [_num(x) for x in snap.node_cpu_capacity],
-        "node_ram_mb": [_num(x) for x in snap.node_ram_capacity],
-        "link_band_mbps": [[_num(x) for x in row] for row in snap.link_band_capacity],
-    }
+def _latency_ms(x) -> float:
+    if type(x) not in (int, float):  # a bool is not a latency
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _cells(doc: dict, key: str, convert, where: str) -> tuple[tuple, ...]:
+    """The matrix ``doc[key]`` converted cell by cell; a bad cell is named."""
+    try:
+        return tuple(tuple(map(convert, row)) for row in doc[key])
+    except (ValueError, TypeError, OverflowError):
+        for i, row in enumerate(doc[key]):  # name the first bad cell
+            for j, x in enumerate(row):
+                try:
+                    convert(x)
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"{where}.{key}[{i}][{j}]: {exc}") from None
+        raise
 
 
 def topology_from_json(doc: dict) -> SubstrateTopology:
@@ -327,12 +316,33 @@ def topology_from_json(doc: dict) -> SubstrateTopology:
     if len(raw_snaps) != len(times):
         raise ValueError(
             f"snapshots length {len(raw_snaps)} != time_points length {len(times)}")
-    snaps = {t: snapshot_from_json(s) for t, s in zip(times, raw_snaps)}
+    snaps = {}
+    for k, (t, raw) in enumerate(zip(times, raw_snaps)):
+        where = f"snapshots[{k}]"
+        matrices = (_cells(raw, "adjacency", _flag, where),
+                    _cells(raw, "latency_ms", _latency_ms, where),
+                    _cells(raw, "link_band_mbps", as_fraction, where))
+        try:
+            snaps[t] = SubstrateSnapshot.from_matrices(
+                *matrices, tuple(map(as_fraction, raw["node_cpu"])),
+                tuple(map(as_fraction, raw["node_ram_mb"])))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return SubstrateTopology(time_points=times, snapshots=snaps)
 
 
 def topology_to_json(topo: SubstrateTopology) -> dict:
+    """Dense matrices, one set per snapshot; a non-edge cell is 0 / false."""
+    def dense(snap: SubstrateSnapshot, cell) -> list[list]:
+        return [[cell(row[v]) if v in row else 0 for v in range(snap.node_count)]
+                for row in snap.links]
     return {
         "time_points": [_num(t) for t in topo.time_points],
-        "snapshots": [snapshot_to_json(topo.snapshots[t]) for t in topo.time_points],
+        "snapshots": [{
+            "adjacency": [[v in row for v in range(snap.node_count)] for row in snap.links],
+            "latency_ms": dense(snap, lambda edge: _num(edge[0])),
+            "node_cpu": [_num(x) for x in snap.node_cpu_capacity],
+            "node_ram_mb": [_num(x) for x in snap.node_ram_capacity],
+            "link_band_mbps": dense(snap, lambda edge: _num(edge[1])),
+        } for snap in map(topo.snapshots.get, topo.time_points)],
     }

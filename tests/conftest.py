@@ -30,13 +30,7 @@ def make_snapshot(n, edges, cpu=None, ram=None, default_band=100, default_latenc
         band[u][v] = band[v][u] = bw
     cpu = [F(c) for c in (cpu if cpu is not None else [10] * n)]
     ram = [F(r) for r in (ram if ram is not None else [1024] * n)]
-    return SubstrateSnapshot(
-        node_count=n,
-        adjacency=tuple(tuple(row) for row in adjacency),
-        latency=tuple(tuple(row) for row in latency),
-        node_cpu_capacity=tuple(cpu),
-        node_ram_capacity=tuple(ram),
-        link_band_capacity=tuple(tuple(row) for row in band))
+    return SubstrateSnapshot.from_matrices(adjacency, latency, band, cpu, ram)
 
 
 def make_topo(snapshots_by_time) -> SubstrateTopology:

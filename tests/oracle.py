@@ -22,7 +22,7 @@ def all_simple_paths(snap, src, dst):
 
     def walk(node, path):
         for nxt in range(snap.node_count):
-            if not snap.adjacency[node][nxt] or nxt in path:
+            if not snap.has_edge(node, nxt) or nxt in path:
                 continue
             if nxt == dst:
                 out.append(tuple(path) + (nxt,))
@@ -36,7 +36,7 @@ def all_simple_paths(snap, src, dst):
 
 
 def path_cost(snap, nodes):
-    return sum(snap.latency[a][b] for a, b in zip(nodes, nodes[1:]))
+    return sum(snap.edge_latency(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 def min_latency_path(snap, src, dst, min_band=0, residual=None):
@@ -46,7 +46,7 @@ def min_latency_path(snap, src, dst, min_band=0, residual=None):
         ok = True
         for a, b in zip(nodes, nodes[1:]):
             key = (a, b) if a < b else (b, a)
-            free = snap.link_band_capacity[a][b] if residual is None else residual.get(key, 0)
+            free = snap.edge_band(a, b) if residual is None else residual.get(key, 0)
             if free < min_band:
                 ok = False
                 break
@@ -94,14 +94,14 @@ def placement_feasible(snap, request, catalog, placement, leg_paths,
             return False
         demand = leg_demands(request, catalog)[leg]
         for a, b in zip(nodes, nodes[1:]):
-            if not snap.adjacency[a][b]:
+            if not snap.has_edge(a, b):
                 return False
             key = (a, b) if a < b else (b, a)
             band_need[key] = band_need.get(key, Fraction(0)) + demand
-            latency += snap.latency[a][b]
+            latency += snap.edge_latency(a, b)
     for (a, b), need in band_need.items():
         cap = (band_capacity.get((a, b), Fraction(0)) if band_capacity is not None
-               else snap.link_band_capacity[a][b])
+               else snap.edge_band(a, b))
         if need > cap:
             return False
     return latency <= request.qos_max_latency

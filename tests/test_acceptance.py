@@ -136,7 +136,7 @@ def test_criterion_2_conservation_fuzz():
                     assert ledger.cpu_free(node) >= 0
                     assert ledger.ram_free(node) >= 0
                 for (u, v) in snap.edges():
-                    assert snap.link_band_capacity[u][v] - ledger.band_free(u, v) \
+                    assert snap.edge_band(u, v) - ledger.band_free(u, v) \
                         == band.get((u, v), Fraction(0))
                     assert ledger.band_free(u, v) >= 0
                 # the solver-facing views agree with the per-entry reads,

@@ -79,7 +79,12 @@ class TestRunCommand:
     @pytest.mark.parametrize("field, value", [("orbit_count", "two"),
                                               ("duration_s", float("nan")),
                                               ("orbit_count", True),
-                                              ("sats_per_orbit", 4.5)])
+                                              ("sats_per_orbit", 4.5),
+                                              ("uav_waypoints", 0),
+                                              ("uav_waypoints", -1),
+                                              ("uav_loop_period_s", 0),
+                                              ("earth_radius_km", 0),
+                                              ("uav_altitude_km", -6371)])
     def test_malformed_generator_number_exits_2(self, tmp_path, capsys, field, value):
         doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
         doc["substrate"]["generator"]["sagin"][field] = value

@@ -10,7 +10,7 @@ from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
 from sfcsim.scenario import (InvalidParams, ParseError, SaginParams, ValidationError,
                              generate_poisson_workload, generate_sagin, load_scenario,
                              scenario_from_json)
-from sfcsim.topology import topology_to_json
+from sfcsim.topology import topology_from_json, topology_to_json
 from sfcsim.workload import validate_workload
 
 LIGHT_KM_PER_MS = 299.792458
@@ -59,7 +59,7 @@ class TestSaginGenerator:
         snaps = [topo.snapshots[t] for t in topo.time_points]
         assert len({s.node_cpu_capacity for s in snaps}) == 1
         assert len({s.node_ram_capacity for s in snaps}) == 1
-        assert len({s.adjacency for s in snaps}) > 1  # connectivity churn
+        assert len({tuple(s.edges()) for s in snaps}) > 1  # connectivity churn
 
     def test_edge_latency_sanity_bound(self):
         params = desk_params()
@@ -68,13 +68,13 @@ class TestSaginGenerator:
         for t in topo.time_points:
             snap = topo.snapshots[t]
             for u, v in snap.edges():
-                assert 0 < snap.latency[u][v] < bound
+                assert 0 < snap.edge_latency(u, v) < bound
 
     def test_intra_orbit_spacing_is_rigid(self):
         topo = generate_sagin(desk_params())
         baseline = None
         for t in topo.time_points:
-            lat = topo.snapshots[t].latency[0][1]  # ring neighbors in orbit 0
+            lat = topo.snapshots[t].edge_latency(0, 1)  # ring neighbors in orbit 0
             if baseline is None:
                 baseline = lat
             assert abs(lat - baseline) <= 1e-6 * baseline
@@ -104,6 +104,11 @@ class TestSaginGenerator:
         dict(elevation_min_deg=90.0),
         dict(sat_cpu=F(0)),
         dict(uav_count=-1),
+        dict(uav_waypoints=0),
+        dict(uav_waypoints=-1),
+        dict(uav_loop_period_s=0.0),
+        dict(earth_radius_km=0.0),
+        dict(uav_altitude_km=-6371.0),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(InvalidParams):
@@ -147,6 +152,16 @@ class TestSaginGenerator:
         overrides, digest = self.PINNED[name]
         doc = topology_to_json(generate_sagin(desk_params(**overrides)))
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matrix_round_trip_rebuilds_the_same_snapshots(self, name):
+        overrides, _ = self.PINNED[name]
+        topo = generate_sagin(desk_params(**overrides))
+        back = topology_from_json(topology_to_json(topo))
+        assert back.time_points == topo.time_points
+        for t in topo.time_points:
+            assert back.snapshots[t] == topo.snapshots[t]
 
 
 class TestPoissonWorkload:
@@ -337,6 +352,41 @@ class TestLoadScenario:
         assert sc.requests[1].sfc_id == 1 and sc.requests[1].vnf_chain == (0, 1, 2)
         assert sorted(sc.catalog.templates) == [0, 1, 2]
         assert sc.catalog.band_demand(0, 1) is not None
+
+    @pytest.mark.parametrize("matrix, value", [
+        ("adjacency", "false"), ("adjacency", "true"), ("adjacency", 2),
+        ("adjacency", -1), ("adjacency", 1.0), ("adjacency", None),
+        ("latency_ms", True), ("latency_ms", False), ("latency_ms", "1.5"),
+        ("latency_ms", None), ("latency_ms", [1]),
+    ], ids=repr)
+    def test_non_strict_matrix_cell_rejected(self, matrix, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        rows = doc["substrate"]["snapshots"][0][matrix]
+        rows[0][2] = rows[2][0] = value  # (0,2) is not an edge of example_a
+        kind = "a boolean or 0/1" if matrix == "adjacency" else "a number"
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"substrate: snapshots[0].{matrix}[0][2]: expected {kind}, got {value!r}")):
+            scenario_from_json(doc)
+
+    def test_integer_flags_and_latencies_accepted(self):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        raw = doc["substrate"]["snapshots"][0]
+        raw["adjacency"] = [[int(x) for x in row] for row in raw["adjacency"]]
+        raw["latency_ms"] = [[int(x) for x in row] for row in raw["latency_ms"]]
+        snap = scenario_from_json(doc).topo.snapshots[0.0]
+        assert list(snap.edges()) == [(0, 1), (1, 2)]
+        assert snap.edge_latency(1, 2) == 1.0 and not snap.has_edge(0, 2)
+
+    @pytest.mark.parametrize("snapshot", [0, 2])
+    def test_snapshot_fault_names_its_snapshot(self, snapshot):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        sub = doc["substrate"]
+        sub["time_points"] = [0, 10, 20]
+        sub["snapshots"] = [json.loads(json.dumps(sub["snapshots"][0])) for _ in range(3)]
+        sub["snapshots"][snapshot]["adjacency"][1][0] = False
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"substrate: snapshots[{snapshot}]: adjacency not symmetric at (0,1)") + "$"):
+            scenario_from_json(doc)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="missing.json"):

@@ -204,7 +204,7 @@ def solver_inputs(draw):
         request=req, catalog=cat, snapshot=snap,
         cpu_free=tuple(residual(c, "cpu") for c in snap.node_cpu_capacity),
         ram_free=tuple(residual(c, "ram") for c in snap.node_ram_capacity),
-        band_free={(u, v): residual(snap.link_band_capacity[u][v])
+        band_free={(u, v): residual(snap.edge_band(u, v))
                    for u, v in snap.edges()})
 
 

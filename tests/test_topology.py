@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F, make_snapshot, make_topo
+from conftest import SCENARIO_DIR, F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
 from sfcsim.topology import (InvalidPath, PhysicalPath, SubstrateSnapshot,
                              SubstrateTopology, TimeBeforeStart, path_latency,
@@ -156,13 +157,12 @@ class TestAgainstBruteForce:
 class TestValidation:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            make_snapshot(2, []).__class__(
-                node_count=2,
+            SubstrateSnapshot.from_matrices(
                 adjacency=((False, True), (False, False)),
                 latency=((0.0, 1.0), (1.0, 0.0)),
+                link_band_capacity=((F(0), F(1)), (F(1), F(0))),
                 node_cpu_capacity=(F(1), F(1)),
-                node_ram_capacity=(F(1), F(1)),
-                link_band_capacity=((F(0), F(1)), (F(1), F(0))))
+                node_ram_capacity=(F(1), F(1)))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -228,13 +228,9 @@ def matrices(n, edges):
 
 def build(adj, lat, band, rows=tuple):
     n = len(adj)
-    return SubstrateSnapshot(
-        node_count=n,
-        adjacency=tuple(rows(r) for r in adj),
-        latency=tuple(rows(r) for r in lat),
-        node_cpu_capacity=(F(1),) * n,
-        node_ram_capacity=(F(1),) * n,
-        link_band_capacity=tuple(rows(r) for r in band))
+    return SubstrateSnapshot.from_matrices(
+        tuple(rows(r) for r in adj), tuple(rows(r) for r in lat),
+        tuple(rows(r) for r in band), (F(1),) * n, (F(1),) * n)
 
 
 class TestSnapshotRejections:
@@ -347,10 +343,106 @@ class TestSnapshotRejections:
             snap = build(adj, lat, band)
             assert snap.neighbors == tuple(
                 tuple(j for j in range(n) if adj[i][j]) for i in range(n))
+            assert list(snap.edges()) == [(i, j) for i, j in pairs if adj[i][j]]
+            for i in range(n):
+                for j in range(n):
+                    assert snap.has_edge(i, j) == bool(adj[i][j])
+                    if adj[i][j]:
+                        assert snap.edge_latency(i, j) == lat[i][j]
+                        assert snap.edge_band(i, j) == band[i][j]
         else:
             with pytest.raises(ValueError) as exc:
                 build(adj, lat, band)
             assert str(exc.value) == expected
+
+
+def sparse(n, edges):
+    """Neighbour maps for an edge list, one shared (latency, band) per edge."""
+    links = [{} for _ in range(n)]
+    for u, v in edges:
+        links[u][v] = links[v][u] = (1.0 + u + v, F(10 + u))
+    return links
+
+
+class TestSparseSnapshot:
+    """The edge-map constructor: each fault it rejects, and read-only rows."""
+
+    def expect(self, links, message, n=None):
+        n = len(links) if n is None else n
+        with pytest.raises(ValueError) as exc:
+            SubstrateSnapshot(n, links, (F(1),) * n, (F(1),) * n)
+        assert str(exc.value) == message
+
+    def test_accepts_and_sorts_rows(self):
+        links = sparse(4, [(2, 3), (0, 3), (1, 3)])
+        snap = SubstrateSnapshot(4, links, (F(1),) * 4, (F(1),) * 4)
+        assert snap.neighbors == ((3,), (3,), (3,), (0, 1, 2))
+        assert list(snap.links[3]) == [0, 1, 2]
+        assert list(snap.edges()) == [(0, 3), (1, 3), (2, 3)]
+        assert snap.edge_latency(3, 1) == 5.0 and snap.edge_band(3, 1) == F(11)
+        assert snap == SubstrateSnapshot.from_matrices(*matrices(4, [(2, 3), (0, 3), (1, 3)]),
+                                                       (F(1),) * 4, (F(1),) * 4)
+
+    def test_equal_values_in_separate_tuples_are_symmetric(self):
+        links = sparse(2, [(0, 1)])
+        links[1][0] = tuple(links[0][1])  # equal, but not the same object
+        SubstrateSnapshot(2, links, (F(1),) * 2, (F(1),) * 2)
+
+    def test_one_directional_edge(self):
+        links = sparse(3, [(1, 2)])
+        links[0][2] = (1.0, F(1))
+        self.expect(links, "edge (0,2) not symmetric")
+
+    def test_one_directional_edge_seen_from_the_higher_end(self):
+        links = sparse(3, [])
+        links[2][0] = (1.0, F(1))
+        self.expect(links, "edge (2,0) not symmetric")
+
+    @pytest.mark.parametrize("back", [(3.0, F(10)), (2.0, F(11))])
+    def test_unequal_values(self, back):
+        links = sparse(2, [(0, 1)])
+        links[1][0] = back
+        self.expect(links, "edge (0,1) not symmetric")
+
+    def test_self_loop(self):
+        links = sparse(3, [(0, 1)])
+        links[2][2] = (1.0, F(1))
+        self.expect(links, "self-loop at node 2")
+
+    @pytest.mark.parametrize("v", [3, -1, 1.0, "1"])
+    def test_out_of_range_neighbour(self, v):
+        links = sparse(3, [])
+        links[0][v] = (1.0, F(1))
+        self.expect(links, f"neighbour {v!r} of node 0 outside substrate")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_latency(self, value):
+        links = sparse(3, [(1, 2)])
+        links[1][2] = links[2][1] = (value, F(1))
+        self.expect(links, f"bad latency {value!r} on edge (1,2)")
+
+    def test_negative_bandwidth(self):
+        links = sparse(3, [(0, 2)])
+        links[0][2] = links[2][0] = (1.0, F(-1))
+        self.expect(links, "negative bandwidth on edge (0,2)")
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_wrong_links_length(self, rows):
+        self.expect(sparse(rows, []), "links must have 3 entries", n=3)
+
+    def test_rows_are_read_only(self):
+        snap = make_snapshot(3, [(0, 1)])
+        with pytest.raises(TypeError):
+            snap.links[0][2] = (1.0, F(1))
+        with pytest.raises(TypeError):
+            del snap.links[0][1]
+        assert list(snap.edges()) == [(0, 1)]
+
+    def test_rows_do_not_alias_the_input(self):
+        links = sparse(2, [(0, 1)])
+        snap = SubstrateSnapshot(2, links, (F(1),) * 2, (F(1),) * 2)
+        links[0].clear()
+        assert snap.has_edge(0, 1)
 
 
 class TestJsonRoundTrip:
@@ -363,11 +455,12 @@ class TestJsonRoundTrip:
         assert back.time_points == topo.time_points
         for t in topo.time_points:
             a, b = topo.snapshots[t], back.snapshots[t]
-            assert a.adjacency == b.adjacency
-            assert a.latency == b.latency
+            assert list(a.edges()) == list(b.edges())
+            for u, v in a.edges():
+                assert a.edge_latency(u, v) == b.edge_latency(u, v)
+                assert a.edge_band(u, v) == b.edge_band(u, v)
             assert a.node_cpu_capacity == b.node_cpu_capacity
             assert a.node_ram_capacity == b.node_ram_capacity
-            assert a.link_band_capacity == b.link_band_capacity
 
     def test_fraction_capacities_survive(self):
         snap = make_snapshot(2, [(0, 1)], cpu=[0.2, 0.3])
@@ -375,3 +468,7 @@ class TestJsonRoundTrip:
         topo = make_topo({0.0: snap})
         back = topology_from_json(topology_to_json(topo))
         assert back.snapshots[0.0].node_cpu_capacity[0] == Fraction(1, 5)
+
+    def test_bundled_matrices_are_written_back_unchanged(self):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())["substrate"]
+        assert json.dumps(topology_to_json(topology_from_json(doc))) == json.dumps(doc)
