@@ -139,21 +139,13 @@ def _sweep_counts(text: str) -> list[int]:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = RunConfig(scenario_path=Path(args.scenario),
-                        out_dir=Path(args.out) if args.out else _default_out_root(),
-                        solvers=args.solver.split(",") if args.solver else None,
-                        seed=args.seed,
-                        sweep=_sweep_counts(args.sweep) if args.sweep else None,
-                        repeat=args.repeat)
-        scenario = load_scenario(cfg.scenario_path)
-        results = execute_runs(cfg, scenario)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = RunConfig(scenario_path=Path(args.scenario),
+                    out_dir=Path(args.out) if args.out else _default_out_root(),
+                    solvers=args.solver.split(",") if args.solver else None,
+                    seed=args.seed,
+                    sweep=_sweep_counts(args.sweep) if args.sweep else None,
+                    repeat=args.repeat)
+    results = execute_runs(cfg, load_scenario(cfg.scenario_path))
     _print_summary(results)
     if len(results) > 1:
         write_sweep_summary(results, cfg.out_dir)
@@ -161,22 +153,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        scenario = load_scenario(Path(args.params))
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scenario = load_scenario(Path(args.params))
     out = Path(args.out) if args.out else _default_out_root() / "generated"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        substrate = out / "substrate.json"
-        substrate.write_text(json.dumps(topology_to_json(scenario.topo), indent=1) + "\n")
-        workload = out / "workload.json"
-        workload.write_text(json.dumps(
-            workload_to_json(scenario.requests, scenario.catalog), indent=1) + "\n")
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    substrate = out / "substrate.json"
+    substrate.write_text(json.dumps(topology_to_json(scenario.topo), indent=1) + "\n")
+    workload = out / "workload.json"
+    workload.write_text(json.dumps(
+        workload_to_json(scenario.requests, scenario.catalog), indent=1) + "\n")
     print(f"wrote {substrate} ({scenario.topo.node_count} nodes, "
           f"{len(scenario.topo.time_points)} time points)")
     print(f"wrote {workload} ({len(scenario.requests)} sfcs)")
@@ -184,11 +168,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(Path(args.scenario))
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scenario = load_scenario(Path(args.scenario))
     print(f"{args.scenario}: ok ({scenario.topo.node_count} nodes, "
           f"{len(scenario.topo.time_points)} snapshots, "
           f"{len(scenario.requests)} sfcs, solver={scenario.solver_name})")
@@ -223,7 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -13,14 +13,15 @@ parameter with a default.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
 from .solver import SOLVERS
-from .topology import (SubstrateSnapshot, SubstrateTopology, as_fraction, as_integer,
-                       topology_from_json)
+from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, as_float,
+                       as_fraction, as_integer, as_object, topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
 
@@ -73,14 +74,14 @@ class SaginParams:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:
             raise InvalidParams("uav_count and ground_count cannot be negative")
-        if not all(map(math.isfinite, (self.altitude_km, self.earth_radius_km,
-                                       self.inclination_deg))):
-            raise InvalidParams(
-                "altitude_km, earth_radius_km and inclination_deg must be finite")
+        radius = self.earth_radius_km + self.altitude_km  # its cube sets the orbital rate
+        if not all(map(math.isfinite, (radius * radius * radius, self.inclination_deg))):
+            raise InvalidParams("altitude_km, earth_radius_km and inclination_deg must be finite,"
+                                " and so must the orbit radius cubed")
         if self.duration_s <= 0 or self.snapshot_interval_s <= 0:
             raise InvalidParams("duration and snapshot interval must be > 0")
         steps = self.duration_s / self.snapshot_interval_s
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise InvalidParams("snapshot_interval_s must divide duration_s")
         if not 0 <= self.elevation_min_deg < 90:
             raise InvalidParams("elevation_min_deg must be in [0, 90)")
@@ -338,108 +339,102 @@ class Scenario:
         cfg = dict(self.workload_generator)
         if sfc_count is not None:
             cfg["sfc_count"] = sfc_count
-        if seed is not None and "seed" not in self.workload_generator:
-            cfg["seed"] = seed
-        return _poisson_from_config(self.topo, self.catalog, cfg)
+        return _poisson_from_config(self.topo, self.catalog, cfg, 0 if seed is None else seed)
+
+
+@contextmanager
+def _section(where: str, errors=INPUT_ERRORS):
+    """Re-raise ``errors`` as a ValidationError naming ``where``; a located one passes."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except errors as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _finite(value) -> float:
-    x = float(value)
+    x = as_float(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {value!r}")
     return x
 
 
-def _sagin_from_config(cfg: dict) -> SaginParams:
-    fraction_fields = {"sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
-                       "isl_band_mbps", "sg_band_mbps"}
-    int_fields = {"orbit_count", "sats_per_orbit", "uav_count", "ground_count",
-                  "seed", "uav_waypoints"}
-    known = set(SaginParams.__dataclass_fields__)
-    kwargs = {}
-    for key, value in cfg.items():
-        if key not in known:
-            raise ValidationError(f"substrate.generator.sagin: unknown field {key!r}")
-        convert = (as_fraction if key in fraction_fields
-                   else as_integer if key in int_fields else _finite)
-        try:
-            kwargs[key] = convert(value)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"substrate.generator.sagin.{key}: {exc}") from None
-    try:
-        return SaginParams(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"substrate.generator.sagin: {exc}") from None
+_SAGIN_TYPES = {f.name: {int: as_integer, float: _finite, Fraction: as_fraction}[f.type]
+                for f in fields(SaginParams)}
+_SAGIN_DEFAULTS = {f.name: f.default for f in fields(SaginParams) if f.default is not MISSING}
+_POISSON_TYPES = {"sfc_count": as_integer, "mean_lifetime_s": _finite,
+                  "chain_len": as_integer, "qos_ms": _finite, "seed": as_integer}
 
 
-def _poisson_from_config(topo, catalog, cfg: dict) -> list[SfcRequest]:
-    fields = {"sfc_count": as_integer, "mean_lifetime_s": _finite,
-              "chain_len": as_integer, "qos_ms": _finite, "seed": as_integer}
-    unknown = set(cfg) - set(fields)
-    if unknown:
-        raise ValidationError(f"workload.generator.poisson: unknown fields {sorted(unknown)}")
-    cfg = {"seed": 0, **cfg}
+def _generator(doc: dict, name: str, kind: str) -> tuple[dict, dict | None]:
+    """The object ``doc[name]`` and its ``kind`` generator config, None without one."""
+    with _section(name):
+        section = as_object(doc[name])
+    if "generator" not in section:
+        return section, None
+    with _section(f"{name}.generator"):
+        gen = as_object(section["generator"])
+        if kind not in gen:
+            raise ValueError(f"only {kind!r} is supported")
+    with _section(f"{name}.generator.{kind}"):
+        return section, as_object(gen[kind])
+
+
+def _params(cfg: dict, types: dict, defaults: dict, where: str) -> dict:
+    """``defaults`` overlaid with the generator config ``cfg``, each field read
+    by its ``types`` entry; an unknown or a missing field is named."""
+    cfg = {**defaults, **cfg}
+    for fault, keys in (("unknown", cfg.keys() - types.keys()),
+                        ("missing", types.keys() - cfg.keys())):
+        if keys:
+            raise ValidationError(f"{where}: {fault} fields {sorted(keys)}")
     params = {}
-    for key, convert in fields.items():
-        if key not in cfg:
-            raise ValidationError(f"workload.generator.poisson: missing field {key!r}")
-        try:
+    for key, convert in types.items():
+        with _section(f"{where}.{key}"):
             params[key] = convert(cfg[key])
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"workload.generator.poisson.{key}: {exc}") from None
-    return generate_poisson_workload(topo, catalog, **params)
+    return params
+
+
+def _sagin_from_config(cfg: dict) -> SubstrateTopology:
+    where = "substrate.generator.sagin"
+    with _section(where):
+        params = SaginParams(**_params(cfg, _SAGIN_TYPES, _SAGIN_DEFAULTS, where))
+    with _section(where, InvalidParams):
+        return generate_sagin(params)
+
+
+def _poisson_from_config(topo, catalog, cfg: dict, seed: int = 0) -> list[SfcRequest]:
+    params = _params(cfg, _POISSON_TYPES, {"seed": seed}, "workload.generator.poisson")
+    with _section("workload.generator.poisson", InvalidParams):
+        return generate_poisson_workload(topo, catalog, **params)
 
 
 def scenario_from_json(doc: dict) -> Scenario:
     """Build and validate a scenario from its parsed JSON document."""
+    with _section("scenario"):
+        as_object(doc)
     for key in ("substrate", "workload", "catalog", "solver"):
         if key not in doc:
             raise ValidationError(f"scenario: missing top-level field {key!r}")
-    try:
+    with _section("seed"):
         seed = as_integer(doc.get("seed", 0))
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"seed: {exc}") from None
+    with _section("catalog"):
+        catalog = catalog_from_json(as_object(doc["catalog"]))
 
-    try:
-        catalog = catalog_from_json(doc["catalog"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValidationError(f"catalog: {exc}") from None
-
-    sub = doc["substrate"]
-    substrate_generator = None
-    if "generator" in sub:
-        gen = sub["generator"]
-        if "sagin" not in gen:
-            raise ValidationError("substrate.generator: only 'sagin' is supported")
-        substrate_generator = gen["sagin"]
-        try:
-            topo = generate_sagin(_sagin_from_config(substrate_generator))
-        except InvalidParams as exc:
-            raise ValidationError(f"substrate.generator.sagin: {exc}") from None
+    sub, substrate_generator = _generator(doc, "substrate", "sagin")
+    if substrate_generator is not None:
+        topo = _sagin_from_config(substrate_generator)
     else:
-        try:
+        with _section("substrate"):
             topo = topology_from_json(sub)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValidationError(f"substrate: {exc}") from None
 
-    wl = doc["workload"]
-    workload_generator = None
-    if "generator" in wl:
-        gen = wl["generator"]
-        if "poisson" not in gen:
-            raise ValidationError("workload.generator: only 'poisson' is supported")
-        workload_generator = gen["poisson"]
-        cfg = dict(workload_generator)
-        cfg.setdefault("seed", seed)
-        try:
-            requests = _poisson_from_config(topo, catalog, cfg)
-        except InvalidParams as exc:
-            raise ValidationError(f"workload.generator.poisson: {exc}") from None
+    wl, workload_generator = _generator(doc, "workload", "poisson")
+    if workload_generator is not None:
+        requests = _poisson_from_config(topo, catalog, workload_generator, seed)
     else:
-        try:
+        with _section("workload.sfcs"):
             requests = requests_from_json(wl["sfcs"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValidationError(f"workload.sfcs: {exc}") from None
 
     solver_name = doc["solver"]
     if not isinstance(solver_name, str):
@@ -465,13 +460,9 @@ def load_scenario(path) -> Scenario:
     """Load a scenario bundle from a JSON file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too long an int
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
     return scenario_from_json(doc)

@@ -27,6 +27,25 @@ class InvalidPath(ValueError):
     """A path references a node pair that is not an edge of the snapshot."""
 
 
+# --- reading JSON values: one reader per value kind -------------------------
+
+INPUT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)  # a malformed value
+
+
+def read_at(where: str, convert, *args):
+    """``convert(*args)``, with any of INPUT_ERRORS re-raised naming ``where``."""
+    try:
+        return convert(*args)
+    except INPUT_ERRORS as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def read_items(where: str, convert, value) -> tuple:
+    """Each item of the JSON array ``value`` read by ``convert``; a bad item is named."""
+    return tuple(read_at(f"{where}[{j}]", convert, x)
+                 for j, x in enumerate(read_at(where, as_list, value)))
+
+
 def as_fraction(value) -> Fraction:
     """Convert a JSON number (int, float, or numeric string) to a Fraction.
 
@@ -54,6 +73,33 @@ def as_integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value) -> float:
+    """Convert a JSON number to a float: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _flag(x) -> bool:
+    if type(x) in (bool, int) and x in (0, 1):
+        return bool(x)
+    raise ValueError(f"expected a boolean or 0/1, got {x!r}")
+
+
+def as_list(value) -> list:
+    """A JSON array as is; a string or an object is not read as one."""
+    if type(value) is not list:
+        raise ValueError(f"expected an array, got {value!r}")
+    return value
+
+
+def as_object(value) -> dict:
+    """A JSON object as is."""
+    if type(value) is not dict:
+        raise ValueError(f"expected an object, got {value!r}")
+    return value
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -284,50 +330,33 @@ def _num(x) -> int | float:
     return x
 
 
-def _flag(x) -> bool:
-    if type(x) in (bool, int) and x in (0, 1):
-        return bool(x)
-    raise ValueError(f"expected a boolean or 0/1, got {x!r}")
-
-
-def _latency_ms(x) -> float:
-    if type(x) not in (int, float):  # a bool is not a latency
-        raise ValueError(f"expected a number, got {x!r}")
-    return float(x)
-
-
-def _cells(doc: dict, key: str, convert, where: str) -> tuple[tuple, ...]:
-    """The matrix ``doc[key]`` converted cell by cell; a bad cell is named."""
+def _cells(where: str, convert, value) -> tuple[tuple, ...]:
+    """The matrix ``value`` converted cell by cell; a bad row or cell is named."""
+    rows = read_at(where, as_list, value)
     try:
-        return tuple(tuple(map(convert, row)) for row in doc[key])
-    except (ValueError, TypeError, OverflowError):
-        for i, row in enumerate(doc[key]):  # name the first bad cell
-            for j, x in enumerate(row):
-                try:
-                    convert(x)
-                except (ValueError, TypeError, OverflowError) as exc:
-                    raise ValueError(f"{where}.{key}[{i}][{j}]: {exc}") from None
+        return tuple(tuple(map(convert, as_list(row))) for row in rows)
+    except INPUT_ERRORS:
+        for i, row in enumerate(rows):  # name the first bad row or cell
+            read_items(f"{where}[{i}]", convert, row)
         raise
 
 
 def topology_from_json(doc: dict) -> SubstrateTopology:
-    times = tuple(float(t) for t in doc["time_points"])
-    raw_snaps = doc["snapshots"]
+    times = read_items("time_points", as_float, doc["time_points"])
+    raw_snaps = read_at("snapshots", as_list, doc["snapshots"])
     if len(raw_snaps) != len(times):
         raise ValueError(
             f"snapshots length {len(raw_snaps)} != time_points length {len(times)}")
     snaps = {}
     for k, (t, raw) in enumerate(zip(times, raw_snaps)):
         where = f"snapshots[{k}]"
-        matrices = (_cells(raw, "adjacency", _flag, where),
-                    _cells(raw, "latency_ms", _latency_ms, where),
-                    _cells(raw, "link_band_mbps", as_fraction, where))
-        try:
-            snaps[t] = SubstrateSnapshot.from_matrices(
-                *matrices, tuple(map(as_fraction, raw["node_cpu"])),
-                tuple(map(as_fraction, raw["node_ram_mb"])))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        raw = read_at(where, as_object, raw)
+        matrices = [_cells(f"{where}.{key}", convert, raw[key])
+                    for key, convert in (("adjacency", _flag), ("latency_ms", as_float),
+                                         ("link_band_mbps", as_fraction))]
+        capacities = [read_items(f"{where}.{key}", as_fraction, raw[key])
+                      for key in ("node_cpu", "node_ram_mb")]
+        snaps[t] = read_at(where, SubstrateSnapshot.from_matrices, *matrices, *capacities)
     return SubstrateTopology(time_points=times, snapshots=snaps)
 
 

@@ -4,7 +4,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .topology import SubstrateTopology, as_fraction, as_integer, edge_key
+from .topology import (SubstrateTopology, _num, as_float, as_fraction, as_integer, as_list,
+                       edge_key, read_at, read_items)
 
 
 @dataclass(frozen=True)
@@ -137,28 +138,20 @@ def validate_workload(requests, catalog: VnfCatalog,
 
 # --- JSON (de)serialization -------------------------------------------------
 
-def _integer_at(value, where: str) -> int:
-    """``as_integer(value)``; a rejected value's error names ``where``."""
-    try:
-        return as_integer(value)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def catalog_from_json(doc: dict) -> VnfCatalog:
-    templates = [VnfTemplate(vnf_id=_integer_at(t["id"], f"templates[{i}].id"),
-                             cpu_demand=as_fraction(t["cpu"]),
-                             ram_demand=as_fraction(t["ram_mb"]))
-                 for i, t in enumerate(doc["templates"])]
+    templates = [VnfTemplate(vnf_id=read_at(f"templates[{i}].id", as_integer, t["id"]),
+                             cpu_demand=read_at(f"templates[{i}].cpu", as_fraction, t["cpu"]),
+                             ram_demand=read_at(f"templates[{i}].ram_mb", as_fraction, t["ram_mb"]))
+                 for i, t in enumerate(read_at("templates", as_list, doc["templates"]))]
     catalog = VnfCatalog(templates)
-    for i, link in enumerate(doc.get("links", [])):
-        catalog.add_link_demand(_integer_at(link["a"], f"links[{i}].a"),
-                                _integer_at(link["b"], f"links[{i}].b"), link["band_mbps"])
+    for i, link in enumerate(read_at("links", as_list, doc.get("links", []))):
+        catalog.add_link_demand(read_at(f"links[{i}].a", as_integer, link["a"]),
+                                read_at(f"links[{i}].b", as_integer, link["b"]),
+                                read_at(f"links[{i}].band_mbps", as_fraction, link["band_mbps"]))
     return catalog
 
 
 def catalog_to_json(catalog: VnfCatalog) -> dict:
-    from .topology import _num
     return {
         "templates": [{"id": t.vnf_id, "cpu": _num(t.cpu_demand), "ram_mb": _num(t.ram_demand)}
                       for t in sorted(catalog.templates.values(), key=lambda t: t.vnf_id)],
@@ -168,19 +161,18 @@ def catalog_to_json(catalog: VnfCatalog) -> dict:
 
 
 def requests_from_json(docs: list[dict]) -> list[SfcRequest]:
-    return [SfcRequest(sfc_id=_integer_at(d["id"], f"sfcs[{i}].id"),
-                       start_time=float(d["start"]),
-                       end_time=float(d["end"]),
-                       ingress=_integer_at(d["ingress"], f"sfcs[{i}].ingress"),
-                       egress=_integer_at(d["egress"], f"sfcs[{i}].egress"),
-                       vnf_chain=tuple(_integer_at(v, f"sfcs[{i}].chain[{j}]")
-                                       for j, v in enumerate(d["chain"])),
-                       qos_max_latency=float(d["qos_latency_ms"]))
-            for i, d in enumerate(docs)]
+    def request(i: int, d: dict) -> SfcRequest:
+        def read(key: str, convert):
+            return read_at(f"sfcs[{i}].{key}", convert, d[key])
+        return SfcRequest(sfc_id=read("id", as_integer), start_time=read("start", as_float),
+                          end_time=read("end", as_float), ingress=read("ingress", as_integer),
+                          egress=read("egress", as_integer),
+                          vnf_chain=read_items(f"sfcs[{i}].chain", as_integer, d["chain"]),
+                          qos_max_latency=read("qos_latency_ms", as_float))
+    return [request(i, d) for i, d in enumerate(read_at("sfcs", as_list, docs))]
 
 
 def requests_to_json(requests) -> list[dict]:
-    from .topology import _num
     return [{"id": r.sfc_id, "start": _num(r.start_time), "end": _num(r.end_time),
              "ingress": r.ingress, "egress": r.egress, "chain": list(r.vnf_chain),
              "qos_latency_ms": _num(r.qos_max_latency)}

@@ -84,7 +84,12 @@ class TestRunCommand:
                                               ("uav_waypoints", -1),
                                               ("uav_loop_period_s", 0),
                                               ("earth_radius_km", 0),
-                                              ("uav_altitude_km", -6371)])
+                                              ("uav_altitude_km", -6371),
+                                              ("altitude_km", 1e120),
+                                              ("earth_radius_km", 1e120),
+                                              pytest.param("duration_s", 10**400,
+                                                           id="duration_s-10**400"),
+                                              ("sat_cpu", "1/0")])
     def test_malformed_generator_number_exits_2(self, tmp_path, capsys, field, value):
         doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
         doc["substrate"]["generator"]["sagin"][field] = value

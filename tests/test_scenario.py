@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -109,6 +110,8 @@ class TestSaginGenerator:
         dict(uav_loop_period_s=0.0),
         dict(earth_radius_km=0.0),
         dict(uav_altitude_km=-6371.0),
+        dict(altitude_km=1e120),  # the orbit radius cubed overflows
+        dict(earth_radius_km=1e120),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(InvalidParams):
@@ -242,6 +245,15 @@ class TestLoadScenario:
         ("end", float("inf"), "sfc 0.*BadLifecycle"),
         ("qos_latency_ms", float("nan"), "sfc 0.*BadQos"),
         ("time_points", float("nan"), "substrate: time_points must be finite"),
+        # A float field takes a JSON int or float within float range, nothing else.
+        *[pytest.param(field, value, "^" + re.escape(f"{where}: {problem}"), id=f"{field}-{label}")
+          for field, where in (("time_points", "substrate: time_points[0]"),
+                               ("start", "workload.sfcs: sfcs[0].start"),
+                               ("end", "workload.sfcs: sfcs[0].end"),
+                               ("qos_latency_ms", "workload.sfcs: sfcs[0].qos_latency_ms"))
+          for value, label, problem in ((True, "True", "expected a number, got True"),
+                                        ("5", "'5'", "expected a number, got '5'"),
+                                        (10**400, "10**400", "int too large to convert to float"))],
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, field, value, problem):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
@@ -342,6 +354,15 @@ class TestLoadScenario:
                 f"{section}: {where}: expected an integer, got {value!r}")):
             scenario_from_json(doc)
 
+    @pytest.mark.parametrize("entry, key", [("templates", "cpu"), ("templates", "ram_mb"),
+                                            ("links", "band_mbps")])
+    @pytest.mark.parametrize("value", ["1/0", "abc", True])
+    def test_malformed_catalog_quantity_names_its_entry(self, entry, key, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["catalog"][entry][1][key] = value
+        with pytest.raises(ValidationError, match="^" + re.escape(f"catalog: {entry}[1].{key}: ")):
+            scenario_from_json(doc)
+
     @pytest.mark.parametrize("value", [1, 1.0, "1"], ids=repr)
     def test_integral_workload_and_catalog_fields_accepted(self, value):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
@@ -387,6 +408,66 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="^" + re.escape(
                 f"substrate: snapshots[{snapshot}]: adjacency not symmetric at (0,1)") + "$"):
             scenario_from_json(doc)
+
+    # Every value kind a reader can be handed by mistake, and a number beyond
+    # float range.
+    MALFORMED = [None, True, False, "x", "1/0", [], {}, math.nan, math.inf, -math.inf, -1,
+                 10**400]
+    # Read with as_integer: 10**400 there is a legal count whose run never ends.
+    INTEGER_FIELDS = {"seed", "id", "ingress", "egress", "a", "b", "orbit_count",
+                      "sats_per_orbit", "uav_count", "ground_count", "uav_waypoints",
+                      "sfc_count", "chain_len"}
+
+    @staticmethod
+    def document_nodes(node, path=()):
+        """(path, value) of every node of a JSON document, the root first."""
+        yield path, node
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            yield from TestLoadScenario.document_nodes(child, path + (key,))
+
+    @pytest.mark.parametrize("name", ["example_a", "sagin_desk"])
+    def test_malformed_value_anywhere_is_a_located_validation_error(self, name):
+        doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        nodes = list(self.document_nodes(doc))
+        assert len(nodes) == {"example_a": 102, "sagin_desk": 67}[name]
+        sections = {"scenario", "seed", "catalog", "substrate", "workload", "solver"}
+        faults = []
+        for path, original in nodes:
+            integer = path and (path[-1] in self.INTEGER_FIELDS
+                                or len(path) > 1 and path[-2] == "chain")
+            for value in self.MALFORMED:
+                if integer and value is self.MALFORMED[-1]:
+                    continue
+                mutated = copy.deepcopy(doc)
+                if path:
+                    node = mutated
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                else:
+                    mutated = value
+                try:
+                    scenario_from_json(mutated)
+                except ValidationError as exc:
+                    if re.split("[.:]", str(exc))[0] not in sections:
+                        faults.append(f"{path} = {value!r:.20}: unlocated: {exc}")
+                except Exception as exc:
+                    faults.append(f"{path} = {value!r:.20}: {type(exc).__name__}: {exc}")
+                else:  # an array or an object is never read from another kind
+                    if type(original) in (list, dict) and type(value) is not type(original):
+                        faults.append(f"{path} = {value!r:.20}: loaded")
+        assert not faults, "\n".join(faults)
+
+    @pytest.mark.parametrize("text", [b"[" + b"1" * 5000 + b"]", b"\xff",
+                                      b"[" * 100_000 + b"]" * 100_000],
+                             ids=["integer-literal-too-long", "not-utf-8", "nested-too-deep"])
+    def test_undecodable_json_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_scenario(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="missing.json"):
