@@ -90,7 +90,7 @@ def execute_runs(cfg: RunConfig, scenario: Scenario) -> list[RunResult]:
         raise ValidationError("--sweep needs a workload generator in the scenario")
     results = []
     for label, solver_name, count, rep, run_seed in _plan_runs(cfg, scenario):
-        if scenario.workload_generator is not None and (count is not None or cfg.repeat > 1):
+        if scenario.workload_generator is not None:
             requests = scenario.regenerate_workload(sfc_count=count, seed=run_seed)
         else:
             requests = scenario.requests

@@ -309,25 +309,21 @@ def find_affected_sfcs(ledger: ResourceLedger,
     An SFC is affected when a path edge vanished, or when it holds resources
     on a node/edge whose shrunk capacity is now over-subscribed by the
     cumulative active allocations.  Ordered by ascending sfc_id so migrations
-    run in a deterministic sequence.
+    run in a deterministic sequence.  Only each chain's own nodes and edges are
+    read, so the work grows with what the chains hold, not with the substrate.
     """
-    n = new_snap.node_count
-    over_cpu = {node for node in range(n)
-                if ledger.cpu_used(node) > new_snap.node_cpu_capacity[node]}
-    over_ram = {node for node in range(n)
-                if ledger.ram_used(node) > new_snap.node_ram_capacity[node]}
-    over_band = {key for key, used in ledger._band_used.items()
-                 if new_snap.has_edge(*key) and used > new_snap.edge_band(*key)}
-
     affected: list[tuple[int, FailureReason]] = []
     for sfc_id in sorted(ledger.allocations):
         plan = ledger.allocations[sfc_id]
         if any(not path_is_valid(new_snap, p) for p in plan.virtual_link_paths):
             affected.append((sfc_id, FailureReason.NO_PATH))
-        elif any(node in over_cpu for node in plan.cpu_alloc):
+        elif any(ledger.cpu_used(node) > new_snap.node_cpu_capacity[node]
+                 for node in plan.cpu_alloc):
             affected.append((sfc_id, FailureReason.NODE_CPU_INSUFFICIENT))
-        elif any(node in over_ram for node in plan.ram_alloc):
+        elif any(ledger.ram_used(node) > new_snap.node_ram_capacity[node]
+                 for node in plan.ram_alloc):
             affected.append((sfc_id, FailureReason.NODE_RAM_INSUFFICIENT))
-        elif any(key in over_band for key in plan.band_alloc):
+        # every path edge is in new_snap here, so each held edge has a capacity
+        elif any(ledger.band_used(*key) > new_snap.edge_band(*key) for key in plan.band_alloc):
             affected.append((sfc_id, FailureReason.LINK_BANDWIDTH_INSUFFICIENT))
     return affected

@@ -328,18 +328,18 @@ class Scenario:
     catalog: VnfCatalog
     solver_name: str
     seed: int
-    substrate_generator: dict | None = None
     workload_generator: dict | None = None
 
     def regenerate_workload(self, sfc_count: int | None = None,
                             seed: int | None = None) -> list[SfcRequest]:
-        """Re-draw the workload (sweeps/repeats); needs a generator config."""
+        """Re-draw the workload (sweeps/repeats), by default with the scenario's seed."""
         if self.workload_generator is None:
             raise ValidationError("workload is inline; cannot vary sfc_count or seed")
         cfg = dict(self.workload_generator)
         if sfc_count is not None:
             cfg["sfc_count"] = sfc_count
-        return _poisson_from_config(self.topo, self.catalog, cfg, 0 if seed is None else seed)
+        seed = self.seed if seed is None else seed
+        return _poisson_from_config(self.topo, self.catalog, cfg, seed)
 
 
 @contextmanager
@@ -452,7 +452,6 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     return Scenario(topo=topo, requests=requests, catalog=catalog,
                     solver_name=solver_name, seed=seed,
-                    substrate_generator=substrate_generator,
                     workload_generator=workload_generator)
 
 

@@ -4,14 +4,17 @@ Everything here is written from the problem statement alone and must stay
 independent of the library's own pathfinding and plan checking: exhaustive
 simple-path enumeration, a from-scratch feasibility verdict for a complete
 plan, an exhaustive search over all placements and path combinations,
-the baseline solvers' sequential rule written in plain Fractions, and the
-utilization CSV written one sample at a time.
+the baseline solvers' sequential rule written in plain Fractions, the
+utilization CSV written one sample at a time, and a whole-run reference
+simulator built from these pieces over a dense Fraction ledger.
 """
 
 import csv
 import io
 import itertools
+import random
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def all_simple_paths(snap, src, dst):
@@ -56,6 +59,32 @@ def min_latency_path(snap, src, dst, min_band=0, residual=None):
         if best is None or cand < best:
             best = cand
     return best  # (latency, nodes) or None
+
+
+def bounded_min_latency_path(snap, src, dst, min_band=0, residual=None):
+    """``min_latency_path`` by depth-first search that cuts a branch once its
+    latency exceeds the best complete path's; latencies are never negative."""
+    best = None
+
+    def walk(nodes, cost):
+        nonlocal best
+        if best is not None and cost > best[0]:
+            return
+        if nodes[-1] == dst:
+            if best is None or (cost, nodes) < best:
+                best = (cost, nodes)
+            return
+        a = nodes[-1]
+        for b in range(snap.node_count):
+            if b in nodes or not snap.has_edge(a, b):
+                continue
+            key = (a, b) if a < b else (b, a)
+            free = snap.edge_band(a, b) if residual is None else residual.get(key, 0)
+            if free >= min_band:
+                walk(nodes + (b,), cost + snap.edge_latency(a, b))
+
+    walk((src,), 0)
+    return best
 
 
 def leg_demands(request, catalog):
@@ -132,7 +161,8 @@ def exhaustive_embedding(snap, request, catalog):
     return None
 
 
-def sequential_decision(snap, request, catalog, cpu_free, ram_free, band_free, pick):
+def sequential_decision(snap, request, catalog, cpu_free, ram_free, band_free, pick,
+                        route=min_latency_path):
     """The baselines' chain walk in plain Fractions: (placement, paths, reason).
 
     Position by position, the nodes with enough free cpu (none: the reason is
@@ -160,7 +190,7 @@ def sequential_decision(snap, request, catalog, cpu_free, ram_free, band_free, p
             if not candidates:
                 return None, None, "NodeRamInsufficient"
             node = pick(candidates, cpu, ram)
-        best = min_latency_path(snap, prev, node, demands[pos], band)
+        best = route(snap, prev, node, demands[pos], band)
         if best is None:
             return None, None, "NoPath"
         latency += path_cost(snap, best[1])
@@ -212,3 +242,182 @@ def utilization_csv(samples) -> bytes:
                     *(f"{float(x):.6f}" for x in (s.cpu_used, s.cpu_capacity,
                                                   s.ram_used, s.ram_capacity))])
     return buf.getvalue().encode()
+
+
+# --- whole-run reference simulator ------------------------------------------
+
+TOPOLOGY, DEPARTURE, ARRIVAL = range(3)  # the order of same-instant events
+REASONS = ("NodeCpuInsufficient", "NodeRamInsufficient", "LinkBandwidthInsufficient",
+           "NoPath", "QosLatencyViolated", "MigrationFailed", "SolverRejected")
+
+
+class Sample(NamedTuple):
+    time: float
+    node: int
+    cpu_used: Fraction
+    cpu_capacity: Fraction
+    ram_used: Fraction
+    ram_capacity: Fraction
+
+
+class DenseLedger:
+    """Usage per node and per node pair, in Fractions, summed over the chains held.
+
+    ``held[sfc_id]`` is what one chain holds: its leg paths as node tuples and
+    its cpu, ram and bandwidth per node or (low, high) pair.
+    """
+
+    def __init__(self, n):
+        self.cpu = [Fraction(0)] * n
+        self.ram = [Fraction(0)] * n
+        self.band = [[Fraction(0)] * n for _ in range(n)]
+        self.held = {}
+
+    def hold(self, sfc_id, holding):
+        self.held[sfc_id] = holding
+        self._apply(holding, 1)
+
+    def drop(self, sfc_id):
+        self._apply(self.held.pop(sfc_id), -1)
+
+    def _apply(self, holding, sign):
+        _paths, cpu, ram, band = holding
+        for node, x in cpu.items():
+            self.cpu[node] += sign * x
+        for node, x in ram.items():
+            self.ram[node] += sign * x
+        for (a, b), x in band.items():
+            self.band[a][b] += sign * x
+
+    def free(self, snap):
+        """Free cpu, ram and bandwidth under ``snap``; only its edges have bandwidth."""
+        n = snap.node_count
+        cpu = [cap - used for cap, used in zip(snap.node_cpu_capacity, self.cpu)]
+        ram = [cap - used for cap, used in zip(snap.node_ram_capacity, self.ram)]
+        band = {(a, b): snap.edge_band(a, b) - self.band[a][b]
+                for a in range(n) for b in range(a + 1, n) if snap.has_edge(a, b)}
+        return cpu, ram, band
+
+
+def chain_holding(request, catalog, placement, paths):
+    """What an accepted chain holds: (paths, cpu, ram, band), zero amounts left out."""
+    cpu, ram, band = {}, {}, {}
+    for node, vnf_id in zip(placement, request.vnf_chain):
+        t = catalog.templates[vnf_id]
+        cpu[node] = cpu.get(node, Fraction(0)) + t.cpu_demand
+        ram[node] = ram.get(node, Fraction(0)) + t.ram_demand
+    for demand, nodes in zip(leg_demands(request, catalog), paths):
+        for a, b in zip(nodes, nodes[1:]) if demand else ():
+            key = (a, b) if a < b else (b, a)
+            band[key] = band.get(key, Fraction(0)) + demand
+    return paths, cpu, ram, band
+
+
+def broken_chains(ledger, snap):
+    """(sfc_id, reason) for every held chain ``snap`` breaks, ascending id.
+
+    A chain is broken when an edge of one of its paths is gone ("NoPath"), or
+    when it holds cpu, then ram, then bandwidth on a node or an edge whose
+    total usage now exceeds the new capacity.
+    """
+    n = snap.node_count
+    over_cpu = {v for v in range(n) if ledger.cpu[v] > snap.node_cpu_capacity[v]}
+    over_ram = {v for v in range(n) if ledger.ram[v] > snap.node_ram_capacity[v]}
+    over_band = {(a, b) for a in range(n) for b in range(a + 1, n)
+                 if snap.has_edge(a, b) and ledger.band[a][b] > snap.edge_band(a, b)}
+    broken = []
+    for sfc_id in sorted(ledger.held):
+        paths, cpu, ram, band = ledger.held[sfc_id]
+        if not all(snap.has_edge(a, b) for nodes in paths for a, b in zip(nodes, nodes[1:])):
+            broken.append((sfc_id, "NoPath"))
+        elif over_cpu & cpu.keys():
+            broken.append((sfc_id, "NodeCpuInsufficient"))
+        elif over_ram & ram.keys():
+            broken.append((sfc_id, "NodeRamInsufficient"))
+        elif over_band & band.keys():
+            broken.append((sfc_id, "LinkBandwidthInsufficient"))
+    return broken
+
+
+def _csv(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def reference_run(topo, requests, catalog, solver_name, seed):
+    """One whole run, event by event: (the four CSVs by file name, broken chains).
+
+    Events are ordered by time, then topology change before departure before
+    arrival, then sfc_id; the first time point is the initial substrate, every
+    later one a topology change.  An arrival runs ``sequential_decision`` with
+    the greedy or random rule on the free amounts and holds the chain when it
+    fits.  A topology change finds the chains the new snapshot breaks against
+    the usage so far, swaps the snapshot in, and then, in ascending id, drops
+    each broken chain and decides it again: placed again it is migrated,
+    otherwise terminated with the solver's reason.  Utilization and the count
+    of held chains are sampled after every event.  The second value lists
+    ``(sfc_id, reason)`` for every broken chain, in the order found.
+    """
+    snap = topo.snapshots[topo.time_points[0]]
+    ledger = DenseLedger(snap.node_count)
+    by_id = {r.sfc_id: r for r in requests}
+    events = sorted([(t, TOPOLOGY, -1) for t in topo.time_points[1:]]
+                    + [(r.end_time, DEPARTURE, r.sfc_id) for r in requests]
+                    + [(r.start_time, ARRIVAL, r.sfc_id) for r in requests])
+    rng_pick = random_pick(random.Random(seed))
+    records, samples, counts, broken_log = [], [], [], []
+
+    def record(time, kind, sfc_id="", outcome="", reason=""):
+        records.append((f"{time:.6f}", len(records), kind, sfc_id, outcome, reason))
+
+    def decide(time, request, kind, placed, failed):
+        pick = greedy_pick(snap) if solver_name == "greedy" else rng_pick
+        placement, paths, reason = sequential_decision(
+            snap, request, catalog, *ledger.free(snap), pick, bounded_min_latency_path)
+        if reason is None:
+            ledger.hold(request.sfc_id, chain_holding(request, catalog, placement, paths))
+            record(time, kind, request.sfc_id, placed)
+        else:
+            record(time, kind, request.sfc_id, failed, reason)
+
+    for time, kind, sfc_id in events:
+        if kind == ARRIVAL:
+            decide(time, by_id[sfc_id], "arrival", "accepted", "rejected")
+        elif kind == DEPARTURE:
+            if sfc_id in ledger.held:
+                ledger.drop(sfc_id)
+                record(time, "departure", sfc_id, "released")
+            else:
+                record(time, "departure", sfc_id)
+        else:
+            snap = topo.snapshots[time]
+            broken = broken_chains(ledger, snap)
+            record(time, "topo_change")
+            broken_log += broken
+            for broken_id, _reason in broken:
+                ledger.drop(broken_id)
+                decide(time, by_id[broken_id], "migration", "migrated", "terminated")
+        samples += [Sample(time, v, ledger.cpu[v], snap.node_cpu_capacity[v],
+                           ledger.ram[v], snap.node_ram_capacity[v])
+                    for v in range(snap.node_count)]
+        counts.append((f"{time:.6f}", len(ledger.held)))
+
+    def tally(outcome):
+        return sum(1 for r in records if r[4] == outcome)
+
+    arrivals = sum(1 for r in records if r[2] == "arrival")
+    ratio = tally("accepted") / arrivals if arrivals else 1.0
+    failures = [r[5] for r in records if r[4] in ("rejected", "terminated")]
+    summary = [[arrivals, tally("accepted"), tally("rejected"), tally("terminated"),
+                f"{ratio:.6f}"], ["reason", "count", "", "", ""]]
+    summary += [[reason, failures.count(reason), "", "", ""] for reason in REASONS]
+    return {
+        "events.csv": _csv(["time", "seq", "kind", "sfc_id", "outcome", "reason"], records),
+        "utilization.csv": utilization_csv(samples),
+        "running_count.csv": _csv(["time", "count"], counts),
+        "summary.csv": _csv(["arrivals", "accepted", "rejected", "terminated_early",
+                             "acceptance_ratio"], summary),
+    }, broken_log

@@ -142,6 +142,23 @@ class TestRunCommand:
             b = (tmp_path / "two" / "random" / name).read_bytes()
             assert a == b
 
+    def test_seed_override_redraws_the_generated_workload(self, tmp_path):
+        # --seed 5, a copy with "seed": 5 and the first of two repeats from
+        # --seed 5 all draw the same workload, so they write the same CSVs
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["seed"] = 5
+        (tmp_path / "desk5.json").write_text(json.dumps(doc))
+        runs = [(tmp_path / "desk5.json", (), "greedy"),
+                (SCENARIO_DIR / "sagin_desk.json", ("--seed", 5), "greedy"),
+                (SCENARIO_DIR / "sagin_desk.json", ("--seed", 5, "--repeat", 2), "greedy_r0")]
+        digests = []
+        for i, (path, flags, label) in enumerate(runs):
+            assert run_cli("run", path, "--solver", "greedy", *flags,
+                           "--out", tmp_path / str(i)) == 0
+            digests.append(hashlib.sha256(b"".join(
+                (tmp_path / str(i) / label / name).read_bytes() for name in CSV_NAMES)).digest())
+        assert digests[0] == digests[1] == digests[2]
+
     def test_out_root_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFC_SIM_OUT", str(tmp_path / "envroot"))
         assert run_cli("run", SCENARIO_DIR / "example_a.json") == 0

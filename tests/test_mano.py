@@ -198,6 +198,33 @@ class TestFindAffected:
         assert find_affected_sfcs(ledger, shrunk) == \
             [(0, FailureReason.LINK_BANDWIDTH_INSUFFICIENT)]
 
+    def test_ram_only_shrink(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap)
+        ledger.allocate(plan_all_on(1, snap, cat)[1])  # 192 MB on node 1
+        shrunk = make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 4, 2], ram=[256, 100, 256])
+        assert find_affected_sfcs(ledger, shrunk) == [(0, FailureReason.NODE_RAM_INSUFFICIENT)]
+
+    def test_cpu_reported_before_band(self):
+        snap = make_snapshot(2, [(0, 1, 1.0, 100)], cpu=[4, 4], ram=[512, 512])
+        cat = make_catalog([(0, 0.2, 64), (1, 0.2, 64)], [(0, 1, 60)])
+        req = make_request(ingress=0, egress=1, chain=(0, 1), qos=50.0)
+        plan = build_plan(req, cat, snap, (0, 1),
+                          [PhysicalPath((0,)), PhysicalPath((0, 1)), PhysicalPath((1,))])
+        ledger = ResourceLedger(snap)
+        ledger.allocate(plan)
+        shrunk = make_snapshot(2, [(0, 1, 1.0, 40)], cpu=[0.1, 4], ram=[512, 512])
+        assert find_affected_sfcs(ledger, shrunk) == [(0, FailureReason.NODE_CPU_INSUFFICIENT)]
+
+    def test_only_holders_of_the_shrunk_node_are_listed(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap)
+        # sfc 2 runs through node 1 on its egress leg but holds nothing there
+        ledger.allocate(plan_all_on(0, snap, cat, sfc_id=2, ingress=0, egress=2)[1])
+        ledger.allocate(plan_all_on(1, snap, cat, sfc_id=5, ingress=1, egress=1)[1])
+        shrunk = make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 0.5, 2], ram=[256, 512, 256])
+        assert find_affected_sfcs(ledger, shrunk) == [(5, FailureReason.NODE_CPU_INSUFFICIENT)]
+
 
 class TestStructure:
     def test_complete_plan_has_no_errors(self):

@@ -492,6 +492,7 @@ class TestLoadScenario:
         assert len(bigger) == 120
         again = sc.regenerate_workload(sfc_count=120, seed=5)
         assert bigger == again
+        assert sc.regenerate_workload(sfc_count=50) == sc.requests
 
     def test_inline_workload_cannot_regenerate(self):
         sc = load_scenario(SCENARIO_DIR / "example_a.json")
