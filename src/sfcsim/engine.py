@@ -127,7 +127,7 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
         raise MalformedScenario(report.summary())
 
     trace = trace_sink if trace_sink is not None else TraceLog()
-    ledger = ResourceLedger(topo.snapshot_at(topo.start_time))
+    ledger = ResourceLedger(topo.snapshot_at(topo.start_time), catalog)
     rng = random.Random(seed)
     by_id = {r.sfc_id: r for r in requests}
     queue = build_event_queue(topo, requests)
@@ -137,8 +137,7 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
         kind, committed, failed, broken = _OUTCOMES[mode]
         decision = solver.solve(SolverInput(
             request=request, catalog=catalog, snapshot=ledger.snapshot,
-            cpu_free=ledger.cpu_free_all(), ram_free=ledger.ram_free_all(),
-            band_free=ledger.band_free_map(), mode=mode, old_plan=old_plan), rng)
+            units=ledger.free_units(), mode=mode, old_plan=old_plan), rng)
         plan = decision.plan
         if plan is None:
             trace.record(time, kind, request.sfc_id, failed, decision.reason)

@@ -10,6 +10,7 @@ through before resources move.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .topology import (PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
@@ -93,7 +94,9 @@ def build_plan(request: SfcRequest, catalog: VnfCatalog, snap: SubstrateSnapshot
         for a, b in path.edges():
             key = edge_key(a, b)
             band[key] = band.get(key, Fraction(0)) + demand
-    total = sum(path_latency(snap, p) for p in paths)
+    total = 0  # left to right, as in path_latency
+    for path in paths:
+        total += path_latency(snap, path)
     return EmbeddingPlan(sfc_id=request.sfc_id, vnf_placement=placement,
                          virtual_link_paths=paths,
                          cpu_alloc=dict(sorted(cpu.items())),
@@ -173,21 +176,72 @@ def check_plan_against(plan: EmbeddingPlan, request: SfcRequest,
     return None
 
 
+@dataclass(frozen=True)
+class FreeUnits:
+    """Free amounts as integer multiples of ``1/scale``, one scale per kind:
+    ``cpu`` / ``ram`` per node, ``band`` per edge of the snapshot, and the
+    largest node capacities.  Every catalog demand is a whole number of units.
+    A value is below 0 where a capacity shrink left a node or edge short.
+    Solvers read it and never write it."""
+
+    cpu: list[int]
+    ram: list[int]
+    band: dict[tuple[int, int], int]
+    cpu_scale: int
+    ram_scale: int
+    band_scale: int
+    max_cpu: int
+    max_ram: int
+
+    @classmethod
+    def from_usage(cls, snap: SubstrateSnapshot, catalog: VnfCatalog,
+                   cpu_used: Mapping[int, Fraction], ram_used: Mapping[int, Fraction],
+                   band_used: Mapping[tuple[int, int], Fraction]) -> "FreeUnits":
+        """Capacity less the usage mapped per node and per edge key (an edge
+        ``snap`` lacks has no view), on scales that cover ``catalog``'s demands.
+        Capacities and usage are Fractions; a demand may also be an int."""
+        def less(keys, caps, used, demands):
+            ratios = [list(map(Fraction.as_integer_ratio, group))
+                      for group in (caps, used.values(), demands)]
+            scale = lcm(*{den for group in ratios for _, den in group})
+            caps, held, _ = [[num * (scale // den) for num, den in group] for group in ratios]
+            free = caps.copy() if keys is None else dict(zip(keys, caps))
+            for key, units in zip(used, held):
+                free[key] -= units
+            return free, scale, max(caps, default=0)
+
+        templates = catalog.templates.values()
+        cpu, cpu_scale, max_cpu = less(None, snap.node_cpu_capacity, cpu_used,
+                                       [Fraction(t.cpu_demand) for t in templates])
+        ram, ram_scale, max_ram = less(None, snap.node_ram_capacity, ram_used,
+                                       [Fraction(t.ram_demand) for t in templates])
+        keys = [(u, v) for u, row in enumerate(snap.neighbors) for v in row if u < v]
+        band, band_scale, _ = less(
+            keys, [snap.links[u][v][1] for u, v in keys],
+            {key: amount for key, amount in band_used.items() if snap.has_edge(*key)},
+            catalog.link_band_demand.values())
+        return cls(cpu, ram, band, cpu_scale, ram_scale, band_scale, max_cpu, max_ram)
+
+
 class ResourceLedger:
     """Exact occupancy accounting for one simulation run.
 
     Tracks used amounts (the sum over active plans) and derives free values
     from the current snapshot's capacities, so conservation
     ``capacity - free == sum(active allocations)`` holds by construction and
-    is re-verifiable from scratch.
+    is re-verifiable from scratch.  Solvers read :meth:`free_units`, built
+    from this usage at the first read after construction or a snapshot change
+    and kept in step by ``allocate`` / ``release``.
     """
 
-    def __init__(self, snapshot: SubstrateSnapshot):
+    def __init__(self, snapshot: SubstrateSnapshot, catalog: VnfCatalog | None = None):
         self._snapshot = snapshot
+        self._catalog = VnfCatalog(()) if catalog is None else catalog
         n = snapshot.node_count
         self._cpu_used = [Fraction(0)] * n
         self._ram_used = [Fraction(0)] * n
         self._band_used: dict[tuple[int, int], Fraction] = {}
+        self._free_units: FreeUnits | None = None
         self.allocations: dict[int, EmbeddingPlan] = {}
 
     @property
@@ -199,6 +253,18 @@ class ResourceLedger:
         if snapshot.node_count != self._snapshot.node_count:
             raise ValueError("node count must be stable across snapshots")
         self._snapshot = snapshot
+        self._free_units = None
+
+    def free_units(self) -> FreeUnits:
+        """The free amounts in integer units: a live view to read, not to keep."""
+        if self._free_units is None:
+            held = self.allocations.values()
+            self._free_units = FreeUnits.from_usage(
+                self._snapshot, self._catalog,
+                {node: self._cpu_used[node] for plan in held for node in plan.cpu_alloc},
+                {node: self._ram_used[node] for plan in held for node in plan.ram_alloc},
+                self._band_used)
+        return self._free_units
 
     # -- usage / residual views
 
@@ -266,6 +332,7 @@ class ResourceLedger:
         for key, amount in plan.band_alloc.items():
             self._band_used[key] = self._band_used.get(key, Fraction(0)) + amount
         self.allocations[plan.sfc_id] = plan
+        self._shift_units(plan, 1)
 
     def release(self, sfc_id: int) -> EmbeddingPlan:
         if sfc_id not in self.allocations:
@@ -281,7 +348,24 @@ class ResourceLedger:
                 self._band_used[key] = remaining
             else:
                 del self._band_used[key]
+        self._shift_units(plan, -1)
         return plan
+
+    def _shift_units(self, plan: EmbeddingPlan, sign: int) -> None:
+        """Take ``plan`` out of the integer view (sign 1) or put it back (-1)."""
+        view = self._free_units
+        if view is None:
+            return
+        held_band = {key: x for key, x in plan.band_alloc.items() if key in view.band}
+        for free, scale, alloc in ((view.cpu, view.cpu_scale, plan.cpu_alloc),
+                                   (view.ram, view.ram_scale, plan.ram_alloc),
+                                   (view.band, view.band_scale, held_band)):
+            for key, amount in alloc.items():
+                units, rest = divmod(scale, amount.denominator)
+                if rest:  # no whole number of units: rebuilt at the next read
+                    self._free_units = None
+                    return
+                free[key] -= sign * amount.numerator * units
 
 
 def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger,

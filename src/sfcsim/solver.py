@@ -1,21 +1,19 @@
 """Pluggable embedding/migration solvers and the two built-in baselines.
 
 A solver receives the request, a catalog view, the current snapshot, and a
-read-only residual view of the ledger, and answers with a complete mapping
-table or a rejection reason.  Any accepted plan must hold up under the
-orchestrator's own plan check against the same residuals; the baselines
-self-validate before answering.  Decisions must be deterministic given the
-input and the provided RNG state.
+read-only view of the ledger's free amounts in exact integer units, and
+answers with a complete mapping table or a rejection reason.  Any accepted
+plan must hold up under the orchestrator's own plan check against the same
+residuals; the baselines self-validate before answering.  Decisions must be
+deterministic given the input and the provided RNG state.
 """
 
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from typing import Mapping
 
-from .mano import (EmbeddingPlan, FailureReason, build_plan, check_plan_against,
+from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
                    leg_band_demands)
 from .topology import SubstrateSnapshot, edge_key, path_latency, shortest_feasible_path
 from .workload import SfcRequest, VnfCatalog
@@ -28,16 +26,34 @@ class SolveMode(Enum):
 
 @dataclass(frozen=True)
 class SolverInput:
-    """Everything a solver may look at for one decision."""
+    """Everything a solver may look at for one decision; ``units`` is what the
+    ledger has free, and ``cpu_free`` / ``ram_free`` / ``band_free`` the same
+    as Fractions, built when read."""
 
     request: SfcRequest
     catalog: VnfCatalog
     snapshot: SubstrateSnapshot
-    cpu_free: tuple[Fraction, ...]
-    ram_free: tuple[Fraction, ...]
-    band_free: Mapping[tuple[int, int], Fraction]
+    units: FreeUnits
     mode: SolveMode = SolveMode.EMBED
     old_plan: EmbeddingPlan | None = None
+
+    @classmethod
+    def from_fractions(cls, request, catalog, snapshot, cpu_free, ram_free, band_free,
+                       mode=SolveMode.EMBED, old_plan=None):
+        """An input from free amounts per node and per edge key (a missing edge has none)."""
+        return cls(request, catalog, snapshot, FreeUnits.from_usage(
+            snapshot, catalog,
+            dict(enumerate(cap - x for cap, x in zip(snapshot.node_cpu_capacity, cpu_free))),
+            dict(enumerate(cap - x for cap, x in zip(snapshot.node_ram_capacity, ram_free))),
+            {key: snapshot.edge_band(*key) - band_free.get(key, 0) for key in snapshot.edges()}),
+            mode, old_plan)
+
+    cpu_free = property(lambda self: tuple(Fraction(x, self.units.cpu_scale)
+                                           for x in self.units.cpu))
+    ram_free = property(lambda self: tuple(Fraction(x, self.units.ram_scale)
+                                           for x in self.units.ram))
+    band_free = property(lambda self: {key: Fraction(x, self.units.band_scale)
+                                       for key, x in self.units.band.items()})
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,11 @@ class Solver:
         raise NotImplementedError
 
 
-def _units(values, den: int) -> list[int]:
-    """Exact numbers as integer multiples of ``1/den`` (den divides out each)."""
-    return [x.numerator * (den // x.denominator) for x in values]
+def _demand_units(x: Fraction, scale: int) -> int:
+    """A catalog demand in ``1/scale`` units; the scale must cover its denominator."""
+    if scale % x.denominator:
+        raise ValueError(f"demand {x} is no whole number of 1/{scale} units")
+    return x.numerator * (scale // x.denominator)
 
 
 def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
@@ -85,30 +103,19 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     candidate set / missing path / QoS excess aborts with that reason.
     No backtracking.
 
-    The walk runs on plain ints: each resource kind is expressed over one
-    common denominator (the LCM of every denominator that kind meets in this
-    decision), which keeps every comparison and deduction exact.
-    ``choose(candidates, cpu, ram, max_cpu, max_ram)`` sees the free amounts
-    and the snapshot's largest node capacities in those units.
+    The walk runs on copies of the input's integer units, which keeps every
+    comparison and deduction exact.  ``choose(candidates, cpu, ram, max_cpu,
+    max_ram)`` sees the free amounts and the snapshot's largest node
+    capacities in those units.
     """
-    req, cat, snap = inp.request, inp.catalog, inp.snapshot
-    cpu_exact = [cat.templates[vnf_id].cpu_demand for vnf_id in req.vnf_chain]
-    ram_exact = [cat.templates[vnf_id].ram_demand for vnf_id in req.vnf_chain]
-    band_exact = leg_band_demands(req, cat)
-
-    cpu_den = lcm(*{x.denominator for x in (*inp.cpu_free, *cpu_exact,
-                                            *snap.node_cpu_capacity)})
-    ram_den = lcm(*{x.denominator for x in (*inp.ram_free, *ram_exact,
-                                            *snap.node_ram_capacity)})
-    band_den = lcm(*{x.denominator for x in (*inp.band_free.values(), *band_exact)})
-    cpu = _units(inp.cpu_free, cpu_den)
-    ram = _units(inp.ram_free, ram_den)
-    band = dict(zip(inp.band_free, _units(inp.band_free.values(), band_den)))
-    cpu_demand = _units(cpu_exact, cpu_den)
-    ram_demand = _units(ram_exact, ram_den)
-    demands = _units(band_exact, band_den)
-    max_cpu = max(_units(snap.node_cpu_capacity, cpu_den))
-    max_ram = max(_units(snap.node_ram_capacity, ram_den))
+    req, cat, snap, units = inp.request, inp.catalog, inp.snapshot, inp.units
+    cpu_demand = [_demand_units(cat.templates[vnf_id].cpu_demand, units.cpu_scale)
+                  for vnf_id in req.vnf_chain]
+    ram_demand = [_demand_units(cat.templates[vnf_id].ram_demand, units.ram_scale)
+                  for vnf_id in req.vnf_chain]
+    demands = [_demand_units(x, units.band_scale) for x in leg_band_demands(req, cat)]
+    cpu, ram, band = list(units.cpu), list(units.ram), dict(units.band)
+    max_cpu, max_ram = units.max_cpu, units.max_ram
 
     placement: list[int] = []
     paths = []
@@ -129,7 +136,7 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
 
     prev = req.ingress
     for pos, (cpu_need, ram_need) in enumerate(zip(cpu_demand, ram_demand)):
-        cpu_ok = [n for n in range(snap.node_count) if cpu[n] >= cpu_need]
+        cpu_ok = [n for n, free in enumerate(cpu) if free >= cpu_need]
         if not cpu_ok:
             return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT)
         candidates = [n for n in cpu_ok if ram[n] >= ram_need]
@@ -156,9 +163,14 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     paths.append(path)
 
     plan = build_plan(req, cat, snap, placement, paths)
-    # Contract self-check: an Accept must survive the orchestrator's gate.
-    verdict = check_plan_against(plan, req, snap, inp.cpu_free, inp.ram_free,
-                                 inp.band_free)
+    # Contract self-check: an Accept must survive the orchestrator's gate,
+    # on the exact free amounts of the plan's own nodes and edges.
+    verdict = check_plan_against(
+        plan, req, snap,
+        {n: Fraction(units.cpu[n], units.cpu_scale) for n in plan.cpu_alloc},
+        {n: Fraction(units.ram[n], units.ram_scale) for n in plan.ram_alloc},
+        {key: Fraction(units.band[key], units.band_scale) for key in plan.band_alloc
+         if key in units.band})
     if verdict is not None:
         return SolverDecision.reject(verdict)
     return SolverDecision.accept(plan)
@@ -191,8 +203,8 @@ class GreedySolver(Solver):
 
     The score is compared division-free: multiplied through by
     ``max_cpu * max_ram`` (a zero maximum counted as 1) it becomes
-    ``cpu_free * max_ram + ram_free * max_cpu`` in the decision's integer
-    units, which orders the nodes exactly as the quotients do.
+    ``cpu_free * max_ram + ram_free * max_cpu`` in the input's integer
+    units, which orders the nodes exactly as the quotients do on any scale.
     """
 
     name = "greedy"

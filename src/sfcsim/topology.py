@@ -265,7 +265,10 @@ def path_latency(snap: SubstrateSnapshot, path: PhysicalPath) -> float:
     for node in path.nodes:
         if not 0 <= node < snap.node_count:
             raise InvalidPath(f"node {node} outside substrate")
-    return sum(snap.edge_latency(a, b) for a, b in path.edges())
+    total = 0  # left to right: from Python 3.12 on, sum() of floats rounds otherwise
+    for a, b in path.edges():
+        total += snap.edge_latency(a, b)
+    return total
 
 
 def path_is_valid(snap: SubstrateSnapshot, path: PhysicalPath) -> bool:

@@ -58,6 +58,13 @@ def make_request(sfc_id=0, start=0.0, end=10.0, ingress=0, egress=0,
                       qos_max_latency=qos)
 
 
+def unit_fractions(units):
+    """A FreeUnits view divided by its scales: (cpu tuple, ram tuple, band dict)."""
+    return (tuple(Fraction(x, units.cpu_scale) for x in units.cpu),
+            tuple(Fraction(x, units.ram_scale) for x in units.ram),
+            {key: Fraction(x, units.band_scale) for key, x in units.band.items()})
+
+
 @pytest.fixture
 def chain3_snapshot():
     """The three-node chain substrate: cores [2,4,2], ram [256,512,256]."""

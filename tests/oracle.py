@@ -39,7 +39,10 @@ def all_simple_paths(snap, src, dst):
 
 
 def path_cost(snap, nodes):
-    return sum(snap.edge_latency(a, b) for a, b in zip(nodes, nodes[1:]))
+    cost = 0  # left to right, whatever the Python version's sum() does
+    for a, b in zip(nodes, nodes[1:]):
+        cost += snap.edge_latency(a, b)
+    return cost
 
 
 def min_latency_path(snap, src, dst, min_band=0, residual=None):

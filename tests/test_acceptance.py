@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot,
-                      make_topo, single_topo)
+                      make_topo, single_topo, unit_fractions)
 from oracle import all_simple_paths, exhaustive_embedding, placement_feasible
 from sfcsim.cli import RunConfig, execute_runs
 from sfcsim.engine import build_event_queue, run
@@ -145,6 +145,9 @@ def test_criterion_2_conservation_fuzz():
                 assert ledger.ram_free_all() == tuple(map(ledger.ram_free, range(n)))
                 assert ledger.band_free_map() == {e: ledger.band_free(*e)
                                                   for e in snap.edges()}
+                # and the integer view the solvers read, divided by its scales
+                assert unit_fractions(ledger.free_units()) == \
+                    (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map())
 
             trace = TraceLog()
             report = run(topo, requests, catalog, solver, trace, seed=i,
@@ -212,10 +215,10 @@ def test_criterion_4_oracle_equivalence():
         accepts = rejects = divergences = 0
         for snap, cat, req in _oracle_instances(rng, 150):
             ledger = ResourceLedger(snap)
-            inp = SolverInput(request=req, catalog=cat, snapshot=snap,
-                              cpu_free=ledger.cpu_free_all(),
-                              ram_free=ledger.ram_free_all(),
-                              band_free=ledger.band_free_map())
+            inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
+                                             cpu_free=ledger.cpu_free_all(),
+                                             ram_free=ledger.ram_free_all(),
+                                             band_free=ledger.band_free_map())
             for name in SOLVERS:
                 decision = make_solver(name).solve(inp, random.Random(1))
                 if decision.accepted:

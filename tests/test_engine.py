@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (F, make_catalog, make_request, make_snapshot, make_topo,
+from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot, make_topo,
                       single_topo)
+from sfcsim import engine
 from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
-from sfcsim.mano import FailureReason
+from sfcsim.mano import FailureReason, ResourceLedger
+from sfcsim.scenario import load_scenario
 from sfcsim.solver import GreedySolver, RandomSolver, SolveMode, Solver, SolverDecision
 from sfcsim.topology import PhysicalPath
 from sfcsim.trace import TraceLog
@@ -409,3 +411,38 @@ class TestAdversarialSolver:
             assert (outcome.sfc_id, outcome.reason) == (note.sfc_id, broken)
             assert note.reason is broken
         assert report.accepted + report.rejected == report.arrivals == len(reqs)
+
+
+def test_solvers_read_the_ledgers_free_amounts(monkeypatch):
+    """At every decision, the input's cpu_free / ram_free / band_free are the
+    ledger's own three views at that moment: tuples and a dict of Fractions."""
+    ledgers = []
+
+    class RecordedLedger(ResourceLedger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ledgers.append(self)
+
+    class Recorder(Solver):
+        name = "recorder"
+
+        def __init__(self):
+            self.modes = []
+
+        def solve(self, inp, rng):
+            ledger = ledgers[-1]
+            seen = (inp.cpu_free, inp.ram_free, inp.band_free)
+            assert seen == (ledger.cpu_free_all(), ledger.ram_free_all(),
+                            ledger.band_free_map())
+            assert (type(seen[0]), type(seen[1]), type(seen[2])) == (tuple, tuple, dict)
+            assert {type(x) for x in (*seen[0], *seen[1], *seen[2].values())} == {Fraction}
+            self.modes.append(inp.mode)
+            return GreedySolver().solve(inp, rng)
+
+    monkeypatch.setattr(engine, "ResourceLedger", RecordedLedger)
+    sc = load_scenario(SCENARIO_DIR / "sagin_desk.json")
+    solver = Recorder()
+    run(sc.topo, sc.requests, sc.catalog, solver, seed=sc.seed)
+    assert len(ledgers) == 1
+    assert solver.modes.count(SolveMode.EMBED) == len(sc.requests)
+    assert SolveMode.MIGRATE in solver.modes

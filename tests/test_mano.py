@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F, make_catalog, make_request, make_snapshot
+from conftest import F, make_catalog, make_request, make_snapshot, unit_fractions
 from sfcsim.mano import (DuplicateSfc, FailureReason, InsufficientResources,
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
                          find_affected_sfcs, plan_structure_errors)
+from sfcsim.solver import SOLVERS, SolverInput, make_solver
 from sfcsim.topology import PhysicalPath
+from sfcsim.workload import VnfCatalog, VnfTemplate
 
 
 def chain_snapshot():
@@ -157,6 +159,101 @@ class TestAllocateRelease:
         plan = build_plan(req, cat, snap, (0,), [PhysicalPath((0,)), PhysicalPath((0,))])
         with pytest.raises(InsufficientResources):
             ledger.allocate(plan)  # 3 x 0.8 > 2.0
+
+
+def plan_across(snap, cat, sfc_id=0):
+    """VNF 0 on node 0 and VNF 1 on node 1, so the leg between them holds
+    bandwidth on edge (0, 1)."""
+    req = make_request(sfc_id=sfc_id, ingress=0, egress=1, chain=(0, 1), qos=50.0)
+    return build_plan(req, cat, snap, (0, 1),
+                      [PhysicalPath((0,)), PhysicalPath((0, 1)), PhysicalPath((1,))])
+
+
+def thirds_catalog():
+    return make_catalog([(0, F(1) / 3, F(64) / 3), (1, F(2) / 3, 64)],
+                        [(0, 1, F(20) / 3)])
+
+
+def assert_units_match(ledger):
+    """The integer view, divided by its scales, is the ledger's Fraction views."""
+    assert unit_fractions(ledger.free_units()) == \
+        (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map())
+
+
+class TestFreeUnits:
+    def test_allocate_release_round_trip(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap, cat)
+        view = ledger.free_units()
+        start = unit_fractions(view)
+        for sfc_id in (0, 1):
+            ledger.allocate(plan_across(snap, cat, sfc_id))
+            assert ledger.free_units() is view  # kept in step, not rebuilt
+            assert_units_match(ledger)
+        ledger.release(0)
+        assert_units_match(ledger)
+        ledger.release(1)
+        assert ledger.free_units() is view
+        assert unit_fractions(view) == start
+
+    def test_snapshot_switch_brings_a_new_denominator(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap, cat)
+        ledger.allocate(plan_across(snap, cat))  # 20 Mbps on edge (0, 1)
+        ledger.free_units()
+        sevenths = make_snapshot(3, [(0, 1, 1.0, F(650) / 7), (1, 2, 1.0, F(300) / 7)],
+                                 cpu=[F(15) / 7, 4, 2], ram=[256, F(3600) / 7, 256])
+        ledger.set_snapshot(sevenths)
+        units = ledger.free_units()
+        assert (units.cpu_scale % 7, units.ram_scale % 7, units.band_scale % 7) == (0, 0, 0)
+        assert units.band[(0, 1)] * 7 == (650 - 140) * units.band_scale  # usage kept
+        assert_units_match(ledger)
+
+    def test_allocation_outside_the_scale_drops_the_view(self):
+        snap = chain_snapshot()
+        ledger = ResourceLedger(snap, catalog())  # fifths only
+        view = ledger.free_units()
+        ledger.allocate(plan_across(snap, thirds_catalog()))
+        units = ledger.free_units()
+        assert units is not view
+        assert (units.cpu_scale % 3, units.ram_scale % 3, units.band_scale % 3) == (0, 0, 0)
+        assert_units_match(ledger)
+        ledger.release(0)
+        assert_units_match(ledger)
+
+    def test_negative_free_amounts_after_a_shrink(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap, cat)
+        ledger.allocate(plan_across(snap, cat))  # 0.2 cpu on nodes 0 and 1, 20 Mbps
+        ledger.free_units()
+        ledger.set_snapshot(make_snapshot(3, [(0, 1, 1.0, 5), (1, 2)], cpu=[0.1, 4, 2],
+                                          ram=[32, 512, 256]))
+        units = ledger.free_units()
+        assert units.cpu[0] < 0 and units.ram[0] < 0 and units.band[(0, 1)] < 0
+        assert_units_match(ledger)
+        ledger.release(0)
+        assert_units_match(ledger)
+
+    def test_scales_cover_the_catalog_demands(self):
+        # integer capacities and no usage: only the catalog brings thirds
+        snap, cat = chain_snapshot(), thirds_catalog()
+        units = ResourceLedger(snap, cat).free_units()
+        assert (units.cpu_scale % 3, units.ram_scale % 3, units.band_scale % 3) == (0, 0, 0)
+        inp = SolverInput(make_request(ingress=0, egress=2, chain=(0, 1)), cat, snap, units)
+        for name in SOLVERS:
+            assert make_solver(name).solve(inp, random.Random(0)).accepted
+
+
+    def test_int_demands_convert_like_fractions(self):
+        snap = make_snapshot(2, [(0, 1, 1.0, 30)], cpu=[4, 2], ram=[64, 64])
+        cat = VnfCatalog([VnfTemplate(0, 1, 8), VnfTemplate(1, 1, 8)], {(0, 1): 10})
+        ledger = ResourceLedger(snap, cat)
+        assert_units_match(ledger)
+        ledger.allocate(plan_across(snap, cat))
+        assert_units_match(ledger)
+        inp = SolverInput(make_request(sfc_id=1, ingress=0, egress=1, chain=(0, 1)), cat,
+                          snap, ledger.free_units())
+        assert make_solver("greedy").solve(inp, random.Random(0)).accepted
 
 
 class TestFindAffected:

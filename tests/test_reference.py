@@ -8,10 +8,11 @@ broken chains, with the same reasons, at every topology change.
 import ast
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import REPO_ROOT, SCENARIO_DIR, make_snapshot
+from conftest import REPO_ROOT, SCENARIO_DIR, make_catalog, make_request, make_snapshot, make_topo
 from oracle import bounded_min_latency_path, min_latency_path, reference_run
 from sfcsim import engine
 from sfcsim.scenario import load_scenario
@@ -96,6 +97,45 @@ def test_random_scenes_match_reference(engine_run):
     assert outcomes["topo_change", ""] > 200
     assert outcomes["migration", "migrated"] > 20
     assert outcomes["migration", "terminated"] > 20
+
+
+def _band_shrink_scenario(rng):
+    """Three snapshots that keep most of one base edge set while its band
+    capacities shrink, each on its own coprime denominator (7, 11, 13);
+    demands in thirds and chains of 2-3 VNFs that outlive the changes."""
+    n = rng.randrange(3, 8)
+    base = [(u, v, float(rng.randrange(1, 4))) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.6]
+    snapshots = {}
+    for k, (den, lo, hi) in enumerate(((7, 20, 60), (11, 8, 30), (13, 3, 15))):
+        edges = [(u, v, lat, Fraction(rng.randrange(lo * den, hi * den), den))
+                 for u, v, lat in base if k == 0 or rng.random() < 0.9]
+        snapshots[200.0 * k] = make_snapshot(
+            n, edges, cpu=[Fraction(rng.randrange(4 * den, 8 * den), den) for _ in range(n)],
+            ram=[Fraction(rng.randrange(200 * den, 400 * den), den) for _ in range(n)])
+    catalog = make_catalog(
+        [(i, Fraction(rng.randrange(1, 4), 3), Fraction(rng.randrange(8, 64), 3))
+         for i in range(3)],
+        [(a, b, Fraction(rng.randrange(10, 40), 3)) for a in range(3) for b in range(a, 3)])
+    requests = [make_request(sfc_id=i, start=rng.random() * 150, end=450 + rng.random() * 250,
+                             ingress=rng.randrange(n), egress=rng.randrange(n),
+                             chain=[rng.randrange(3) for _ in range(rng.randrange(2, 4))],
+                             qos=50.0)
+                for i in range(rng.randrange(8, 21))]
+    return make_topo(snapshots), requests, catalog
+
+
+def test_band_shrink_scenes_match_reference(engine_run):
+    rng = random.Random(20261019)
+    band_breaks = 0
+    for i in range(200):
+        topo, requests, catalog = _band_shrink_scenario(rng)
+        solver_name = "random" if i % 2 else "greedy"
+        want = reference_run(topo, requests, catalog, solver_name, i)
+        assert engine_run(topo, requests, catalog, solver_name, i) == want, i
+        band_breaks += sum(reason == "LinkBandwidthInsufficient" for _, reason in want[1])
+    # a shrink leaves chains on kept edges short of bandwidth, not only of paths
+    assert band_breaks >= 50, band_breaks
 
 
 @pytest.mark.parametrize("solver_name", ["greedy", "random"])

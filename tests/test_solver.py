@@ -15,9 +15,10 @@ from sfcsim.solver import (SOLVERS, GreedySolver, RandomSolver, SolverDecision,
 
 def fresh_input(snap, catalog, request):
     ledger = ResourceLedger(snap)
-    return SolverInput(request=request, catalog=catalog, snapshot=snap,
-                       cpu_free=ledger.cpu_free_all(), ram_free=ledger.ram_free_all(),
-                       band_free=ledger.band_free_map())
+    return SolverInput.from_fractions(request=request, catalog=catalog, snapshot=snap,
+                                      cpu_free=ledger.cpu_free_all(),
+                                      ram_free=ledger.ram_free_all(),
+                                      band_free=ledger.band_free_map())
 
 
 def example_a_setup():
@@ -165,14 +166,14 @@ class TestGreedySolver:
         snap = make_snapshot(2, [(0, 1)], cpu=[0, 0], ram=[64, 128])
         cat = make_catalog([(0, 1, 8)], [])
         req = make_request(chain=(0,), ingress=0, egress=0)
-        inp = SolverInput(request=req, catalog=cat, snapshot=snap,
-                          cpu_free=(F(5), F(1)), ram_free=(F(10), F(20)),
-                          band_free={(0, 1): F(100)})
+        inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
+                                         cpu_free=(F(5), F(1)), ram_free=(F(10), F(20)),
+                                         band_free={(0, 1): F(100)})
         assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (1,)
 
 
 def _exact(draw, lo, hi):
-    # coprime denominators make the per-decision LCM grow
+    # coprime denominators make the scale of each resource kind grow
     return Fraction(draw(st.integers(lo, hi)), draw(st.sampled_from((1, 7, 11, 13))))
 
 
@@ -200,7 +201,7 @@ def solver_inputs(draw):
                        ingress=draw(st.integers(0, n - 1)),
                        egress=draw(st.integers(0, n - 1)),
                        qos=draw(st.sampled_from((1.0, 3.0, 1000.0))))
-    return SolverInput(
+    return SolverInput.from_fractions(
         request=req, catalog=cat, snapshot=snap,
         cpu_free=tuple(residual(c, "cpu") for c in snap.node_cpu_capacity),
         ram_free=tuple(residual(c, "ram") for c in snap.node_ram_capacity),
@@ -229,9 +230,10 @@ class TestIntegerUnitsMatchReference:
         # (3/2 / 13/7 + 10/100) over node 1 (1/2 / 13/7 + 20/100)
         snap = make_snapshot(2, [(0, 1)], cpu=[F(13) / 7, F(6) / 7], ram=[100, 100])
         cat = make_catalog([(0, 0.5, 1)], [])
-        inp = SolverInput(request=make_request(chain=(0,)), catalog=cat, snapshot=snap,
-                          cpu_free=(F(3) / 2, F(1) / 2), ram_free=(F(10), F(20)),
-                          band_free={(0, 1): F(100)})
+        inp = SolverInput.from_fractions(request=make_request(chain=(0,)), catalog=cat,
+                                         snapshot=snap,
+                                         cpu_free=(F(3) / 2, F(1) / 2), ram_free=(F(10), F(20)),
+                                         band_free={(0, 1): F(100)})
         assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (0,)
 
     def test_demand_only_denominator(self):
@@ -240,9 +242,9 @@ class TestIntegerUnitsMatchReference:
         snap = make_snapshot(2, [(0, 1)], cpu=[1, 1])
         cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, F(3) / 7)])
         req = make_request(chain=(0, 1), ingress=0, egress=0)
-        inp = SolverInput(request=req, catalog=cat, snapshot=snap,
-                          cpu_free=(F(1), F(1)), ram_free=(F(1024), F(1024)),
-                          band_free={(0, 1): F(2) / 5})
+        inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
+                                         cpu_free=(F(1), F(1)), ram_free=(F(1024), F(1024)),
+                                         band_free={(0, 1): F(2) / 5})
         for name in SOLVERS:
             dec = make_solver(name).solve(inp, random.Random(0))
             assert dec.reason is FailureReason.NO_PATH
