@@ -149,11 +149,25 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     return problems
 
 
+def _over_drawn(plan: EmbeddingPlan, cpu_free, ram_free, band_free) -> FailureReason | None:
+    """The first resource, cpu then ram then bandwidth, that ``plan`` asks
+    more of than is free; a node or edge the free maps lack has none free."""
+    for alloc, free, reason in (
+            (plan.cpu_alloc, cpu_free, FailureReason.NODE_CPU_INSUFFICIENT),
+            (plan.ram_alloc, ram_free, FailureReason.NODE_RAM_INSUFFICIENT),
+            (plan.band_alloc, band_free, FailureReason.LINK_BANDWIDTH_INSUFFICIENT)):
+        for key, amount in alloc.items():
+            room = free.get(key)
+            if room is None or amount > room:
+                return reason
+    return None
+
+
 def check_plan_against(plan: EmbeddingPlan, request: SfcRequest,
                        snap: SubstrateSnapshot,
-                       cpu_free, ram_free,
+                       cpu_free: Mapping[int, Fraction], ram_free: Mapping[int, Fraction],
                        band_free: Mapping[tuple[int, int], Fraction]) -> FailureReason | None:
-    """Core feasibility check against explicit residuals.
+    """Core feasibility check against free amounts mapped per node and per edge key.
 
     Check order is fixed so every rejection maps to one deterministic reason:
     paths, then cpu, then ram, then bandwidth, then the QoS latency bound.
@@ -162,18 +176,10 @@ def check_plan_against(plan: EmbeddingPlan, request: SfcRequest,
     for path in plan.virtual_link_paths:
         if not path_is_valid(snap, path):
             return FailureReason.NO_PATH
-    for node, amount in plan.cpu_alloc.items():
-        if amount > cpu_free[node]:
-            return FailureReason.NODE_CPU_INSUFFICIENT
-    for node, amount in plan.ram_alloc.items():
-        if amount > ram_free[node]:
-            return FailureReason.NODE_RAM_INSUFFICIENT
-    for key, amount in plan.band_alloc.items():
-        if amount > band_free.get(key, Fraction(0)):
-            return FailureReason.LINK_BANDWIDTH_INSUFFICIENT
-    if plan.total_latency > request.qos_max_latency:
+    reason = _over_drawn(plan, cpu_free, ram_free, band_free)
+    if reason is None and plan.total_latency > request.qos_max_latency:
         return FailureReason.QOS_LATENCY_VIOLATED
-    return None
+    return reason
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ class FreeUnits:
                                        [Fraction(t.cpu_demand) for t in templates])
         ram, ram_scale, max_ram = less(None, snap.node_ram_capacity, ram_used,
                                        [Fraction(t.ram_demand) for t in templates])
-        keys = [(u, v) for u, row in enumerate(snap.neighbors) for v in row if u < v]
+        keys = list(snap.edges())
         band, band_scale, _ = less(
             keys, [snap.links[u][v][1] for u, v in keys],
             {key: amount for key, amount in band_used.items() if snap.has_edge(*key)},
@@ -309,22 +315,24 @@ class ResourceLedger:
                 free[key] -= used
         return free
 
+    def _plan_free(self, plan: EmbeddingPlan) -> tuple[dict, dict, dict]:
+        """Free cpu, ram and bandwidth of ``plan``'s own nodes and canonical
+        ``u < v`` edges; a key outside the current snapshot gets no entry."""
+        snap, n = self._snapshot, self._snapshot.node_count
+        return ({node: self.cpu_free(node) for node in plan.cpu_alloc if 0 <= node < n},
+                {node: self.ram_free(node) for node in plan.ram_alloc if 0 <= node < n},
+                {(u, v): self.band_free(u, v) for u, v in plan.band_alloc
+                 if 0 <= u < v < n and snap.has_edge(u, v)})
+
     # -- mutation
 
     def allocate(self, plan: EmbeddingPlan) -> None:
+        """Book ``plan`` if the gate's cpu -> ram -> bandwidth rule passes on this ledger."""
         if plan.sfc_id in self.allocations:
             raise DuplicateSfc(f"sfc {plan.sfc_id} already embedded")
-        for node, amount in plan.cpu_alloc.items():
-            if amount > self.cpu_free(node):
-                raise InsufficientResources(f"cpu deficit on node {node}")
-        for node, amount in plan.ram_alloc.items():
-            if amount > self.ram_free(node):
-                raise InsufficientResources(f"ram deficit on node {node}")
-        for (u, v), amount in plan.band_alloc.items():
-            if not self._snapshot.has_edge(u, v):
-                raise InsufficientResources(f"edge ({u},{v}) absent from snapshot")
-            if amount > self.band_free(u, v):
-                raise InsufficientResources(f"bandwidth deficit on edge ({u},{v})")
+        reason = _over_drawn(plan, *self._plan_free(plan))
+        if reason is not None:
+            raise InsufficientResources(f"sfc {plan.sfc_id}: {reason.value}")
         for node, amount in plan.cpu_alloc.items():
             self._cpu_used[node] += amount
         for node, amount in plan.ram_alloc.items():
@@ -373,17 +381,11 @@ def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger,
     """Orchestrator-side validation of a plan against the live ledger.
 
     Pure: never mutates the ledger.  Reads the free amounts of the plan's own
-    nodes and edges only (an edge absent from the snapshot has none free).
+    nodes and edges only; a node or edge outside the snapshot has none free.
     Returns None for a deployable plan, otherwise the first failing check's
     reason.
     """
-    snap = ledger.snapshot
-    return check_plan_against(
-        plan, request, snap,
-        cpu_free={node: ledger.cpu_free(node) for node in plan.cpu_alloc},
-        ram_free={node: ledger.ram_free(node) for node in plan.ram_alloc},
-        band_free={key: ledger.band_free(*key) for key in plan.band_alloc
-                   if snap.has_edge(*key)})
+    return check_plan_against(plan, request, ledger.snapshot, *ledger._plan_free(plan))
 
 
 def find_affected_sfcs(ledger: ResourceLedger,

@@ -27,6 +27,8 @@ from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
 
 EARTH_MU_KM3_S2 = 398600.4418     # gravitational parameter
 LIGHT_KM_PER_MS = 299.792458
+# Most nodes x snapshots, UAVs x waypoints or SFCs x chain length one generator may draw.
+MAX_GENERATED = 10**7
 
 
 class ParseError(ValueError):
@@ -93,6 +95,9 @@ class SaginParams:
         for name, low in (("uav_altitude_km", 0), ("uav_waypoints", 1)):
             if not getattr(self, name) >= low:
                 raise InvalidParams(f"{name} must be >= {low}")
+        if max(self.node_count * self.snapshot_count,
+               self.uav_count * self.uav_waypoints) > MAX_GENERATED:
+            raise InvalidParams(f"node x snapshot or UAV x waypoint count above {MAX_GENERATED}")
 
     @property
     def snapshot_count(self) -> int:
@@ -278,6 +283,8 @@ def generate_poisson_workload(topo: SubstrateTopology, catalog: VnfCatalog,
         raise InvalidParams("sfc_count must be > 0")
     if mean_lifetime_s <= 0 or chain_len <= 0 or qos_ms <= 0:
         raise InvalidParams("mean_lifetime_s, chain_len, and qos_ms must be > 0")
+    if sfc_count * chain_len > MAX_GENERATED:
+        raise InvalidParams(f"sfc_count x chain_len above {MAX_GENERATED}")
     if not catalog.templates:
         raise InvalidParams("catalog has no templates")
     horizon = topo.time_points[-1] - topo.start_time

@@ -13,7 +13,7 @@ and time stay as floats.
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -140,7 +140,6 @@ class SubstrateSnapshot:
     links: tuple[Mapping[int, tuple[float, Fraction]], ...]
     node_cpu_capacity: tuple[Fraction, ...]
     node_ram_capacity: tuple[Fraction, ...]
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
@@ -169,9 +168,8 @@ class SubstrateSnapshot:
                         raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
                     if not band >= 0:
                         raise ValueError(f"negative bandwidth on edge ({u},{v})")
-        rows = tuple(MappingProxyType(dict(sorted(row.items()))) for row in self.links)
-        object.__setattr__(self, "links", rows)
-        object.__setattr__(self, "neighbors", tuple(map(tuple, rows)))
+        object.__setattr__(self, "links", tuple(MappingProxyType(dict(sorted(row.items())))
+                                                for row in self.links))
 
     @classmethod
     def from_matrices(cls, adjacency, latency, link_band_capacity,
@@ -277,21 +275,16 @@ def path_is_valid(snap: SubstrateSnapshot, path: PhysicalPath) -> bool:
     return all(snap.has_edge(a, b) for a, b in path.edges())
 
 
-def shortest_feasible_path(
-    snap: SubstrateSnapshot,
-    src: int,
-    dst: int,
-    min_band: Fraction | int = 0,
-    residual_band: Mapping[tuple[int, int], Fraction | int] | None = None,
-) -> PhysicalPath | None:
+def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band: Fraction | int,
+                           residual_band: Mapping[tuple[int, int], Fraction | int]
+                           ) -> PhysicalPath | None:
     """Minimum-latency simple path using only edges with enough free bandwidth.
 
     ``residual_band`` maps canonical edge keys to free bandwidth (an edge it
-    lacks has none free); when ``None`` the snapshot capacities are used
-    (empty network).  ``min_band`` and the residuals may be any exact numbers,
-    ints or Fractions, as long as they share one unit.  Among equal-latency
-    paths the lexicographically smallest node sequence wins, which keeps traces
-    reproducible.  Returns ``None`` when no path passes the bandwidth filter.
+    lacks has none free).  ``min_band`` and the residuals may be any exact
+    numbers, ints or Fractions, as long as they share one unit.  Among
+    equal-latency paths the lexicographically smallest node sequence wins, which
+    keeps traces reproducible.  Returns ``None`` when no path passes the filter.
     """
     n = snap.node_count
     if not (0 <= src < n and 0 <= dst < n):
@@ -312,12 +305,9 @@ def shortest_feasible_path(
         settled.add(head)
         if head == dst:
             return PhysicalPath(nodes)
-        for nxt, (latency, band) in snap.links[head].items():
-            if nxt in settled:
-                continue
-            if residual_band is not None:
-                band = residual_band.get((head, nxt) if head < nxt else (nxt, head), 0)
-            if band >= min_band:
+        for nxt, (latency, _) in snap.links[head].items():
+            if nxt not in settled and \
+                    residual_band.get((head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
                 heapq.heappush(heap, (cost + latency, nodes + (nxt,)))
     return None
 

@@ -1,10 +1,11 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import F, make_catalog, make_request, make_snapshot, unit_fractions
-from sfcsim.mano import (DuplicateSfc, FailureReason, InsufficientResources,
+from sfcsim.mano import (DuplicateSfc, EmbeddingPlan, FailureReason, InsufficientResources,
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
                          find_affected_sfcs, plan_structure_errors)
 from sfcsim.solver import SOLVERS, SolverInput, make_solver
@@ -254,6 +255,36 @@ class TestFreeUnits:
         inp = SolverInput(make_request(sfc_id=1, ingress=0, egress=1, chain=(0, 1)), cat,
                           snap, ledger.free_units())
         assert make_solver("greedy").solve(inp, random.Random(0)).accepted
+
+
+class TestKeysOutsideTheSubstrate:
+    """A plan keyed by a node outside the snapshot or by a non-canonical edge
+    key: the gate and ``allocate`` refuse it alike, and nothing is booked."""
+
+    @pytest.mark.parametrize("cpu, band, reason", [
+        ({-1: F(1)}, {}, FailureReason.NODE_CPU_INSUFFICIENT),
+        ({2: F(1)}, {}, FailureReason.NODE_CPU_INSUFFICIENT),
+        ({}, {(1, 0): F(20)}, FailureReason.LINK_BANDWIDTH_INSUFFICIENT),
+        ({}, {(1, 0): F(0)}, FailureReason.LINK_BANDWIDTH_INSUFFICIENT),
+    ], ids=["cpu-on-node-minus-1", "cpu-on-node-2", "20-mbps-on-1-0", "0-mbps-on-1-0"])
+    def test_refused_and_ledger_unchanged(self, cpu, band, reason):
+        snap = make_snapshot(2, [(0, 1, 1.0, 30)], cpu=[4, 4], ram=[512, 512])
+        cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, 5)])
+        ledger = ResourceLedger(snap, cat)
+        ledger.allocate(plan_across(snap, cat))  # 1 cpu on nodes 0 and 1, 5 Mbps on (0, 1)
+
+        def state():
+            return (dict(ledger.allocations), ledger.cpu_free_all(), ledger.ram_free_all(),
+                    ledger.band_free_map(), copy.deepcopy(ledger.free_units()))
+        before = state()
+        for sfc_id in (1, 2):  # twice: a booked first plan would change the second's fate
+            plan = EmbeddingPlan(sfc_id=sfc_id, vnf_placement=(), virtual_link_paths=(),
+                                 cpu_alloc=cpu, ram_alloc={}, band_alloc=band,
+                                 total_latency=0.0)
+            assert check_plan(plan, ledger, make_request(sfc_id=sfc_id)) is reason
+            with pytest.raises(InsufficientResources, match=reason.value):
+                ledger.allocate(plan)
+            assert state() == before
 
 
 class TestFindAffected:

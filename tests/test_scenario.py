@@ -3,14 +3,15 @@ import hashlib
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
-from sfcsim.scenario import (InvalidParams, ParseError, SaginParams, ValidationError,
-                             generate_poisson_workload, generate_sagin, load_scenario,
-                             scenario_from_json)
+from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError, SaginParams,
+                             ValidationError, generate_poisson_workload, generate_sagin,
+                             load_scenario, scenario_from_json)
 from sfcsim.topology import topology_from_json, topology_to_json
 from sfcsim.workload import validate_workload
 
@@ -117,6 +118,18 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams):
             desk_params(**bad)
 
+    def test_size_bound(self):
+        # two snapshots of MAX_GENERATED / 2 nodes, or MAX_GENERATED UAV waypoints
+        two = dict(orbit_count=1, ground_count=0, duration_s=600.0, snapshot_interval_s=600.0)
+        assert desk_params(**two, sats_per_orbit=MAX_GENERATED // 2,
+                           uav_count=0).snapshot_count == 2
+        with pytest.raises(InvalidParams, match="node x snapshot"):
+            desk_params(**two, sats_per_orbit=MAX_GENERATED // 2 + 1, uav_count=0)
+        uavs = MAX_GENERATED // 4
+        desk_params(**two, sats_per_orbit=1, uav_count=uavs, uav_waypoints=4)
+        with pytest.raises(InvalidParams, match="UAV x waypoint"):
+            desk_params(**two, sats_per_orbit=1, uav_count=uavs, uav_waypoints=5)
+
     @pytest.mark.parametrize("field", ["altitude_km", "earth_radius_km", "inclination_deg"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_satellite_geometry_rejected(self, field, value):
@@ -181,6 +194,14 @@ class TestPoissonWorkload:
             generate_poisson_workload(self.horizon_topo(), self.catalog(),
                                       sfc_count=0, mean_lifetime_s=600,
                                       chain_len=3, qos_ms=50)
+
+    @pytest.mark.parametrize("sfc_count, chain_len", [(MAX_GENERATED // 3 + 1, 3),
+                                                      (1, MAX_GENERATED + 1)])
+    def test_size_bound(self, sfc_count, chain_len):
+        with pytest.raises(InvalidParams, match="sfc_count x chain_len"):
+            generate_poisson_workload(self.horizon_topo(), self.catalog(),
+                                      sfc_count=sfc_count, mean_lifetime_s=600,
+                                      chain_len=chain_len, qos_ms=50)
 
     def test_same_seed_identical(self):
         args = dict(sfc_count=40, mean_lifetime_s=600, chain_len=3, qos_ms=50, seed=3)
@@ -413,10 +434,6 @@ class TestLoadScenario:
     # float range.
     MALFORMED = [None, True, False, "x", "1/0", [], {}, math.nan, math.inf, -math.inf, -1,
                  10**400]
-    # Read with as_integer: 10**400 there is a legal count whose run never ends.
-    INTEGER_FIELDS = {"seed", "id", "ingress", "egress", "a", "b", "orbit_count",
-                      "sats_per_orbit", "uav_count", "ground_count", "uav_waypoints",
-                      "sfc_count", "chain_len"}
 
     @staticmethod
     def document_nodes(node, path=()):
@@ -435,11 +452,7 @@ class TestLoadScenario:
         sections = {"scenario", "seed", "catalog", "substrate", "workload", "solver"}
         faults = []
         for path, original in nodes:
-            integer = path and (path[-1] in self.INTEGER_FIELDS
-                                or len(path) > 1 and path[-2] == "chain")
             for value in self.MALFORMED:
-                if integer and value is self.MALFORMED[-1]:
-                    continue
                 mutated = copy.deepcopy(doc)
                 if path:
                     node = mutated
@@ -478,6 +491,23 @@ class TestLoadScenario:
         path.write_text("{not json")
         with pytest.raises(ParseError, match="invalid JSON"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("section, field, value", [
+        *[("sagin", field, 10**400) for field in ("orbit_count", "sats_per_orbit", "uav_count",
+                                                  "ground_count", "uav_waypoints")],
+        ("sagin", "duration_s", 1e308),
+        ("poisson", "sfc_count", 10**400),
+        ("poisson", "chain_len", 10**400),
+    ])
+    def test_oversized_generator_is_rejected_at_once(self, section, field, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        parent = "workload" if section == "poisson" else "substrate"
+        doc[parent]["generator"][section][field] = value
+        start = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=rf"^{parent}\.generator\.{section}: .* above {MAX_GENERATED}$"):
+            scenario_from_json(doc)
+        assert time.perf_counter() - start < 1.0
 
     def test_generator_scenario_materializes(self):
         sc = load_scenario(SCENARIO_DIR / "sagin_desk.json")

@@ -64,20 +64,25 @@ class TestPathLatency:
             path_latency(snap, PhysicalPath((0, 5)))
 
 
+def capacities(snap):
+    """Every edge's bandwidth capacity: the free map of an empty network."""
+    return {key: snap.edge_band(*key) for key in snap.edges()}
+
+
 class TestShortestFeasiblePath:
     def test_only_path_on_chain(self):
         snap = make_snapshot(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert shortest_feasible_path(snap, 0, 2).nodes == (0, 1, 2)
+        assert shortest_feasible_path(snap, 0, 2, 0, capacities(snap)).nodes == (0, 1, 2)
 
     def test_colocation_single_node(self):
         snap = make_snapshot(3, [(0, 1), (1, 2)])
-        path = shortest_feasible_path(snap, 1, 1, F(50))
+        path = shortest_feasible_path(snap, 1, 1, F(50), capacities(snap))
         assert path.nodes == (1,)
         assert path_latency(snap, path) == 0.0
 
     def test_band_filter_disconnects(self):
         snap = make_snapshot(3, [(0, 1, 1.0, 100), (1, 2, 1.0, 10)])
-        assert shortest_feasible_path(snap, 0, 2, F(20)) is None
+        assert shortest_feasible_path(snap, 0, 2, F(20), capacities(snap)) is None
 
     def test_residual_overrides_capacity(self):
         snap = make_snapshot(3, [(0, 1, 1.0, 100), (1, 2, 1.0, 100)])
@@ -88,17 +93,17 @@ class TestShortestFeasiblePath:
 
     def test_prefers_lower_latency_over_fewer_hops(self):
         snap = make_snapshot(4, [(0, 3, 10.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        assert shortest_feasible_path(snap, 0, 3).nodes == (0, 1, 2, 3)
+        assert shortest_feasible_path(snap, 0, 3, 0, capacities(snap)).nodes == (0, 1, 2, 3)
 
     def test_lexicographic_tie_break(self):
         # two parallel two-hop routes with equal latency: via 1 and via 2
         snap = make_snapshot(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
-        assert shortest_feasible_path(snap, 0, 3).nodes == (0, 1, 3)
+        assert shortest_feasible_path(snap, 0, 3, 0, capacities(snap)).nodes == (0, 1, 3)
 
     def test_endpoint_out_of_range(self):
         snap = make_snapshot(2, [(0, 1)])
         with pytest.raises(ValueError):
-            shortest_feasible_path(snap, 0, 7)
+            shortest_feasible_path(snap, 0, 7, 0, capacities(snap))
 
 
 def random_instance(rng, n):
@@ -119,7 +124,7 @@ class TestAgainstBruteForce:
             snap = random_instance(rng, n)
             src, dst = rng.randrange(n), rng.randrange(n)
             min_band = F(rng.choice([0, 10, 50, 100]))
-            got = shortest_feasible_path(snap, src, dst, min_band)
+            got = shortest_feasible_path(snap, src, dst, min_band, capacities(snap))
             want = min_latency_path(snap, src, dst, min_band)
             if want is None:
                 assert got is None or src == dst
@@ -137,8 +142,8 @@ class TestAgainstBruteForce:
             n = rng.randrange(2, 8)
             snap = random_instance(rng, n)
             s, d = rng.randrange(n), rng.randrange(n)
-            fwd = shortest_feasible_path(snap, s, d)
-            rev = shortest_feasible_path(snap, d, s)
+            fwd = shortest_feasible_path(snap, s, d, 0, capacities(snap))
+            rev = shortest_feasible_path(snap, d, s, 0, capacities(snap))
             assert (fwd is None) == (rev is None)
             if fwd is not None:
                 assert path_latency(snap, fwd) == path_latency(snap, rev)
@@ -147,7 +152,7 @@ class TestAgainstBruteForce:
         rng = random.Random(4242)
         for _ in range(40):
             snap = random_instance(rng, 6)
-            got = shortest_feasible_path(snap, 0, 5)
+            got = shortest_feasible_path(snap, 0, 5, 0, capacities(snap))
             if got is None:
                 continue
             for nodes in all_simple_paths(snap, 0, 5):
@@ -303,12 +308,12 @@ class TestSnapshotRejections:
         lat[0][2] = math.nan
         band[2][0] = F(-3)
         snap = build(adj, lat, band)
-        assert snap.neighbors == ((1,), (0,), ())
+        assert tuple(map(tuple, snap.links)) == ((1,), (0,), ())
 
     def test_list_rows_validate(self):
         adj, lat, band = matrices(4, [(0, 1), (1, 3), (2, 3)])
         snap = build(adj, lat, band, rows=list)
-        assert snap.neighbors == ((1,), (0, 3), (3,), (1, 2))
+        assert tuple(map(tuple, snap.links)) == ((1,), (0, 3), (3,), (1, 2))
         assert list(snap.edges()) == [(0, 1), (1, 3), (2, 3)]
         lat[3][2] = 0.0
         with pytest.raises(ValueError, match=r"^latency not symmetric at \(2,3\)$"):
@@ -341,7 +346,7 @@ class TestSnapshotRejections:
         expected = reference_first_fault(adj, lat, band)
         if expected is None:
             snap = build(adj, lat, band)
-            assert snap.neighbors == tuple(
+            assert tuple(map(tuple, snap.links)) == tuple(
                 tuple(j for j in range(n) if adj[i][j]) for i in range(n))
             assert list(snap.edges()) == [(i, j) for i, j in pairs if adj[i][j]]
             for i in range(n):
@@ -376,7 +381,7 @@ class TestSparseSnapshot:
     def test_accepts_and_sorts_rows(self):
         links = sparse(4, [(2, 3), (0, 3), (1, 3)])
         snap = SubstrateSnapshot(4, links, (F(1),) * 4, (F(1),) * 4)
-        assert snap.neighbors == ((3,), (3,), (3,), (0, 1, 2))
+        assert tuple(map(tuple, snap.links)) == ((3,), (3,), (3,), (0, 1, 2))
         assert list(snap.links[3]) == [0, 1, 2]
         assert list(snap.edges()) == [(0, 3), (1, 3), (2, 3)]
         assert snap.edge_latency(3, 1) == 5.0 and snap.edge_band(3, 1) == F(11)
