@@ -2,15 +2,17 @@
 
 The ledger plays the infrastructure-manager role: it tracks how much of each
 node's cpu/ram and each edge's bandwidth is occupied by active service chains
-and enforces conservation exactly (Fraction arithmetic, no float drift).
+and enforces conservation exactly (integer units, no float drift).
 Plan checking is the orchestrator-side gate every solver decision passes
 through before resources move.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Mapping
 
 from .topology import (PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
@@ -144,30 +146,33 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
         problems.append("ram_alloc does not match placement demands")
     if dict(plan.band_alloc) != rebuilt.band_alloc:
         problems.append("band_alloc does not match path demands")
+    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for alloc in
+           (plan.cpu_alloc, plan.ram_alloc, plan.band_alloc) for x in alloc.values()):
+        problems.append("an allocated amount is not an int or a Fraction")  # 20.0 == 20
     if plan.total_latency != rebuilt.total_latency:
         problems.append(f"total_latency {plan.total_latency} != {rebuilt.total_latency}")
     return problems
 
 
-def _over_drawn(plan: EmbeddingPlan, cpu_free, ram_free, band_free) -> FailureReason | None:
+def _over_drawn(plan: EmbeddingPlan, units: "FreeUnits") -> FailureReason | None:
     """The first resource, cpu then ram then bandwidth, that ``plan`` asks
-    more of than is free; a node or edge the free maps lack has none free."""
-    for alloc, free, reason in (
-            (plan.cpu_alloc, cpu_free, FailureReason.NODE_CPU_INSUFFICIENT),
-            (plan.ram_alloc, ram_free, FailureReason.NODE_RAM_INSUFFICIENT),
-            (plan.band_alloc, band_free, FailureReason.LINK_BANDWIDTH_INSUFFICIENT)):
-        for key, amount in alloc.items():
-            room = free.get(key)
-            if room is None or amount > room:
+    more of than ``units`` has free; a node or edge the view lacks has none free."""
+    n = len(units.cpu)
+    for alloc, free, scale, reason in (
+            (plan.cpu_alloc, units.cpu, units.cpu_scale, FailureReason.NODE_CPU_INSUFFICIENT),
+            (plan.ram_alloc, units.ram, units.ram_scale, FailureReason.NODE_RAM_INSUFFICIENT),
+            (plan.band_alloc, units.band, units.band_scale,
+             FailureReason.LINK_BANDWIDTH_INSUFFICIENT)):
+        for key, x in alloc.items():
+            room = free.get(key) if free is units.band else free[key] if 0 <= key < n else None
+            if room is None or x.numerator * scale > room * x.denominator:  # x > room/scale
                 return reason
     return None
 
 
-def check_plan_against(plan: EmbeddingPlan, request: SfcRequest,
-                       snap: SubstrateSnapshot,
-                       cpu_free: Mapping[int, Fraction], ram_free: Mapping[int, Fraction],
-                       band_free: Mapping[tuple[int, int], Fraction]) -> FailureReason | None:
-    """Core feasibility check against free amounts mapped per node and per edge key.
+def check_plan_against(plan: EmbeddingPlan, request: SfcRequest, snap: SubstrateSnapshot,
+                       units: "FreeUnits") -> FailureReason | None:
+    """Core feasibility check against free amounts in integer units.
 
     Check order is fixed so every rejection maps to one deterministic reason:
     paths, then cpu, then ram, then bandwidth, then the QoS latency bound.
@@ -176,10 +181,18 @@ def check_plan_against(plan: EmbeddingPlan, request: SfcRequest,
     for path in plan.virtual_link_paths:
         if not path_is_valid(snap, path):
             return FailureReason.NO_PATH
-    reason = _over_drawn(plan, cpu_free, ram_free, band_free)
+    reason = _over_drawn(plan, units)
     if reason is None and plan.total_latency > request.qos_max_latency:
         return FailureReason.QOS_LATENCY_VIOLATED
     return reason
+
+
+def to_units(amounts, scale: int) -> tuple[list[int], int]:
+    """Exact ``amounts`` (ints or Fractions) as ints of ``1/s``, where ``s`` is
+    ``scale`` widened to the least multiple that covers their denominators."""
+    ratios = [x.as_integer_ratio() for x in amounts]
+    scale = lcm(scale, *{den for _, den in ratios})
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 @dataclass(frozen=True)
@@ -187,8 +200,7 @@ class FreeUnits:
     """Free amounts as integer multiples of ``1/scale``, one scale per kind:
     ``cpu`` / ``ram`` per node, ``band`` per edge of the snapshot, and the
     largest node capacities.  Every catalog demand is a whole number of units.
-    A value is below 0 where a capacity shrink left a node or edge short.
-    Solvers read it and never write it."""
+    A value is below 0 where a capacity shrink left a node or edge short."""
 
     cpu: list[int]
     ram: list[int]
@@ -199,55 +211,29 @@ class FreeUnits:
     max_cpu: int
     max_ram: int
 
-    @classmethod
-    def from_usage(cls, snap: SubstrateSnapshot, catalog: VnfCatalog,
-                   cpu_used: Mapping[int, Fraction], ram_used: Mapping[int, Fraction],
-                   band_used: Mapping[tuple[int, int], Fraction]) -> "FreeUnits":
-        """Capacity less the usage mapped per node and per edge key (an edge
-        ``snap`` lacks has no view), on scales that cover ``catalog``'s demands.
-        Capacities and usage are Fractions; a demand may also be an int."""
-        def less(keys, caps, used, demands):
-            ratios = [list(map(Fraction.as_integer_ratio, group))
-                      for group in (caps, used.values(), demands)]
-            scale = lcm(*{den for group in ratios for _, den in group})
-            caps, held, _ = [[num * (scale // den) for num, den in group] for group in ratios]
-            free = caps.copy() if keys is None else dict(zip(keys, caps))
-            for key, units in zip(used, held):
-                free[key] -= units
-            return free, scale, max(caps, default=0)
-
-        templates = catalog.templates.values()
-        cpu, cpu_scale, max_cpu = less(None, snap.node_cpu_capacity, cpu_used,
-                                       [Fraction(t.cpu_demand) for t in templates])
-        ram, ram_scale, max_ram = less(None, snap.node_ram_capacity, ram_used,
-                                       [Fraction(t.ram_demand) for t in templates])
-        keys = list(snap.edges())
-        band, band_scale, _ = less(
-            keys, [snap.links[u][v][1] for u, v in keys],
-            {key: amount for key, amount in band_used.items() if snap.has_edge(*key)},
-            catalog.link_band_demand.values())
-        return cls(cpu, ram, band, cpu_scale, ram_scale, band_scale, max_cpu, max_ram)
-
 
 class ResourceLedger:
     """Exact occupancy accounting for one simulation run.
 
-    Tracks used amounts (the sum over active plans) and derives free values
-    from the current snapshot's capacities, so conservation
-    ``capacity - free == sum(active allocations)`` holds by construction and
-    is re-verifiable from scratch.  Solvers read :meth:`free_units`, built
-    from this usage at the first read after construction or a snapshot change
-    and kept in step by ``allocate`` / ``release``.
+    Usage (the sum over active plans) is kept in integer units, one scale per
+    resource kind, and free amounts derive from the current snapshot's
+    capacities, so ``capacity - free == sum(active allocations)`` holds by
+    construction.  A scale only grows: a denominator it lacks, in a booked
+    amount or a snapshot's capacities, makes it their LCM and the usage follows.
     """
 
     def __init__(self, snapshot: SubstrateSnapshot, catalog: VnfCatalog | None = None):
         self._snapshot = snapshot
-        self._catalog = VnfCatalog(()) if catalog is None else catalog
         n = snapshot.node_count
-        self._cpu_used = [Fraction(0)] * n
-        self._ram_used = [Fraction(0)] * n
-        self._band_used: dict[tuple[int, int], Fraction] = {}
-        self._free_units: FreeUnits | None = None
+        self._cpu_used = [0] * n
+        self._ram_used = [0] * n
+        self._band_used: Counter[tuple[int, int]] = Counter()
+        self._used = (self._cpu_used, self._ram_used, self._band_used)
+        templates = () if catalog is None else catalog.templates.values()
+        self._scales = [to_units(amounts, 1)[1] for amounts in (
+            [t.cpu_demand for t in templates], [t.ram_demand for t in templates],
+            () if catalog is None else catalog.link_band_demand.values())]
+        self._free: FreeUnits | None = None
         self.allocations: dict[int, EmbeddingPlan] = {}
 
     @property
@@ -259,39 +245,66 @@ class ResourceLedger:
         if snapshot.node_count != self._snapshot.node_count:
             raise ValueError("node count must be stable across snapshots")
         self._snapshot = snapshot
-        self._free_units = None
+        self._free = None
+
+    def _rescale(self, kind: int, scale: int) -> None:
+        """Widen the scale of ``kind`` (0 cpu, 1 ram, 2 band) to ``scale``, a
+        multiple of it; the usage is multiplied up to match."""
+        factor = scale // self._scales[kind]
+        if factor != 1:
+            used = self._used[kind]
+            for key in (list(used) if kind == 2 else range(len(used))):
+                used[key] *= factor
+            self._scales[kind] = scale
+            self._free = None
+
+    def _view(self) -> FreeUnits:
+        """The free view the gate, ``allocate`` and :meth:`free_units` read: built
+        at the first read after a snapshot change or a scale growth, then moved
+        in step by ``allocate`` / ``release``, and never handed out."""
+        if self._free is None:
+            snap = self._snapshot
+            keys = list(snap.edges())
+            caps = []
+            for kind, amounts in enumerate((snap.node_cpu_capacity, snap.node_ram_capacity,
+                                            [snap.links[u][v][1] for u, v in keys])):
+                units, scale = to_units(amounts, self._scales[kind])
+                self._rescale(kind, scale)
+                caps.append(units)
+            cpu, ram, band = caps
+            used = self._band_used  # usage on an edge the snapshot dropped has no view
+            self._free = FreeUnits(list(map(sub, cpu, self._cpu_used)),
+                                   list(map(sub, ram, self._ram_used)),
+                                   {key: cap - used.get(key, 0) for key, cap in zip(keys, band)},
+                                   *self._scales, max(cpu, default=0), max(ram, default=0))
+        return self._free
 
     def free_units(self) -> FreeUnits:
-        """The free amounts in integer units: a live view to read, not to keep."""
-        if self._free_units is None:
-            held = self.allocations.values()
-            self._free_units = FreeUnits.from_usage(
-                self._snapshot, self._catalog,
-                {node: self._cpu_used[node] for plan in held for node in plan.cpu_alloc},
-                {node: self._ram_used[node] for plan in held for node in plan.ram_alloc},
-                self._band_used)
-        return self._free_units
+        """The free amounts in integer units, as a fresh copy on every call."""
+        view = self._view()
+        return FreeUnits(list(view.cpu), list(view.ram), dict(view.band), *self._scales,
+                         view.max_cpu, view.max_ram)
 
     # -- usage / residual views
 
     def cpu_used(self, node: int) -> Fraction:
-        return self._cpu_used[node]
+        return Fraction(self._cpu_used[node], self._scales[0])
 
     def ram_used(self, node: int) -> Fraction:
-        return self._ram_used[node]
+        return Fraction(self._ram_used[node], self._scales[1])
 
-    def node_usage(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Per-node (cpu, ram) usage as copies that later mutations leave alone."""
-        return tuple(self._cpu_used), tuple(self._ram_used)
+    def node_usage(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """Per-node cpu and ram usage in units, as copies, then the two scales."""
+        return tuple(self._cpu_used), tuple(self._ram_used), self._scales[0], self._scales[1]
 
     def band_used(self, u: int, v: int) -> Fraction:
-        return self._band_used.get(edge_key(u, v), Fraction(0))
+        return Fraction(self._band_used[edge_key(u, v)], self._scales[2])
 
     def cpu_free(self, node: int) -> Fraction:
-        return self._snapshot.node_cpu_capacity[node] - self._cpu_used[node]
+        return self._snapshot.node_cpu_capacity[node] - self.cpu_used(node)
 
     def ram_free(self, node: int) -> Fraction:
-        return self._snapshot.node_ram_capacity[node] - self._ram_used[node]
+        return self._snapshot.node_ram_capacity[node] - self.ram_used(node)
 
     def band_free(self, u: int, v: int) -> Fraction:
         return self._snapshot.edge_band(u, v) - self.band_used(u, v)
@@ -300,11 +313,11 @@ class ResourceLedger:
     # from the capacities and subtract only where usage is non-zero.
 
     def cpu_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(cap - used if used else cap for cap, used
+        return tuple(cap - Fraction(used, self._scales[0]) if used else cap for cap, used
                      in zip(self._snapshot.node_cpu_capacity, self._cpu_used))
 
     def ram_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(cap - used if used else cap for cap, used
+        return tuple(cap - Fraction(used, self._scales[1]) if used else cap for cap, used
                      in zip(self._snapshot.node_ram_capacity, self._ram_used))
 
     def band_free_map(self) -> dict[tuple[int, int], Fraction]:
@@ -312,17 +325,8 @@ class ResourceLedger:
         free = {key: self._snapshot.edge_band(*key) for key in self._snapshot.edges()}
         for key, used in self._band_used.items():
             if key in free:  # usage on an edge the snapshot dropped has no view
-                free[key] -= used
+                free[key] -= Fraction(used, self._scales[2])
         return free
-
-    def _plan_free(self, plan: EmbeddingPlan) -> tuple[dict, dict, dict]:
-        """Free cpu, ram and bandwidth of ``plan``'s own nodes and canonical
-        ``u < v`` edges; a key outside the current snapshot gets no entry."""
-        snap, n = self._snapshot, self._snapshot.node_count
-        return ({node: self.cpu_free(node) for node in plan.cpu_alloc if 0 <= node < n},
-                {node: self.ram_free(node) for node in plan.ram_alloc if 0 <= node < n},
-                {(u, v): self.band_free(u, v) for u, v in plan.band_alloc
-                 if 0 <= u < v < n and snap.has_edge(u, v)})
 
     # -- mutation
 
@@ -330,62 +334,45 @@ class ResourceLedger:
         """Book ``plan`` if the gate's cpu -> ram -> bandwidth rule passes on this ledger."""
         if plan.sfc_id in self.allocations:
             raise DuplicateSfc(f"sfc {plan.sfc_id} already embedded")
-        reason = _over_drawn(plan, *self._plan_free(plan))
+        reason = _over_drawn(plan, self._view())
         if reason is not None:
             raise InsufficientResources(f"sfc {plan.sfc_id}: {reason.value}")
-        for node, amount in plan.cpu_alloc.items():
-            self._cpu_used[node] += amount
-        for node, amount in plan.ram_alloc.items():
-            self._ram_used[node] += amount
-        for key, amount in plan.band_alloc.items():
-            self._band_used[key] = self._band_used.get(key, Fraction(0)) + amount
+        for kind, alloc in enumerate((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc)):
+            self._rescale(kind, lcm(self._scales[kind], *{x.denominator for x in alloc.values()}))
         self.allocations[plan.sfc_id] = plan
-        self._shift_units(plan, 1)
+        self._shift(plan, 1)
 
     def release(self, sfc_id: int) -> EmbeddingPlan:
         if sfc_id not in self.allocations:
             raise UnknownSfc(sfc_id)
         plan = self.allocations.pop(sfc_id)
-        for node, amount in plan.cpu_alloc.items():
-            self._cpu_used[node] -= amount
-        for node, amount in plan.ram_alloc.items():
-            self._ram_used[node] -= amount
-        for key, amount in plan.band_alloc.items():
-            remaining = self._band_used[key] - amount
-            if remaining:
-                self._band_used[key] = remaining
-            else:
-                del self._band_used[key]
-        self._shift_units(plan, -1)
+        self._shift(plan, -1)
         return plan
 
-    def _shift_units(self, plan: EmbeddingPlan, sign: int) -> None:
-        """Take ``plan`` out of the integer view (sign 1) or put it back (-1)."""
-        view = self._free_units
-        if view is None:
-            return
-        held_band = {key: x for key, x in plan.band_alloc.items() if key in view.band}
-        for free, scale, alloc in ((view.cpu, view.cpu_scale, plan.cpu_alloc),
-                                   (view.ram, view.ram_scale, plan.ram_alloc),
-                                   (view.band, view.band_scale, held_band)):
-            for key, amount in alloc.items():
-                units, rest = divmod(scale, amount.denominator)
-                if rest:  # no whole number of units: rebuilt at the next read
-                    self._free_units = None
-                    return
-                free[key] -= sign * amount.numerator * units
+    def _shift(self, plan: EmbeddingPlan, sign: int) -> None:
+        """Move ``plan`` into the usage (sign 1) or out of it (-1), and the free
+        view, where built, the other way; the scales cover every amount."""
+        view = self._free
+        for kind, alloc in enumerate((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc)):
+            used, scale = self._used[kind], self._scales[kind]
+            free = None if view is None else (view.cpu, view.ram, view.band)[kind]
+            for key, x in alloc.items():
+                units = sign * x.numerator * (scale // x.denominator)
+                used[key] += units
+                if free is not None and (kind < 2 or key in free):  # a dropped edge has no view
+                    free[key] -= units
 
 
 def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger,
                request: SfcRequest) -> FailureReason | None:
     """Orchestrator-side validation of a plan against the live ledger.
 
-    Pure: never mutates the ledger.  Reads the free amounts of the plan's own
-    nodes and edges only; a node or edge outside the snapshot has none free.
-    Returns None for a deployable plan, otherwise the first failing check's
-    reason.
+    Pure: nothing the ledger reports changes.  Reads the free amounts of the
+    plan's own nodes and edges only; a node or edge outside the snapshot has
+    none free.  Returns None for a deployable plan, otherwise the first
+    failing check's reason.
     """
-    return check_plan_against(plan, request, ledger.snapshot, *ledger._plan_free(plan))
+    return check_plan_against(plan, request, ledger.snapshot, ledger._view())
 
 
 def find_affected_sfcs(ledger: ResourceLedger,
@@ -399,17 +386,23 @@ def find_affected_sfcs(ledger: ResourceLedger,
     read, so the work grows with what the chains hold, not with the substrate.
     """
     affected: list[tuple[int, FailureReason]] = []
+    cpu_scale, ram_scale, band_scale = ledger._scales
+
+    def over(used, scale, cap):  # used / scale > cap, exactly
+        return used * cap.denominator > cap.numerator * scale
+
     for sfc_id in sorted(ledger.allocations):
         plan = ledger.allocations[sfc_id]
         if any(not path_is_valid(new_snap, p) for p in plan.virtual_link_paths):
             affected.append((sfc_id, FailureReason.NO_PATH))
-        elif any(ledger.cpu_used(node) > new_snap.node_cpu_capacity[node]
+        elif any(over(ledger._cpu_used[node], cpu_scale, new_snap.node_cpu_capacity[node])
                  for node in plan.cpu_alloc):
             affected.append((sfc_id, FailureReason.NODE_CPU_INSUFFICIENT))
-        elif any(ledger.ram_used(node) > new_snap.node_ram_capacity[node]
+        elif any(over(ledger._ram_used[node], ram_scale, new_snap.node_ram_capacity[node])
                  for node in plan.ram_alloc):
             affected.append((sfc_id, FailureReason.NODE_RAM_INSUFFICIENT))
         # every path edge is in new_snap here, so each held edge has a capacity
-        elif any(ledger.band_used(*key) > new_snap.edge_band(*key) for key in plan.band_alloc):
+        elif any(over(ledger._band_used[key], band_scale, new_snap.edge_band(*key))
+                 for key in plan.band_alloc):
             affected.append((sfc_id, FailureReason.LINK_BANDWIDTH_INSUFFICIENT))
     return affected

@@ -1,10 +1,9 @@
 """Pluggable embedding/migration solvers and the two built-in baselines.
 
 A solver receives the request, a catalog view, the current snapshot, and a
-read-only view of the ledger's free amounts in exact integer units, and
-answers with a complete mapping table or a rejection reason.  Any accepted
-plan must hold up under the orchestrator's own plan check against the same
-residuals; the baselines self-validate before answering.  Decisions must be
+copy of the ledger's free amounts in exact integer units, and with a complete mapping table or a rejection reason.  Any accepted plan must
+hold up under the orchestrator's own plan check against the same residuals;
+the baselines self-validate before answering.  Decisions must be
 deterministic given the input and the provided RNG state.
 """
 
@@ -14,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
-                   leg_band_demands)
+                   leg_band_demands, to_units)
 from .topology import SubstrateSnapshot, edge_key, path_latency, shortest_feasible_path
 from .workload import SfcRequest, VnfCatalog
 
@@ -27,8 +26,8 @@ class SolveMode(Enum):
 @dataclass(frozen=True)
 class SolverInput:
     """Everything a solver may look at for one decision; ``units`` is what the
-    ledger has free, and ``cpu_free`` / ``ram_free`` / ``band_free`` the same
-    as Fractions, built when read."""
+    ledger has free, a copy made for this decision, and ``cpu_free`` /
+    ``ram_free`` / ``band_free`` the same as Fractions, built when read."""
 
     request: SfcRequest
     catalog: VnfCatalog
@@ -41,12 +40,18 @@ class SolverInput:
     def from_fractions(cls, request, catalog, snapshot, cpu_free, ram_free, band_free,
                        mode=SolveMode.EMBED, old_plan=None):
         """An input from free amounts per node and per edge key (a missing edge has none)."""
-        return cls(request, catalog, snapshot, FreeUnits.from_usage(
-            snapshot, catalog,
-            dict(enumerate(cap - x for cap, x in zip(snapshot.node_cpu_capacity, cpu_free))),
-            dict(enumerate(cap - x for cap, x in zip(snapshot.node_ram_capacity, ram_free))),
-            {key: snapshot.edge_band(*key) - band_free.get(key, 0) for key in snapshot.edges()}),
-            mode, old_plan)
+        keys = list(snapshot.edges())
+        templates = catalog.templates.values()
+        # each free amount on a scale that also covers the capacities and demands
+        (cpu, cpu_scale), (ram, ram_scale), (band, band_scale) = (
+            to_units(free, to_units([*caps, *demands], 1)[1]) for free, caps, demands in (
+                (cpu_free, snapshot.node_cpu_capacity, [t.cpu_demand for t in templates]),
+                (ram_free, snapshot.node_ram_capacity, [t.ram_demand for t in templates]),
+                ([band_free.get(key, 0) for key in keys], (), catalog.link_band_demand.values())))
+        return cls(request, catalog, snapshot, FreeUnits(
+            cpu, ram, dict(zip(keys, band)), cpu_scale, ram_scale, band_scale,
+            int(max(snapshot.node_cpu_capacity) * cpu_scale),
+            int(max(snapshot.node_ram_capacity) * ram_scale)), mode, old_plan)
 
     cpu_free = property(lambda self: tuple(Fraction(x, self.units.cpu_scale)
                                            for x in self.units.cpu))
@@ -163,14 +168,8 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     paths.append(path)
 
     plan = build_plan(req, cat, snap, placement, paths)
-    # Contract self-check: an Accept must survive the orchestrator's gate,
-    # on the exact free amounts of the plan's own nodes and edges.
-    verdict = check_plan_against(
-        plan, req, snap,
-        {n: Fraction(units.cpu[n], units.cpu_scale) for n in plan.cpu_alloc},
-        {n: Fraction(units.ram[n], units.ram_scale) for n in plan.ram_alloc},
-        {key: Fraction(units.band[key], units.band_scale) for key in plan.band_alloc
-         if key in units.band})
+    # Contract self-check: an Accept must survive the orchestrator's gate.
+    verdict = check_plan_against(plan, req, snap, units)
     if verdict is not None:
         return SolverDecision.reject(verdict)
     return SolverDecision.accept(plan)

@@ -62,12 +62,14 @@ class UtilizationSample:
 
 
 class _UtilizationBlock(NamedTuple):
-    """Node usage at one event boundary; capacities come from ``snapshot``."""
+    """Node usage at one event boundary in integer units; capacities come from ``snapshot``."""
 
     time: float
     snapshot: SubstrateSnapshot
-    cpu_used: tuple[Fraction, ...]
-    ram_used: tuple[Fraction, ...]
+    cpu_used: tuple[int, ...]
+    ram_used: tuple[int, ...]
+    cpu_scale: int
+    ram_scale: int
 
 
 def _fmt(x) -> str:
@@ -95,7 +97,8 @@ class TraceLog:
     @property
     def utilization(self) -> list[UtilizationSample]:
         """One sample per node per event boundary, in sampling order."""
-        return [UtilizationSample(b.time, node, cpu, cpu_cap, ram, ram_cap)
+        return [UtilizationSample(b.time, node, Fraction(cpu, b.cpu_scale), cpu_cap,
+                                  Fraction(ram, b.ram_scale), ram_cap)
                 for b in self._blocks
                 for node, (cpu, cpu_cap, ram, ram_cap) in enumerate(zip(
                     b.cpu_used, b.snapshot.node_cpu_capacity,
@@ -174,18 +177,21 @@ class TraceLog:
         with open(path, "w", newline="") as f:
             f.write("time,node,cpu_used,cpu_capacity,ram_used_mb,ram_capacity_mb\n")
             # A node's text after the time column depends only on its four
-            # values, so it is formatted again only when one of them differs
-            # from the previous block's (tuple == tests identity first, so
-            # untouched Fractions cost no Python-level comparison).  No cell
-            # needs csv quoting: they are ints and fixed-point decimals.
-            keys = texts = []
+            # values and the block's scales, so it is formatted again only when
+            # one of them differs from the previous block's; a block on another
+            # substrate or on other scales is formatted afresh.  ``units / scale``
+            # rounds as float() of the Fraction does.  No cell needs csv
+            # quoting: they are ints and fixed-point decimals.
+            keys = texts = scales = []
             for b in self._blocks:
                 new_keys = list(zip(b.cpu_used, b.snapshot.node_cpu_capacity,
                                     b.ram_used, b.snapshot.node_ram_capacity))
-                if len(new_keys) != len(keys):  # first block, or another run's substrate
+                if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
                     keys = texts = [None] * len(new_keys)
+                    scales = cpu_scale, ram_scale = b.cpu_scale, b.ram_scale
                 texts = [text if key == old else
-                         f"{node},{_fmt(key[0])},{_fmt(key[1])},{_fmt(key[2])},{_fmt(key[3])}"
+                         f"{node},{_fmt(key[0] / cpu_scale)},{_fmt(key[1])},"
+                         f"{_fmt(key[2] / ram_scale)},{_fmt(key[3])}"
                          for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
                 keys = new_keys
                 prefix = _fmt(b.time) + ","

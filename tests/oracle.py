@@ -301,6 +301,19 @@ class DenseLedger:
                 for a in range(n) for b in range(a + 1, n) if snap.has_edge(a, b)}
         return cpu, ram, band
 
+    def shortfall(self, snap, cpu, ram, band):
+        """The first resource, cpu then ram then bandwidth, of which a holding
+        asks more than ``snap`` leaves free, by reason name, or None.  A node
+        outside ``snap`` or a pair that is not one of its (low, high) edges
+        has none free."""
+        free_cpu, free_ram, free_band = self.free(snap)
+        for need, free, reason in ((cpu, dict(enumerate(free_cpu)), "NodeCpuInsufficient"),
+                                   (ram, dict(enumerate(free_ram)), "NodeRamInsufficient"),
+                                   (band, free_band, "LinkBandwidthInsufficient")):
+            if any(key not in free or x > free[key] for key, x in need.items()):
+                return reason
+        return None
+
 
 def chain_holding(request, catalog, placement, paths):
     """What an accepted chain holds: (paths, cpu, ram, band), zero amounts left out."""

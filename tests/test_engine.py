@@ -11,7 +11,7 @@ from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot
                       single_topo)
 from sfcsim import engine
 from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
-from sfcsim.mano import FailureReason, ResourceLedger
+from sfcsim.mano import FailureReason, ResourceLedger, build_plan
 from sfcsim.scenario import load_scenario
 from sfcsim.solver import GreedySolver, RandomSolver, SolveMode, Solver, SolverDecision
 from sfcsim.topology import PhysicalPath
@@ -347,7 +347,7 @@ def _bump(mapping, key, delta):
 def tampers(draw):
     """A rewrite that turns any honest Accept on ``line_scenario`` into a bad plan."""
     kind = draw(st.sampled_from(["sfc_id", "legs", "placement", "node", "edge",
-                                 "alloc", "latency"]))
+                                 "alloc", "floats", "latency"]))
     i = draw(st.integers(0, 1))  # VNF position to move
     if kind == "sfc_id":
         k = draw(st.integers(1, 3))
@@ -388,6 +388,10 @@ def tampers(draw):
                                 else node, delta)
             return dataclasses.replace(plan, **{field: mapping})
         return tamper
+    if kind == "floats":  # 0.5 == Fraction(1, 2): only the amounts' type is wrong
+        return lambda plan, inp: dataclasses.replace(plan, **{
+            field: {key: float(x) for key, x in getattr(plan, field).items()}
+            for field in ("cpu_alloc", "ram_alloc", "band_alloc")})
     latency = draw(st.sampled_from([math.nan, -1.0, -math.inf]))
     return lambda plan, inp: dataclasses.replace(plan, total_latency=latency)
 
@@ -411,6 +415,28 @@ class TestAdversarialSolver:
             assert (outcome.sfc_id, outcome.reason) == (note.sfc_id, broken)
             assert note.reason is broken
         assert report.accepted + report.rejected == report.arrivals == len(reqs)
+
+
+def test_writes_into_the_input_do_not_reach_the_gate():
+    """A solver may write into its ``inp.units``; the gate and ``allocate``
+    read the ledger's own amounts, so an Accept that over-draws is demoted."""
+    snap = make_snapshot(2, [(0, 1)], cpu=[1, 1])
+    cat = make_catalog([(0, 1, 32)], [])
+    reqs = [make_request(sfc_id=i, start=1 + i, end=10, chain=(0,)) for i in range(2)]
+
+    class Overwriter(Solver):
+        def solve(self, inp, rng):
+            inp.units.cpu[0] += 100 * inp.units.cpu_scale
+            return SolverDecision.accept(build_plan(inp.request, inp.catalog, inp.snapshot,
+                                                    (0,), [PhysicalPath((0,))] * 2))
+
+    trace = TraceLog()
+    run(single_topo(snap), reqs, cat, Overwriter(), trace, seed=0,
+        boundary_hook=assert_conserved)
+    assert rows(trace)[:3] == [
+        (1.0, "arrival", 0, "accepted", None, (0,)),
+        (2.0, "arrival", 1, "rejected", FailureReason.SOLVER_REJECTED, None),
+        (2.0, "discrepancy", 1, None, FailureReason.SOLVER_REJECTED, (0,))]
 
 
 def test_solvers_read_the_ledgers_free_amounts(monkeypatch):

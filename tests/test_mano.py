@@ -1,9 +1,13 @@
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import F, make_catalog, make_request, make_snapshot, unit_fractions
 from sfcsim.mano import (DuplicateSfc, EmbeddingPlan, FailureReason, InsufficientResources,
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
@@ -189,13 +193,13 @@ class TestFreeUnits:
         start = unit_fractions(view)
         for sfc_id in (0, 1):
             ledger.allocate(plan_across(snap, cat, sfc_id))
-            assert ledger.free_units() is view  # kept in step, not rebuilt
+            assert unit_fractions(view) == start  # a copy: the ledger moves on without it
             assert_units_match(ledger)
         ledger.release(0)
         assert_units_match(ledger)
         ledger.release(1)
-        assert ledger.free_units() is view
-        assert unit_fractions(view) == start
+        assert ledger.free_units() is not ledger.free_units()
+        assert unit_fractions(ledger.free_units()) == start
 
     def test_snapshot_switch_brings_a_new_denominator(self):
         snap, cat = chain_snapshot(), catalog()
@@ -285,6 +289,91 @@ class TestKeysOutsideTheSubstrate:
             with pytest.raises(InsufficientResources, match=reason.value):
                 ledger.allocate(plan)
             assert state() == before
+
+
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def exact(low, high):
+    return st.builds(Fraction, st.integers(low, high), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def three_node_snapshots(draw):
+    edges = draw(st.lists(st.sampled_from(PAIRS), unique=True))
+    return make_snapshot(3, [(u, v, 1.0, draw(exact(0, 60))) for u, v in edges],
+                         cpu=draw(st.lists(exact(0, 60), min_size=3, max_size=3)),
+                         ram=draw(st.lists(exact(0, 60), min_size=3, max_size=3)))
+
+
+node_amounts = st.dictionaries(st.integers(0, 2), exact(1, 30), max_size=3)
+holdings = st.tuples(node_amounts, node_amounts,
+                     st.dictionaries(st.sampled_from(PAIRS), exact(1, 30), max_size=3))
+ledger_steps = st.lists(st.tuples(
+    st.one_of(st.tuples(st.just("allocate"), holdings),
+              st.tuples(st.just("release"), st.integers(0, 20)),
+              st.tuples(st.just("set_snapshot"), three_node_snapshots())),
+    holdings), min_size=1, max_size=20)
+
+
+def holding_plan(sfc_id, holding):
+    cpu, ram, band = holding
+    return EmbeddingPlan(sfc_id=sfc_id, vnf_placement=(), virtual_link_paths=(),
+                         cpu_alloc=cpu, ram_alloc=ram, band_alloc=band, total_latency=0.0)
+
+
+def assert_readers_match(ledger, dense, snap):
+    """Every public reader of ``ledger`` equals the dense ledger's usage under ``snap``."""
+    cpu, ram, band = dense.free(snap)
+    for node in range(3):
+        assert (ledger.cpu_used(node), ledger.ram_used(node)) == (dense.cpu[node], dense.ram[node])
+        assert (ledger.cpu_free(node), ledger.ram_free(node)) == (cpu[node], ram[node])
+    for u, v in PAIRS:
+        assert ledger.band_used(u, v) == ledger.band_used(v, u) == dense.band[u][v]
+    for key in band:
+        assert ledger.band_free(*key) == band[key]
+    assert (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map()) == \
+        (tuple(cpu), tuple(ram), band)
+    units = ledger.free_units()
+    assert unit_fractions(units) == (tuple(cpu), tuple(ram), band)
+    assert (Fraction(units.max_cpu, units.cpu_scale), Fraction(units.max_ram, units.ram_scale)) \
+        == (max(snap.node_cpu_capacity), max(snap.node_ram_capacity))
+    cpu_units, ram_units, cpu_scale, ram_scale = ledger.node_usage()
+    assert [Fraction(x, cpu_scale) for x in cpu_units] == dense.cpu
+    assert [Fraction(x, ram_scale) for x in ram_units] == dense.ram
+
+
+class TestAgainstDenseLedger:
+    """Allocate, release and snapshot swaps on coprime denominators: after each
+    step every reader, and the gate's verdict on a probe plan, equal what a
+    dense Fraction ledger gives."""
+
+    @given(three_node_snapshots(), ledger_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_readers_and_verdicts_match(self, snap, steps):
+        ledger, dense = ResourceLedger(snap), oracle.DenseLedger(3)
+        for step_id, ((op, arg), probe) in enumerate(steps, start=1):
+            if op == "set_snapshot":
+                snap = arg
+                ledger.set_snapshot(snap)
+            elif op == "release" and dense.held:
+                sfc_id = sorted(dense.held)[arg % len(dense.held)]
+                dense.drop(sfc_id)
+                assert ledger.release(sfc_id).sfc_id == sfc_id
+            elif op == "allocate":
+                plan = holding_plan(step_id, arg)
+                reason = dense.shortfall(snap, *arg)
+                if reason is None:
+                    ledger.allocate(plan)
+                    dense.hold(step_id, ((), *arg))
+                else:
+                    with pytest.raises(InsufficientResources, match=reason):
+                        ledger.allocate(plan)
+            assert set(ledger.allocations) == set(dense.held)
+            assert_readers_match(ledger, dense, snap)
+            verdict = check_plan(holding_plan(-step_id, probe), ledger, make_request())
+            assert (verdict and verdict.value) == dense.shortfall(snap, *probe)
 
 
 class TestFindAffected:
@@ -377,6 +466,17 @@ class TestStructure:
                          cpu_alloc={1: Fraction(0)}, ram_alloc=plan.ram_alloc,
                          band_alloc=plan.band_alloc, total_latency=plan.total_latency)
         assert any("cpu_alloc" in p for p in plan_structure_errors(bad, req, cat, snap))
+
+    @pytest.mark.parametrize("amount", [1.0, True], ids=["float", "bool"])
+    def test_amount_equal_in_value_but_inexact_detected(self, amount):
+        snap = chain_snapshot()
+        cat = make_catalog([(0, 1, 1)], [])
+        req = make_request(chain=(0,))
+        plan = build_plan(req, cat, snap, (0,), [PhysicalPath((0,))] * 2)
+        bad = dataclasses.replace(plan, ram_alloc={0: amount})
+        assert bad.ram_alloc == plan.ram_alloc
+        assert plan_structure_errors(bad, req, cat, snap) == [
+            "an allocated amount is not an int or a Fraction"]
 
 
 class TestConservation:

@@ -249,6 +249,22 @@ class TestUtilizationAgainstReference:
             rec.sample(float(t), ledger)
         assert_matches_reference(rec.trace, rec.expected, tmp_path)
 
+    def test_usage_moves_to_a_wider_scale(self, tmp_path):
+        # no catalog, integer capacities: cpu is counted in whole units until
+        # the 1/2 plan, then in halves, so node 0 holds 2 units both times
+        ledger = ResourceLedger(make_snapshot(2, [(0, 1)], cpu=[4, 4]))
+        rec = Recorder()
+        ledger.allocate(node_plan(0, cpu=[(0, 1)]))
+        ledger.allocate(node_plan(1, cpu=[(0, 1)]))
+        rec.sample(0.0, ledger)
+        ledger.release(0)
+        ledger.allocate(node_plan(2, cpu=[(1, "1/2")]))
+        rec.sample(1.0, ledger)
+        assert [s.cpu_used for s in rec.expected] == [2, 0, 1, F("1/2")]
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+        rows = (tmp_path / "utilization.csv").read_text().splitlines()
+        assert rows[3] == "1.000000,0,1.000000,4.000000,0.000000,1024.000000"
+
     def test_earlier_block_survives_ledger_mutation(self):
         ledger = ResourceLedger(make_snapshot(2, [(0, 1)]))
         ledger.allocate(node_plan(0, cpu=[(0, 1)], ram=[(0, 64)]))
