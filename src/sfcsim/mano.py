@@ -127,6 +127,15 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     if problems:
         return problems
 
+    # 1.0 == 1 and {1.0: x} == {1: x}, yet a float cannot index a node.
+    named = [*plan.vnf_placement, *plan.cpu_alloc, *plan.ram_alloc]
+    for path in plan.virtual_link_paths:
+        named += path.nodes
+    for key in plan.band_alloc:
+        named += key if type(key) is tuple else (key,)
+    if not {int}.issuperset(map(type, named)):
+        return ["a node or an allocation key is not an int"]
+
     waypoints = (request.ingress, *plan.vnf_placement, request.egress)
     for i, path in enumerate(plan.virtual_link_paths):
         if path.nodes[0] != waypoints[i] or path.nodes[-1] != waypoints[i + 1]:

@@ -115,21 +115,20 @@ def _latlon_to_cart(lat_deg: float, lon_deg: float, radius: float):
             radius * math.sin(lat))
 
 
-def _sat_position(p: SaginParams, orbit: int, slot: int, t: float):
-    a = p.earth_radius_km + p.altitude_km
-    omega = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s, circular orbit
-    m = p.sats_per_orbit
-    theta = 2 * math.pi * slot / m \
-        + 2 * math.pi * orbit / (p.orbit_count * m) \
-        + omega * t
-    raan = 2 * math.pi * orbit / p.orbit_count
-    incl = math.radians(p.inclination_deg)
-    x, y = a * math.cos(theta), a * math.sin(theta)
-    # rotate orbital plane: inclination about x, then RAAN about z
-    y, z = y * math.cos(incl), y * math.sin(incl)
-    return (x * math.cos(raan) - y * math.sin(raan),
-            x * math.sin(raan) + y * math.cos(raan),
-            z)
+def _above_mask(sin_el: float, sin_min: float, elevation_min_deg: float) -> bool:
+    """Whether a satellite at ``sin_el`` (the sine of its elevation) clears the
+    mask: ``degrees(asin(clamp(sin_el))) >= elevation_min_deg``.
+
+    ``sin_min`` is ``sin(radians(elevation_min_deg))``.  Outside ±1e-9 of it
+    the sign of ``sin_el - sin_min`` decides, since rounding moves either side
+    of the exact test far less; within that band, and for NaN (which fails
+    both comparisons), the exact test runs.
+    """
+    if sin_el < sin_min - 1e-9:
+        return False
+    if sin_el > sin_min + 1e-9:
+        return True
+    return math.degrees(math.asin(max(-1.0, min(1.0, sin_el)))) >= elevation_min_deg
 
 
 def _line_of_sight(p, q, earth_radius: float) -> bool:
@@ -197,18 +196,42 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         lon = lo1 + (lo2 - lo1) * f
         return _latlon_to_cart(lat, lon, p.earth_radius_km + p.uav_altitude_km)
 
+    # Satellite constants, in the operations and order of the orbit formula
+    # theta = (2π·slot/m + 2π·orbit/(O·m)) + ω·t, so every position keeps its bits.
+    m = p.sats_per_orbit
+    a = p.earth_radius_km + p.altitude_km
+    omega = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s, circular orbit
+    cos_incl, sin_incl = math.cos(incl), math.sin(incl)
+    sat_phases = []  # (theta at t=0, cos RAAN, sin RAAN) per satellite
+    for orbit in range(p.orbit_count):
+        plane_raan = 2 * math.pi * orbit / p.orbit_count
+        cos_raan, sin_raan = math.cos(plane_raan), math.sin(plane_raan)
+        plane_phase = 2 * math.pi * orbit / (p.orbit_count * m)
+        sat_phases += [(2 * math.pi * slot / m + plane_phase, cos_raan, sin_raan)
+                       for slot in range(m)]
+
+    def sat_positions(t: float):
+        wt = omega * t
+        pos = []
+        for phase, cos_raan, sin_raan in sat_phases:
+            theta = phase + wt
+            x, y = a * math.cos(theta), a * math.sin(theta)
+            # rotate orbital plane: inclination about x, then RAAN about z
+            y, z = y * cos_incl, y * sin_incl
+            pos.append((x * cos_raan - y * sin_raan, x * sin_raan + y * cos_raan, z))
+        return pos
+
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
                 + [p.ground_cpu] * p.ground_count)
     ram = tuple([p.node_ram_mb] * n)
-    m = p.sats_per_orbit
+    sin_min = math.sin(math.radians(p.elevation_min_deg))
     # Per orbit, the satellites of every other plane in index order: the
     # candidates for its cross-plane links.
     other_planes = [[v for v in range(sat_n) if v // m != orbit]
                     for orbit in range(p.orbit_count)]
 
     def snapshot_at(t: float) -> SubstrateSnapshot:
-        pos = [_sat_position(p, i // p.sats_per_orbit, i % p.sats_per_orbit, t)
-               for i in range(sat_n)]
+        pos = sat_positions(t)
         pos += [uav_position(u, t) for u in range(p.uav_count)]
         pos += [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
 
@@ -250,7 +273,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 dx, dy, dz = sx - gx, sy - gy, sz - gz
                 sin_el = ((dx * gx + dy * gy + dz * gz)
                           / (math.sqrt(dx * dx + dy * dy + dz * dz) * gr))
-                if math.degrees(math.asin(max(-1.0, min(1.0, sin_el)))) >= p.elevation_min_deg:
+                if _above_mask(sin_el, sin_min, p.elevation_min_deg):
                     add_edge(g, s, p.sg_band_mbps)
 
         # UAV-UAV and UAV-ground, by range.  Ground stations do not

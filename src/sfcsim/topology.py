@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -147,12 +148,16 @@ class SubstrateSnapshot:
             raise ValueError("snapshot needs at least one node")
         if len(self.links) != n:
             raise ValueError(f"links must have {n} entries")
+        # Generated snapshots share a few capacity and band objects, so each
+        # distinct object is tested once, in order of first use.  The dicts
+        # hold the objects, so no id is reused while this runs.
         for name, vec in (("node_cpu_capacity", self.node_cpu_capacity),
                           ("node_ram_capacity", self.node_ram_capacity)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
-            if any(x < 0 for x in vec):
+            if any(x < 0 for x in dict(zip(map(id, vec), vec)).values()):
                 raise ValueError(f"{name} has a negative entry")
+        good_bands = {}  # id -> band object that passed
         for u, row in enumerate(self.links):
             for v, edge in row.items():
                 if not (isinstance(v, int) and 0 <= v < n):
@@ -166,8 +171,10 @@ class SubstrateSnapshot:
                     lat, band = edge
                     if not (math.isfinite(lat) and lat >= 0):
                         raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
-                    if not band >= 0:
-                        raise ValueError(f"negative bandwidth on edge ({u},{v})")
+                    if id(band) not in good_bands:
+                        if not band >= 0:
+                            raise ValueError(f"negative bandwidth on edge ({u},{v})")
+                        good_bands[id(band)] = band
         object.__setattr__(self, "links", tuple(MappingProxyType(dict(sorted(row.items())))
                                                 for row in self.links))
 
@@ -334,6 +341,24 @@ def _cells(where: str, convert, value) -> tuple[tuple, ...]:
         raise
 
 
+def _band_kind(value):
+    """A band cell as is, once it is a kind ``as_fraction`` reads: an int or a
+    finite float is one, anything else is tried."""
+    if type(value) is not int and not (type(value) is float and math.isfinite(value)):
+        as_fraction(value)
+    return value
+
+
+def _edge_fractions(adjacency, band) -> list:
+    """``band`` with the cells where ``adjacency`` is true read as Fractions:
+    the only cells a snapshot keeps."""
+    rows = [list(row) for row in band]
+    for adj_row, row in zip(adjacency, rows):
+        for j in compress(range(len(row)), adj_row):
+            row[j] = as_fraction(row[j])
+    return rows
+
+
 def topology_from_json(doc: dict) -> SubstrateTopology:
     times = read_items("time_points", as_float, doc["time_points"])
     raw_snaps = read_at("snapshots", as_list, doc["snapshots"])
@@ -344,12 +369,14 @@ def topology_from_json(doc: dict) -> SubstrateTopology:
     for k, (t, raw) in enumerate(zip(times, raw_snaps)):
         where = f"snapshots[{k}]"
         raw = read_at(where, as_object, raw)
-        matrices = [_cells(f"{where}.{key}", convert, raw[key])
-                    for key, convert in (("adjacency", _flag), ("latency_ms", as_float),
-                                         ("link_band_mbps", as_fraction))]
+        adjacency, latency, band = [
+            _cells(f"{where}.{key}", convert, raw[key])
+            for key, convert in (("adjacency", _flag), ("latency_ms", as_float),
+                                 ("link_band_mbps", _band_kind))]
         capacities = [read_items(f"{where}.{key}", as_fraction, raw[key])
                       for key in ("node_cpu", "node_ram_mb")]
-        snaps[t] = read_at(where, SubstrateSnapshot.from_matrices, *matrices, *capacities)
+        snaps[t] = read_at(where, SubstrateSnapshot.from_matrices, adjacency, latency,
+                           _edge_fractions(adjacency, band), *capacities)
     return SubstrateTopology(time_points=times, snapshots=snaps)
 
 

@@ -328,6 +328,33 @@ class TestSolverContractBreaks:
             (1.0, "discrepancy", 0, None, FailureReason.SOLVER_REJECTED, (node,))]
         assert (report.accepted, report.rejected) == (0, 1)
 
+    @pytest.mark.parametrize("field", ["cpu_alloc", "ram_alloc", "band_alloc", "nodes"])
+    def test_float_nodes_are_demoted_not_raised(self, field):
+        """{1.0: x} == {1: x}, so only the gate's int test keeps a float key
+        from indexing the ledger (cpu, ram) or being booked (band)."""
+        floated = []  # per Accept: whether the rewrite put a float in it
+
+        def tamper(plan, inp):
+            floated.append(field != "band_alloc" or bool(plan.band_alloc))
+            if field == "nodes":
+                return dataclasses.replace(
+                    plan, vnf_placement=tuple(map(float, plan.vnf_placement)),
+                    virtual_link_paths=tuple(PhysicalPath(tuple(map(float, path.nodes)))
+                                             for path in plan.virtual_link_paths))
+            if field == "band_alloc":
+                return dataclasses.replace(plan, band_alloc={
+                    (float(u), v): x for (u, v), x in plan.band_alloc.items()})
+            return dataclasses.replace(plan, **{field: {
+                float(node): x for node, x in getattr(plan, field).items()}})
+
+        topo, reqs, cat = line_scenario()
+        solver, trace = TamperingSolver(tamper), TraceLog()
+        report = run(topo, reqs, cat, solver, trace, seed=0, boundary_hook=assert_conserved)
+        discrepancies = [r for r in trace.records if r.kind == "discrepancy"]
+        assert len(discrepancies) == sum(floated) >= 1 and len(floated) == solver.tampered
+        assert report.accepted + report.rejected == report.arrivals == len(reqs)
+
+
 
 def line_scenario():
     """Five nodes in a line; at t=10 node 2, where greedy packs, loses its cpu."""

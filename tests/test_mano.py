@@ -478,6 +478,15 @@ class TestStructure:
         assert plan_structure_errors(bad, req, cat, snap) == [
             "an allocated amount is not an int or a Fraction"]
 
+    @pytest.mark.parametrize("key", [1.0, True], ids=["float", "bool"])
+    def test_node_key_equal_in_value_but_not_an_int_detected(self, key):
+        snap, cat = chain_snapshot(), catalog()
+        req, plan = plan_all_on(1, snap, cat)
+        bad = dataclasses.replace(plan, cpu_alloc={key: plan.cpu_alloc[1]})
+        assert bad.cpu_alloc == plan.cpu_alloc
+        assert plan_structure_errors(bad, req, cat, snap) == [
+            "a node or an allocation key is not an int"]
+
 
 class TestConservation:
     def test_random_interleavings_conserve_exactly(self):

@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import json
 import math
 import re
@@ -7,26 +6,19 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
-from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError, SaginParams,
-                             ValidationError, generate_poisson_workload, generate_sagin,
-                             load_scenario, scenario_from_json)
+from generator_digests import PINNED, desk_params
+from generator_digests import check as check_digest
+from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
+                             ValidationError, _above_mask, generate_poisson_workload,
+                             generate_sagin, load_scenario, scenario_from_json)
 from sfcsim.topology import topology_from_json, topology_to_json
 from sfcsim.workload import validate_workload
 
 LIGHT_KM_PER_MS = 299.792458
-
-
-def desk_params(**overrides):
-    base = dict(orbit_count=2, sats_per_orbit=4, altitude_km=590.0,
-                uav_count=2, ground_count=2,
-                sat_cpu=F(3), uav_cpu=F(0.3), ground_cpu=F(20),
-                node_ram_mb=F(512000), isl_band_mbps=F(500), sg_band_mbps=F(200),
-                duration_s=7200.0, snapshot_interval_s=600.0,
-                elevation_min_deg=10.0, seed=7)
-    base.update(overrides)
-    return SaginParams(**base)
 
 
 class TestSaginGenerator:
@@ -136,48 +128,62 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams, match=field):
             desk_params(**{field: value})
 
-    # SHA-256 of json.dumps(topology_to_json(generate_sagin(...))), recorded
-    # from the generator's earlier loop-per-pair form; a speed-up of the
-    # generator must reproduce every snapshot bit for bit.
-    PINNED = {
-        "desk": ({}, "387e84ccb6d5881e2648c07b997331a18f903405d37c45ee35ac06aeff5bb361"),
-        # one plane: no cross-plane links
-        "one_orbit": (dict(orbit_count=1, sats_per_orbit=5),
-                      "9e086e256d6adf2b2df6d3e5d500dc1c7d46cf6bebf95f3816e091b7af6ef181"),
-        # rings of one and two satellites are the ring's special cases
-        "ring_of_one": (dict(orbit_count=3, sats_per_orbit=1),
-                        "b97f47b3b59e8d046e7882e4ec92ab2b355b075c64c3c607bd10cda8ef720654"),
-        "ring_of_two": (dict(orbit_count=3, sats_per_orbit=2),
-                        "8a12aef91f5b7ee364c3446d072bc2fdee50af154953cb8b0409c0ff54b373d1"),
-        "no_uav": (dict(uav_count=0, seed=3),
-                   "728a0b8a4455ff072cd24649bfdb13756b4c43c2ea9c4c86ec9d32c84a243b2a"),
-        "no_ground": (dict(ground_count=0, seed=5),
-                      "be2b51145555cc785a6c2a14a9d6c7e5af66445f085b52932a2a866153052d26"),
-        "horizon_mask": (dict(elevation_min_deg=0.0, orbit_count=3, sats_per_orbit=6),
-                         "bf2708fd6a3b55675e3b4782accea6d63e4ec473b6f99e26c07c5a3ccfeeae91"),
-        "shell_8x20": (dict(orbit_count=8, sats_per_orbit=20, uav_count=5, ground_count=3,
-                            duration_s=1200.0, seed=11),
-                       "9acff68d0c39946e6cef20a4c90bd9fa1459fb5319fbbaa165bd5bff96f0bf8f"),
-        "full_4x10": (dict(orbit_count=4, sats_per_orbit=10, uav_count=5, ground_count=3,
-                           duration_s=36000.0, elevation_min_deg=5.0, seed=123),
-                      "969f1b6ec6fb47b14c05ef94495701b8c5c87a60bbb58c4962a3a762355b068d"),
-    }
-
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_snapshots_match_pinned_digest(self, name):
-        overrides, digest = self.PINNED[name]
-        doc = topology_to_json(generate_sagin(desk_params(**overrides)))
-        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+        check_digest(name)
 
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_matrix_round_trip_rebuilds_the_same_snapshots(self, name):
-        overrides, _ = self.PINNED[name]
+        overrides, _ = PINNED[name]
         topo = generate_sagin(desk_params(**overrides))
         back = topology_from_json(topology_to_json(topo))
         assert back.time_points == topo.time_points
         for t in topo.time_points:
             assert back.snapshots[t] == topo.snapshots[t]
+
+
+def exact_mask(sin_el, elevation_min_deg):
+    """The elevation mask as the generator first wrote it, in degrees."""
+    return math.degrees(math.asin(max(-1.0, min(1.0, sin_el)))) >= elevation_min_deg
+
+
+def ulps(x, k):
+    """``x`` moved ``k`` floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+MASK_ANGLES = [0.0, 5.0, 10.0, 45.0, 89.9]
+OFF_SCALE = [math.nan, math.inf, -math.inf, 1.0, -1.0, 1.5, -1.5, ulps(1.0, 1), ulps(-1.0, -1)]
+
+
+def mask_probes(sin_min):
+    """The threshold, the edges of the exact band around it and their neighbours."""
+    return [ulps(centre, k) for centre in (sin_min, sin_min - 1e-9, sin_min + 1e-9)
+            for k in range(-2, 3)] + OFF_SCALE
+
+
+class TestElevationMask:
+    """``_above_mask`` decides by a threshold on ``sin_el`` and must agree with
+    the exact test everywhere, at the threshold and its band edges above all:
+    no pinned generator case puts a pair there."""
+
+    @pytest.mark.parametrize("elevation", MASK_ANGLES)
+    def test_probes_match_the_exact_test(self, elevation):
+        sin_min = math.sin(math.radians(elevation))
+        for x in mask_probes(sin_min):
+            assert _above_mask(x, sin_min, elevation) == exact_mask(x, elevation), x
+
+    @given(st.one_of(st.sampled_from(MASK_ANGLES), st.floats(0, 90, exclude_max=True)),
+           st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_values_near_the_threshold_match_the_exact_test(self, elevation, data):
+        sin_min = math.sin(math.radians(elevation))
+        x = data.draw(st.one_of(st.floats(sin_min - 1e-6, sin_min + 1e-6),
+                                st.sampled_from(mask_probes(sin_min))))
+        assert _above_mask(x, sin_min, elevation) == exact_mask(x, elevation)
 
 
 class TestPoissonWorkload:
@@ -400,15 +406,33 @@ class TestLoadScenario:
         ("adjacency", -1), ("adjacency", 1.0), ("adjacency", None),
         ("latency_ms", True), ("latency_ms", False), ("latency_ms", "1.5"),
         ("latency_ms", None), ("latency_ms", [1]),
+        ("link_band_mbps", True), ("link_band_mbps", None), ("link_band_mbps", [1]),
+        ("link_band_mbps", "abc"), ("link_band_mbps", math.nan), ("link_band_mbps", -math.inf),
     ], ids=repr)
     def test_non_strict_matrix_cell_rejected(self, matrix, value):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         rows = doc["substrate"]["snapshots"][0][matrix]
         rows[0][2] = rows[2][0] = value  # (0,2) is not an edge of example_a
-        kind = "a boolean or 0/1" if matrix == "adjacency" else "a number"
+        problem = {"adjacency": f"expected a boolean or 0/1, got {value!r}",
+                   "latency_ms": f"expected a number, got {value!r}"}.get(matrix)
+        if problem is None:  # off the edges, a band cell is still read as a quantity
+            problem = ("expected a number, got a bool" if value is True
+                       else f"non-finite resource value: {value!r}" if isinstance(value, float)
+                       else f"Invalid literal for Fraction: {value!r}" if isinstance(value, str)
+                       else f"cannot interpret {value!r} as a resource quantity")
         with pytest.raises(ValidationError, match="^" + re.escape(
-                f"substrate: snapshots[0].{matrix}[0][2]: expected {kind}, got {value!r}")):
+                f"substrate: snapshots[0].{matrix}[0][2]: {problem}") + "$"):
             scenario_from_json(doc)
+
+    @pytest.mark.parametrize("value", [0, 3, 1e300, "2.5", "7/3"], ids=repr)
+    def test_off_edge_band_cells_of_any_quantity_kind_load(self, value):
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        before = scenario_from_json(doc).topo.snapshots[0.0]
+        rows = doc["substrate"]["snapshots"][0]["link_band_mbps"]
+        rows[0][2] = rows[2][0] = value
+        snap = scenario_from_json(doc).topo.snapshots[0.0]
+        assert snap == before and not snap.has_edge(0, 2)
+        assert {type(snap.edge_band(u, v)) for u, v in snap.edges()} == {Fraction}
 
     def test_integer_flags_and_latencies_accepted(self):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())

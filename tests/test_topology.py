@@ -450,6 +450,60 @@ class TestSparseSnapshot:
         assert snap.has_edge(0, 1)
 
 
+class TestSharedObjectChecks:
+    """Snapshot validation tests each distinct capacity and band object once;
+    a fault still raises the first message, naming the first edge, that a
+    test of every entry raises."""
+
+    def expect(self, links, cpu, ram, message):
+        with pytest.raises(ValueError) as exc:
+            SubstrateSnapshot(len(links), links, cpu, ram)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["node_cpu_capacity", "node_ram_capacity"])
+    def test_negative_capacity_shared_by_several_nodes(self, name):
+        good, bad = F(1), F(-1)
+        vec = (good, bad, good, bad)
+        cpu, ram = (vec, (good,) * 4) if name == "node_cpu_capacity" else ((good,) * 4, vec)
+        self.expect(sparse(4, []), cpu, ram, f"{name} has a negative entry")
+
+    def test_negative_capacity_only_on_the_last_node(self):
+        good = F(2)
+        self.expect(sparse(4, []), (good,) * 3 + (Fraction(-1, 3),), (good,) * 4,
+                    "node_cpu_capacity has a negative entry")
+        self.expect(sparse(4, []), (good,) * 4, (good,) * 3 + (Fraction(-1, 3),),
+                    "node_ram_capacity has a negative entry")
+
+    def test_cpu_fault_is_named_before_ram(self):
+        bad = F(-1)
+        self.expect(sparse(2, []), (bad, bad), (bad, bad), "node_cpu_capacity has a negative entry")
+
+    @pytest.mark.parametrize("band", [F(-1), math.nan], ids=["negative", "nan"])
+    def test_bad_band_shared_by_several_edges(self, band):
+        good = F(10)
+        links = [{} for _ in range(5)]
+        for u, v, b in [(0, 1, good), (1, 3, band), (2, 4, band), (3, 4, good)]:
+            links[u][v] = links[v][u] = (1.0, b)
+        self.expect(links, (good,) * 5, (good,) * 5, "negative bandwidth on edge (1,3)")
+
+    @pytest.mark.parametrize("band", [F(-1), math.nan], ids=["negative", "nan"])
+    def test_bad_band_only_on_the_last_edge(self, band):
+        good = F(10)
+        links = [{} for _ in range(4)]
+        for u, v, b in [(0, 1, good), (0, 2, good), (1, 2, good), (2, 3, band)]:
+            links[u][v] = links[v][u] = (1.0, b)
+        self.expect(links, (good,) * 4, (good,) * 4, "negative bandwidth on edge (2,3)")
+
+    def test_later_fault_on_an_edge_with_a_checked_band(self):
+        good = F(10)
+        links = [{} for _ in range(3)]
+        links[0][1] = links[1][0] = (1.0, good)
+        links[1][2] = links[2][1] = (-1.0, good)
+        self.expect(links, (good,) * 3, (good,) * 3, "bad latency -1.0 on edge (1,2)")
+        links[1][2] = (2.0, good)
+        self.expect(links, (good,) * 3, (good,) * 3, "edge (1,2) not symmetric")
+
+
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self):
         topo = make_topo({0.0: make_snapshot(3, [(0, 1, 2.5, 30), (1, 2, 1.0, 45)],
