@@ -318,24 +318,15 @@ class ResourceLedger:
     def band_free(self, u: int, v: int) -> Fraction:
         return self._snapshot.edge_band(u, v) - self.band_used(u, v)
 
-    # Most nodes and edges carry no load, so the whole-substrate views start
-    # from the capacities and subtract only where usage is non-zero.
-
     def cpu_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(cap - Fraction(used, self._scales[0]) if used else cap for cap, used
-                     in zip(self._snapshot.node_cpu_capacity, self._cpu_used))
+        return tuple(map(self.cpu_free, range(self._snapshot.node_count)))
 
     def ram_free_all(self) -> tuple[Fraction, ...]:
-        return tuple(cap - Fraction(used, self._scales[1]) if used else cap for cap, used
-                     in zip(self._snapshot.node_ram_capacity, self._ram_used))
+        return tuple(map(self.ram_free, range(self._snapshot.node_count)))
 
     def band_free_map(self) -> dict[tuple[int, int], Fraction]:
         """Free bandwidth for every edge of the current snapshot."""
-        free = {key: self._snapshot.edge_band(*key) for key in self._snapshot.edges()}
-        for key, used in self._band_used.items():
-            if key in free:  # usage on an edge the snapshot dropped has no view
-                free[key] -= Fraction(used, self._scales[2])
-        return free
+        return {key: self.band_free(*key) for key in self._snapshot.edges()}
 
     # -- mutation
 

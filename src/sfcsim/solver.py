@@ -1,7 +1,8 @@
 """Pluggable embedding/migration solvers and the two built-in baselines.
 
 A solver receives the request, a catalog view, the current snapshot, and a
-copy of the ledger's free amounts in exact integer units, and with a complete mapping table or a rejection reason.  Any accepted plan must
+copy of the ledger's free amounts in exact integer units, and answers with a
+complete mapping table or a rejection reason.  Any accepted plan must
 hold up under the orchestrator's own plan check against the same residuals;
 the baselines self-validate before answering.  Decisions must be
 deterministic given the input and the provided RNG state.
@@ -13,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
-                   leg_band_demands, to_units)
+                   leg_band_demands)
 from .topology import SubstrateSnapshot, edge_key, path_latency, shortest_feasible_path
 from .workload import SfcRequest, VnfCatalog
 
@@ -26,8 +27,7 @@ class SolveMode(Enum):
 @dataclass(frozen=True)
 class SolverInput:
     """Everything a solver may look at for one decision; ``units`` is what the
-    ledger has free, a copy made for this decision, and ``cpu_free`` /
-    ``ram_free`` / ``band_free`` the same as Fractions, built when read."""
+    ledger has free, a copy made for this decision."""
 
     request: SfcRequest
     catalog: VnfCatalog
@@ -35,30 +35,6 @@ class SolverInput:
     units: FreeUnits
     mode: SolveMode = SolveMode.EMBED
     old_plan: EmbeddingPlan | None = None
-
-    @classmethod
-    def from_fractions(cls, request, catalog, snapshot, cpu_free, ram_free, band_free,
-                       mode=SolveMode.EMBED, old_plan=None):
-        """An input from free amounts per node and per edge key (a missing edge has none)."""
-        keys = list(snapshot.edges())
-        templates = catalog.templates.values()
-        # each free amount on a scale that also covers the capacities and demands
-        (cpu, cpu_scale), (ram, ram_scale), (band, band_scale) = (
-            to_units(free, to_units([*caps, *demands], 1)[1]) for free, caps, demands in (
-                (cpu_free, snapshot.node_cpu_capacity, [t.cpu_demand for t in templates]),
-                (ram_free, snapshot.node_ram_capacity, [t.ram_demand for t in templates]),
-                ([band_free.get(key, 0) for key in keys], (), catalog.link_band_demand.values())))
-        return cls(request, catalog, snapshot, FreeUnits(
-            cpu, ram, dict(zip(keys, band)), cpu_scale, ram_scale, band_scale,
-            int(max(snapshot.node_cpu_capacity) * cpu_scale),
-            int(max(snapshot.node_ram_capacity) * ram_scale)), mode, old_plan)
-
-    cpu_free = property(lambda self: tuple(Fraction(x, self.units.cpu_scale)
-                                           for x in self.units.cpu))
-    ram_free = property(lambda self: tuple(Fraction(x, self.units.ram_scale)
-                                           for x in self.units.ram))
-    band_free = property(lambda self: {key: Fraction(x, self.units.band_scale)
-                                       for key, x in self.units.band.items()})
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ class SubstrateSnapshot:
         good_bands = {}  # id -> band object that passed
         for u, row in enumerate(self.links):
             for v, edge in row.items():
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (type(v) is int and 0 <= v < n):
                     raise ValueError(f"neighbour {v!r} of node {u} outside substrate")
                 if v == u:
                     raise ValueError(f"self-loop at node {u}")

@@ -118,9 +118,9 @@ def validate_workload(requests, catalog: VnfCatalog,
             bad(ValidationIssue(req.sfc_id, "BadLifecycle",
                                 f"start {req.start_time} precedes topology start {topo.start_time}"))
         for node, role in ((req.ingress, "ingress"), (req.egress, "egress")):
-            if not 0 <= node < n:
+            if type(node) is not int or not 0 <= node < n:  # 1.0 and True index no node
                 bad(ValidationIssue(req.sfc_id, "BadEndpoint",
-                                    f"{role} {node} outside 0..{n - 1}"))
+                                    f"{role} {node!r} is not a node in 0..{n - 1}"))
         if not 0 < req.qos_max_latency < math.inf:
             bad(ValidationIssue(req.sfc_id, "BadQos",
                                 f"qos_max_latency {req.qos_max_latency} must be finite and > 0"))

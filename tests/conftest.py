@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sfcsim.mano import EmbeddingPlan, ResourceLedger
 from sfcsim.topology import SubstrateSnapshot, SubstrateTopology
 from sfcsim.workload import SfcRequest, VnfCatalog, VnfTemplate
 
@@ -63,6 +64,21 @@ def unit_fractions(units):
     return (tuple(Fraction(x, units.cpu_scale) for x in units.cpu),
             tuple(Fraction(x, units.ram_scale) for x in units.ram),
             {key: Fraction(x, units.band_scale) for key, x in units.band.items()})
+
+
+def held_ledger(snap, catalog, cpu_free, ram_free, band_free) -> ResourceLedger:
+    """A ledger on ``snap`` that has booked one hand-built plan holding
+    ``capacity - free`` of every node and edge, so exactly these amounts are free."""
+    ledger = ResourceLedger(snap, catalog)
+    ledger.allocate(EmbeddingPlan(
+        sfc_id=-1, vnf_placement=(), virtual_link_paths=(),
+        cpu_alloc={n: cap - free for n, (cap, free)
+                   in enumerate(zip(snap.node_cpu_capacity, cpu_free))},
+        ram_alloc={n: cap - free for n, (cap, free)
+                   in enumerate(zip(snap.node_ram_capacity, ram_free))},
+        band_alloc={key: snap.edge_band(*key) - band_free[key] for key in snap.edges()},
+        total_latency=0.0))
+    return ledger
 
 
 @pytest.fixture

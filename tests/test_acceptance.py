@@ -214,11 +214,7 @@ def test_criterion_4_oracle_equivalence():
         rng = random.Random(777)
         accepts = rejects = divergences = 0
         for snap, cat, req in _oracle_instances(rng, 150):
-            ledger = ResourceLedger(snap)
-            inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
-                                             cpu_free=ledger.cpu_free_all(),
-                                             ram_free=ledger.ram_free_all(),
-                                             band_free=ledger.band_free_map())
+            inp = SolverInput(req, cat, snap, ResourceLedger(snap, cat).free_units())
             for name in SOLVERS:
                 decision = make_solver(name).solve(inp, random.Random(1))
                 if decision.accepted:

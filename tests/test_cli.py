@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,15 @@ class TestRunCommand:
         code = run_cli("run", tmp_path / "missing.json")
         assert code == 2
         assert "missing.json" in capsys.readouterr().err
+
+    def test_io_error_exits_1(self, tmp_path, capsys):
+        # the output root is a file, so the run directory cannot be made
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run_cli("run", SCENARIO_DIR / "example_a.json", "--out", blocker) == 1
+        fault = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                   str(blocker / "greedy"))
+        assert capsys.readouterr().err == f"io error: {fault}\n"
 
     def test_sweep_cartesian_run_dirs(self, tmp_path):
         code = run_cli("run", SCENARIO_DIR / "sagin_desk.json",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot, make_topo,
-                      single_topo)
+                      single_topo, unit_fractions)
 from sfcsim import engine
 from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
 from sfcsim.mano import FailureReason, ResourceLedger, build_plan
@@ -143,6 +143,19 @@ class TestRun:
         bad = [make_request(sfc_id=0, start=30, end=5)]
         with pytest.raises(MalformedScenario, match="BadLifecycle"):
             run(topo, bad, cat, GreedySolver(), TraceLog(), seed=0)
+
+    @pytest.mark.parametrize("endpoints, detail", [
+        ({"ingress": 1.0}, "ingress 1.0 is not a node in 0..2"),
+        ({"ingress": True}, "ingress True is not a node in 0..2"),
+        ({"egress": 2.0}, "egress 2.0 is not a node in 0..2")],
+        ids=["ingress-float", "ingress-bool", "egress-float"])
+    def test_rejects_a_non_int_endpoint(self, endpoints, detail):
+        # 1.0 == 1 and True == 1, yet neither may index a node
+        topo, _, cat = example_a()
+        bad = [make_request(sfc_id=0, start=5, end=30, chain=(0,), **endpoints)]
+        with pytest.raises(MalformedScenario) as err:
+            run(topo, bad, cat, GreedySolver(), TraceLog(), seed=0)
+        assert str(err.value) == f"1 requests, 1 problem(s):\n  sfc 0: BadEndpoint ({detail})"
 
     def test_conservation_hook_runs_per_event(self):
         topo, reqs, cat = example_a()
@@ -467,8 +480,8 @@ def test_writes_into_the_input_do_not_reach_the_gate():
 
 
 def test_solvers_read_the_ledgers_free_amounts(monkeypatch):
-    """At every decision, the input's cpu_free / ram_free / band_free are the
-    ledger's own three views at that moment: tuples and a dict of Fractions."""
+    """At every decision, the input's units divided by their scales are the
+    ledger's own three views at that moment."""
     ledgers = []
 
     class RecordedLedger(ResourceLedger):
@@ -484,11 +497,8 @@ def test_solvers_read_the_ledgers_free_amounts(monkeypatch):
 
         def solve(self, inp, rng):
             ledger = ledgers[-1]
-            seen = (inp.cpu_free, inp.ram_free, inp.band_free)
-            assert seen == (ledger.cpu_free_all(), ledger.ram_free_all(),
-                            ledger.band_free_map())
-            assert (type(seen[0]), type(seen[1]), type(seen[2])) == (tuple, tuple, dict)
-            assert {type(x) for x in (*seen[0], *seen[1], *seen[2].values())} == {Fraction}
+            assert unit_fractions(inp.units) == (ledger.cpu_free_all(), ledger.ram_free_all(),
+                                                 ledger.band_free_map())
             self.modes.append(inp.mode)
             return GreedySolver().solve(inp, rng)
 

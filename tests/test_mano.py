@@ -11,7 +11,7 @@ import oracle
 from conftest import F, make_catalog, make_request, make_snapshot, unit_fractions
 from sfcsim.mano import (DuplicateSfc, EmbeddingPlan, FailureReason, InsufficientResources,
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
-                         find_affected_sfcs, plan_structure_errors)
+                         find_affected_sfcs, leg_band_demands, plan_structure_errors)
 from sfcsim.solver import SOLVERS, SolverInput, make_solver
 from sfcsim.topology import PhysicalPath
 from sfcsim.workload import VnfCatalog, VnfTemplate
@@ -151,6 +151,12 @@ class TestAllocateRelease:
         ledger = ResourceLedger(chain_snapshot())
         with pytest.raises(UnknownSfc):
             ledger.release(99)
+
+    def test_snapshot_swap_keeps_the_node_count(self):
+        ledger = ResourceLedger(chain_snapshot())
+        with pytest.raises(ValueError) as err:
+            ledger.set_snapshot(make_snapshot(2, [(0, 1)]))
+        assert str(err.value) == "node count must be stable across snapshots"
 
     def test_defensive_insufficient(self):
         snap = make_snapshot(1, [], cpu=[2.0], ram=[512])
@@ -444,6 +450,12 @@ class TestFindAffected:
 
 
 class TestStructure:
+    def test_undeclared_pair_has_no_leg_demands(self):
+        req = make_request(chain=(0, 2, 1))
+        with pytest.raises(ValueError) as err:
+            leg_band_demands(req, make_catalog([(v, 1, 1) for v in range(3)], [(0, 2, 5)]))
+        assert str(err.value) == "no bandwidth demand declared for template pair (2,1)"
+
     def test_complete_plan_has_no_errors(self):
         snap, cat = chain_snapshot(), catalog()
         req, plan = plan_all_on(1, snap, cat)

@@ -16,7 +16,7 @@ from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
                              ValidationError, _above_mask, generate_poisson_workload,
                              generate_sagin, load_scenario, scenario_from_json)
 from sfcsim.topology import topology_from_json, topology_to_json
-from sfcsim.workload import validate_workload
+from sfcsim.workload import VnfCatalog, validate_workload
 
 LIGHT_KM_PER_MS = 299.792458
 
@@ -237,6 +237,18 @@ class TestPoissonWorkload:
         for r in reqs:
             for a, b in zip(r.vnf_chain, r.vnf_chain[1:]):
                 assert cat.band_demand(a, b) is not None
+
+    def test_single_vnf_chains_use_templates_without_partners(self):
+        cat = make_catalog([(0, 0.2, 64), (1, 0.2, 64), (2, 0.2, 64)], [(0, 1, 20)])
+        reqs = generate_poisson_workload(self.horizon_topo(), cat, sfc_count=40,
+                                         mean_lifetime_s=600, chain_len=1, qos_ms=50, seed=2)
+        assert {r.vnf_chain for r in reqs} == {(0,), (1,), (2,)}
+
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(InvalidParams) as err:
+            generate_poisson_workload(self.horizon_topo(), VnfCatalog([]), sfc_count=5,
+                                      mean_lifetime_s=600, chain_len=1, qos_ms=50)
+        assert str(err.value) == "catalog has no templates"
 
     def test_single_instant_topology_rejected(self):
         snap = make_snapshot(2, [(0, 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F, make_catalog, make_request, make_snapshot
+from conftest import F, held_ledger, make_catalog, make_request, make_snapshot, unit_fractions
 from oracle import (exhaustive_embedding, greedy_pick, placement_feasible, random_pick,
                     sequential_decision)
-from sfcsim.mano import FailureReason, ResourceLedger, check_plan
+from sfcsim.mano import FailureReason, FreeUnits, ResourceLedger, check_plan
 from sfcsim.solver import (SOLVERS, GreedySolver, RandomSolver, SolverDecision,
                            SolverInput, make_solver)
 
 
 def fresh_input(snap, catalog, request):
-    ledger = ResourceLedger(snap)
-    return SolverInput.from_fractions(request=request, catalog=catalog, snapshot=snap,
-                                      cpu_free=ledger.cpu_free_all(),
-                                      ram_free=ledger.ram_free_all(),
-                                      band_free=ledger.band_free_map())
+    return SolverInput(request, catalog, snap, ResourceLedger(snap, catalog).free_units())
 
 
 def example_a_setup():
@@ -86,6 +83,23 @@ class TestContract:
             SolverDecision()
         with pytest.raises(ValueError):
             SolverDecision(plan="x", reason=FailureReason.NO_PATH)
+
+    def test_unknown_solver_name(self):
+        with pytest.raises(KeyError) as err:
+            make_solver("pso")
+        assert err.value.args == ("unknown solver 'pso'; available: ['greedy', 'random']",)
+
+    def test_scale_that_misses_a_demand_denominator(self):
+        # a hand-built view in halves cannot carry a 1/3 cpu demand
+        snap = make_snapshot(1, [], cpu=[1], ram=[64])
+        cat = make_catalog([(0, F(1) / 3, 8)], [])
+        inp = SolverInput(make_request(chain=(0,)), cat, snap,
+                          FreeUnits(cpu=[2], ram=[64], band={}, cpu_scale=2, ram_scale=1,
+                                    band_scale=1, max_cpu=2, max_ram=64))
+        for name in SOLVERS:
+            with pytest.raises(ValueError) as err:
+                make_solver(name).solve(inp, random.Random(0))
+            assert str(err.value) == "demand 1/3 is no whole number of 1/2 units"
 
 
 class TestRandomSolver:
@@ -166,9 +180,9 @@ class TestGreedySolver:
         snap = make_snapshot(2, [(0, 1)], cpu=[0, 0], ram=[64, 128])
         cat = make_catalog([(0, 1, 8)], [])
         req = make_request(chain=(0,), ingress=0, egress=0)
-        inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
-                                         cpu_free=(F(5), F(1)), ram_free=(F(10), F(20)),
-                                         band_free={(0, 1): F(100)})
+        inp = SolverInput(req, cat, snap, FreeUnits(cpu=[5, 1], ram=[10, 20], band={(0, 1): 100},
+                                                   cpu_scale=1, ram_scale=1, band_scale=1,
+                                                   max_cpu=0, max_ram=128))
         assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (1,)
 
 
@@ -189,9 +203,7 @@ def solver_inputs(draw):
             for kind in ("cpu", "ram")}
     snap = make_snapshot(n, edges, cpu=caps["cpu"], ram=caps["ram"])
 
-    def residual(cap, kind=None):
-        if kind is not None and zero == kind:
-            return _exact(draw, 0, 40)
+    def residual(cap):
         # drawn apart from the capacity, so the two denominators differ
         return min(cap, _exact(draw, 0, 60))
 
@@ -201,12 +213,17 @@ def solver_inputs(draw):
                        ingress=draw(st.integers(0, n - 1)),
                        egress=draw(st.integers(0, n - 1)),
                        qos=draw(st.sampled_from((1.0, 3.0, 1000.0))))
-    return SolverInput.from_fractions(
-        request=req, catalog=cat, snapshot=snap,
-        cpu_free=tuple(residual(c, "cpu") for c in snap.node_cpu_capacity),
-        ram_free=tuple(residual(c, "ram") for c in snap.node_ram_capacity),
-        band_free={(u, v): residual(snap.edge_band(u, v))
-                   for u, v in snap.edges()})
+    units = held_ledger(snap, cat,
+                        [residual(c) for c in snap.node_cpu_capacity],
+                        [residual(c) for c in snap.node_ram_capacity],
+                        {key: residual(snap.edge_band(*key)) for key in snap.edges()}
+                        ).free_units()
+    if zero is not None:
+        # no ledger frees more than the capacity, so these residuals are set by hand
+        scale = getattr(units, f"{zero}_scale")
+        units = dataclasses.replace(units, **{zero: [draw(st.integers(0, 40 * scale))
+                                                     for _ in range(n)]})
+    return SolverInput(req, cat, snap, units)
 
 
 class TestIntegerUnitsMatchReference:
@@ -222,18 +239,15 @@ class TestIntegerUnitsMatchReference:
                     tuple(p.nodes for p in dec.plan.virtual_link_paths), None)
                    if dec.accepted else (None, None, dec.reason.value))
             assert got == sequential_decision(inp.snapshot, inp.request, inp.catalog,
-                                              inp.cpu_free, inp.ram_free,
-                                              inp.band_free, pick)
+                                              *unit_fractions(inp.units), pick)
 
     def test_capacity_only_denominator(self):
         # only the cpu capacities have sevenths; node 0 wins on cpu
         # (3/2 / 13/7 + 10/100) over node 1 (1/2 / 13/7 + 20/100)
         snap = make_snapshot(2, [(0, 1)], cpu=[F(13) / 7, F(6) / 7], ram=[100, 100])
         cat = make_catalog([(0, 0.5, 1)], [])
-        inp = SolverInput.from_fractions(request=make_request(chain=(0,)), catalog=cat,
-                                         snapshot=snap,
-                                         cpu_free=(F(3) / 2, F(1) / 2), ram_free=(F(10), F(20)),
-                                         band_free={(0, 1): F(100)})
+        ledger = held_ledger(snap, cat, (F(3) / 2, F(1) / 2), (F(10), F(20)), {(0, 1): F(100)})
+        inp = SolverInput(make_request(chain=(0,)), cat, snap, ledger.free_units())
         assert GreedySolver().solve(inp, random.Random(0)).plan.vnf_placement == (0,)
 
     def test_demand_only_denominator(self):
@@ -242,9 +256,8 @@ class TestIntegerUnitsMatchReference:
         snap = make_snapshot(2, [(0, 1)], cpu=[1, 1])
         cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, F(3) / 7)])
         req = make_request(chain=(0, 1), ingress=0, egress=0)
-        inp = SolverInput.from_fractions(request=req, catalog=cat, snapshot=snap,
-                                         cpu_free=(F(1), F(1)), ram_free=(F(1024), F(1024)),
-                                         band_free={(0, 1): F(2) / 5})
+        ledger = held_ledger(snap, cat, (F(1), F(1)), (F(1024), F(1024)), {(0, 1): F(2) / 5})
+        inp = SolverInput(req, cat, snap, ledger.free_units())
         for name in SOLVERS:
             dec = make_solver(name).solve(inp, random.Random(0))
             assert dec.reason is FailureReason.NO_PATH

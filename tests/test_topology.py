@@ -63,6 +63,12 @@ class TestPathLatency:
         with pytest.raises(InvalidPath):
             path_latency(snap, PhysicalPath((0, 5)))
 
+    def test_band_of_a_non_edge_raises(self):
+        snap = make_snapshot(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidPath) as err:
+            snap.edge_band(2, 0)
+        assert str(err.value) == "(2,0) is not an edge"
+
 
 def capacities(snap):
     """Every edge's bandwidth capacity: the free map of an empty network."""
@@ -176,6 +182,18 @@ class TestValidation:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             make_snapshot(2, [(0, 1)], cpu=[-1, 1])
+
+    def test_no_time_points(self):
+        with pytest.raises(ValueError) as err:
+            SubstrateTopology(time_points=(), snapshots={})
+        assert str(err.value) == "topology needs at least one time point"
+
+    @pytest.mark.parametrize("times", [(0.0,), (0.0, 1.0, 2.0)])
+    def test_snapshots_must_cover_the_time_points(self, times):
+        snap = make_snapshot(2, [(0, 1)])
+        with pytest.raises(ValueError) as err:
+            SubstrateTopology(time_points=(0.0, 1.0), snapshots=dict.fromkeys(times, snap))
+        assert str(err.value) == "snapshots must cover exactly the time points"
 
     def test_time_points_strictly_increasing(self):
         snap = make_snapshot(2, [(0, 1)])
@@ -414,7 +432,7 @@ class TestSparseSnapshot:
         links[2][2] = (1.0, F(1))
         self.expect(links, "self-loop at node 2")
 
-    @pytest.mark.parametrize("v", [3, -1, 1.0, "1"])
+    @pytest.mark.parametrize("v", [3, -1, 1.0, "1", True])
     def test_out_of_range_neighbour(self, v):
         links = sparse(3, [])
         links[0][v] = (1.0, F(1))

@@ -34,6 +34,13 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown template"):
             catalog.add_link_demand(0, 9, 10)
 
+    def test_conflicting_link_demand_rejected(self, catalog):
+        catalog.add_link_demand(1, 0, 20)  # the same demand again is accepted
+        with pytest.raises(ValueError) as err:
+            catalog.add_link_demand(1, 0, 25)
+        assert str(err.value) == "conflicting demand for template pair (0, 1)"
+        assert catalog.band_demand(0, 1) == F(20)
+
     def test_nonpositive_demands_rejected(self):
         with pytest.raises(ValueError):
             VnfTemplate(0, F(0), F(64))
