@@ -16,7 +16,6 @@ import random
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 from .solver import SOLVERS
@@ -76,10 +75,13 @@ class SaginParams:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:
             raise InvalidParams("uav_count and ground_count cannot be negative")
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParams(f"{f.name} must be finite")
         radius = self.earth_radius_km + self.altitude_km  # its cube sets the orbital rate
-        if not all(map(math.isfinite, (radius * radius * radius, self.inclination_deg))):
-            raise InvalidParams("altitude_km, earth_radius_km and inclination_deg must be finite,"
-                                " and so must the orbit radius cubed")
+        if not math.isfinite(radius * radius * radius):
+            raise InvalidParams("the orbit radius (earth_radius_km + altitude_km) cubed"
+                                " must be finite")
         if self.duration_s <= 0 or self.snapshot_interval_s <= 0:
             raise InvalidParams("duration and snapshot interval must be > 0")
         steps = self.duration_s / self.snapshot_interval_s
@@ -129,6 +131,10 @@ def _above_mask(sin_el: float, sin_min: float, elevation_min_deg: float) -> bool
     if sin_el > sin_min + 1e-9:
         return True
     return math.degrees(math.asin(max(-1.0, min(1.0, sin_el)))) >= elevation_min_deg
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _line_of_sight(p, q, earth_radius: float) -> bool:
@@ -203,35 +209,129 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     omega = math.sqrt(EARTH_MU_KM3_S2 / a ** 3)  # rad/s, circular orbit
     cos_incl, sin_incl = math.cos(incl), math.sin(incl)
     sat_phases = []  # (theta at t=0, cos RAAN, sin RAAN) per satellite
+    planes = []  # (first satellite, slot 0's phase, frame axes e1, e2) per orbit
+    normals = []  # unit normal e1 × e2 per orbit
     for orbit in range(p.orbit_count):
         plane_raan = 2 * math.pi * orbit / p.orbit_count
         cos_raan, sin_raan = math.cos(plane_raan), math.sin(plane_raan)
         plane_phase = 2 * math.pi * orbit / (p.orbit_count * m)
         sat_phases += [(2 * math.pi * slot / m + plane_phase, cos_raan, sin_raan)
                        for slot in range(m)]
+        # A satellite at orbit angle θ sits at a·(cos θ·e1 + sin θ·e2).
+        planes.append((orbit * m, plane_phase, (cos_raan, sin_raan, 0.0),
+                       (-cos_incl * sin_raan, cos_incl * cos_raan, sin_incl)))
+        normals.append((sin_incl * sin_raan, -sin_incl * cos_raan, cos_incl))
 
     def sat_positions(t: float):
+        """Positions, and each satellite's (a·cos θ, a·sin θ) in its own plane."""
         wt = omega * t
-        pos = []
+        pos, in_plane = [], []
         for phase, cos_raan, sin_raan in sat_phases:
             theta = phase + wt
             x, y = a * math.cos(theta), a * math.sin(theta)
+            in_plane.append((x, y))
             # rotate orbital plane: inclination about x, then RAAN about z
             y, z = y * cos_incl, y * sin_incl
             pos.append((x * cos_raan - y * sin_raan, x * sin_raan + y * cos_raan, z))
-        return pos
+        return pos, in_plane
+
+    times = tuple(float(k * p.snapshot_interval_s) for k in range(p.snapshot_count))
+    # Both satellite lookups below pick a few slots of a plane by where a point
+    # projects onto the plane's circle, and trust the slot lattice: satellite
+    # j of a plane sits at angle 2π·j/m + phase + ω·t.  Rounding moves a
+    # computed position off that lattice by at most a·angle_err (θ rounds to
+    # within ulp(θ) ≤ 2^-52·θ_max; cos, sin and the two rotations add a few
+    # ulps more).  Where a margin below is not far larger, the lookup scans.
+    angle_err = 2.0 ** -50 * (2 * math.pi + omega * times[-1] + 8)
+    slots_per_rad = m / (2 * math.pi)
+
+    # Cross-plane nearest neighbour.  Projected onto plane o2, a point of
+    # plane o lies at radius ρ ≥ a·|n_o·n_o2| (n the unit normals), and its
+    # distance to the slot at angle Δ from its projection is
+    # d² = 2a² − 2aρ·cos Δ.  The two slots that bracket the projection hold
+    # one within half a slot, and every other slot is at least one slot away,
+    # so each skipped slot's d² exceeds the bracket's best by at least
+    # gap·a², gap = 2·|n_o·n_o2|·(cos(π/m) − cos(2π/m)).  Each distance
+    # computed from rounded positions is off by under 8a²·angle_err in d²,
+    # so the lookup needs gap above 10^6 times twice that; then the slot
+    # coordinate is also off by under 1e-7 slot, too little to move the
+    # bracket or shrink the gap noticeably.  Rings of three or fewer, planes
+    # near perpendicular (polar planes 90° apart) and times so late that
+    # angle_err nears the gap scan all m slots of the other plane.
+    slot_gap = math.cos(math.pi / m) - math.cos(2 * math.pi / m)
+    cross = []  # per orbit: (other orbit, projection or None)
+    for o, (_, _, e1, e2) in enumerate(planes):
+        row = []
+        for o2, (_, _, f1, f2) in enumerate(planes):
+            if o2 == o:
+                continue
+            gap = 2 * abs(_dot(normals[o], normals[o2])) * slot_gap
+            # (x, y) in plane o maps to (x·xx + y·xy, x·yx + y·yy) in plane o2.
+            proj = (_dot(e1, f1), _dot(e2, f1), _dot(e1, f2), _dot(e2, f2))
+            row.append((o2, proj if m > 3 and gap > 1.6e7 * angle_err else None))
+        cross.append(row)
 
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
                 + [p.ground_cpu] * p.ground_count)
     ram = tuple([p.node_ram_mb] * n)
     sin_min = math.sin(math.radians(p.elevation_min_deg))
-    # Per orbit, the satellites of every other plane in index order: the
-    # candidates for its cross-plane links.
-    other_planes = [[v for v in range(sat_n) if v // m != orbit]
-                    for orbit in range(p.orbit_count)]
+
+    # Elevation mask by arcs.  For a node at radius r < a the elevation of a
+    # satellite falls as the central angle γ between them grows, so the
+    # satellites above eps_lo = asin(sin_min − 1e-6) are those with
+    # cos γ ≥ c_lo = cos(acos(r·cos eps_lo / a) − eps_lo).  In a plane whose
+    # circle the node projects onto at angle φ and radius ρ·r,
+    # cos γ = ρ·cos(θ − φ): that is a run of slots within acos(c_lo/ρ) of φ,
+    # empty when ρ < c_lo.  The lookup tests that run and one slot more on
+    # each side, ascending, with the exact per-pair formula.  A skipped slot
+    # lies a whole slot beyond the run.  Rounding of φ (under 2^-50/ρ) and of
+    # the lattice (angle_err) moves the run's edges by far less than a slot;
+    # rounding of c_lo, ρ and the half-width moves cos γ at an edge by about
+    # 1e-15, and sin_el moves by at most (a/|S−G|)² ≤ 10^6 times that, since
+    # |S−G| ≥ a − r ≥ 1e-3·a.  So a skipped satellite has sin_el below
+    # sin_min − 1e-6 + 1e-9, and the parent's computed sin_el, off by under
+    # 5e-16·a/|S−G| + 1e-15, stays below sin_min − 1e-9, where _above_mask
+    # rejects without the exact test.  A node within 0.1 % of the shell
+    # radius or above it scans every satellite, as does every node when one
+    # slot is not 10^6 times angle_err; a plane whose pole lies within
+    # ρ < 1e-3 of the node, or that the run covers whole, is scanned whole.
+    eps_lo = math.asin(sin_min - 1e-6)
+    cos_lo = math.cos(eps_lo)
+    arcs = 2 * math.pi / m > 1e6 * angle_err
+    all_sats = (range(sat_n),)
+
+    def mask_candidates(gx: float, gy: float, gz: float, gr: float, wt: float):
+        """Runs of satellites that may clear the mask for the node at (gx, gy, gz)."""
+        if not arcs or gr >= a * (1 - 1e-3):
+            return all_sats
+        c_lo = math.cos(math.acos(gr * cos_lo / a) - eps_lo)
+        runs = []
+        for base, phase, f1, f2 in planes:
+            px = gx * f1[0] + gy * f1[1]
+            py = gx * f2[0] + gy * f2[1] + gz * f2[2]
+            rho = math.hypot(px, py) / gr
+            if rho < c_lo:
+                continue
+            if rho < 1e-3:  # near the plane's pole
+                runs.append(range(base, base + m))
+                continue
+            half = math.acos(c_lo / rho) * slots_per_rad
+            centre = (math.atan2(py, px) - phase - wt) * slots_per_rad
+            lo = math.ceil(centre - half) - 1
+            count = math.floor(centre + half) + 2 - lo
+            if count >= m:
+                runs.append(range(base, base + m))
+                continue
+            k = lo % m
+            if k + count > m:  # wraps past the last slot
+                runs.append(range(base, base + k + count - m))
+                count = m - k
+            runs.append(range(base + k, base + k + count))
+        return runs
 
     def snapshot_at(t: float) -> SubstrateSnapshot:
-        pos = sat_positions(t)
+        wt = omega * t
+        pos, in_plane = sat_positions(t)
         pos += [uav_position(u, t) for u in range(p.uav_count)]
         pos += [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
 
@@ -250,31 +350,53 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 for j in range(m if m > 2 else 1):
                     add_edge(base + j, base + (j + 1) % m, p.isl_band_mbps)
 
-        # Nearest cross-plane neighbor, line-of-sight permitting.  list.index
-        # returns the first of equal minima, as a strict-< scan would.
+        # Nearest cross-plane neighbor, line-of-sight permitting: the
+        # smallest distance, and of equal ones the smallest index, as the
+        # first minimum of an ascending scan would find.
         if p.orbit_count >= 2:
-            for orbit, cand in enumerate(other_planes):
-                cand_pos = [pos[v] for v in cand]
-                for u in range(orbit * m, (orbit + 1) * m):
-                    ds = list(map(math.dist, repeat(pos[u]), cand_pos))
-                    nearest = cand[ds.index(min(ds))]
-                    if _line_of_sight(pos[u], pos[nearest], p.earth_radius_km):
-                        add_edge(u, nearest, p.isl_band_mbps)
+            offsets = [phase + wt for _, phase, _, _ in planes]
+            for u in range(sat_n):
+                pu = pos[u]
+                x, y = in_plane[u]
+                best, nearest = math.inf, -1
+                for o2, proj in cross[u // m]:
+                    base2 = o2 * m
+                    if proj is None:
+                        for v in range(base2, base2 + m):
+                            d = math.dist(pu, pos[v])
+                            if d < best or d == best and v < nearest:
+                                best, nearest = d, v
+                        continue
+                    # The two slots that bracket u's projection onto o2.
+                    xx, xy, yx, yy = proj
+                    k = math.floor((math.atan2(x * yx + y * yy, x * xx + y * xy)
+                                    - offsets[o2]) * slots_per_rad)
+                    v = base2 + k % m
+                    d = math.dist(pu, pos[v])
+                    if d < best or d == best and v < nearest:
+                        best, nearest = d, v
+                    v = base2 + (k + 1) % m
+                    d = math.dist(pu, pos[v])
+                    if d < best or d == best and v < nearest:
+                        best, nearest = d, v
+                if _line_of_sight(pu, pos[nearest], p.earth_radius_km):
+                    add_edge(u, nearest, p.isl_band_mbps)
 
         # Surface/air to satellite, by elevation mask: the angle of the
         # satellite above the node's local horizon.  The three-term sums are
         # written out left to right, so the result does not depend on how
         # the Python version's sum() rounds.
-        sat_pos = pos[:sat_n]
         for g in range(sat_n, n):
             gx, gy, gz = pos[g]
             gr = math.sqrt(gx * gx + gy * gy + gz * gz)
-            for s, (sx, sy, sz) in enumerate(sat_pos):
-                dx, dy, dz = sx - gx, sy - gy, sz - gz
-                sin_el = ((dx * gx + dy * gy + dz * gz)
-                          / (math.sqrt(dx * dx + dy * dy + dz * dz) * gr))
-                if _above_mask(sin_el, sin_min, p.elevation_min_deg):
-                    add_edge(g, s, p.sg_band_mbps)
+            for run in mask_candidates(gx, gy, gz, gr, wt):
+                for s in run:
+                    sx, sy, sz = pos[s]
+                    dx, dy, dz = sx - gx, sy - gy, sz - gz
+                    sin_el = ((dx * gx + dy * gy + dz * gz)
+                              / (math.sqrt(dx * dx + dy * dy + dz * dz) * gr))
+                    if _above_mask(sin_el, sin_min, p.elevation_min_deg):
+                        add_edge(g, s, p.sg_band_mbps)
 
         # UAV-UAV and UAV-ground, by range.  Ground stations do not
         # interconnect directly (the terrestrial backhaul is assumed gone).
@@ -285,7 +407,6 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
 
         return SubstrateSnapshot(n, links, cpu, ram)
 
-    times = tuple(float(k * p.snapshot_interval_s) for k in range(p.snapshot_count))
     return SubstrateTopology(time_points=times,
                              snapshots={t: snapshot_at(t) for t in times})
 

@@ -2,8 +2,9 @@
 
 Each digest is the SHA-256 of ``json.dumps(topology_to_json(generate_sagin(...)))``
 for ``desk_params`` with one set of overrides.  They were recorded from the
-generator's earlier loop-per-pair form, so a change made only for speed must
-reproduce every snapshot bit for bit.  ``tests/test_scenario.py`` runs them
+generator's earlier loop-per-pair form (the geometry cases below from its
+all-satellite scans), so a change made only for speed must reproduce every
+snapshot bit for bit.  ``tests/test_scenario.py`` runs them
 under pytest; this module needs no pytest: ``python tests/generator_digests.py``
 (with ``src`` on ``PYTHONPATH``) runs the same checks on an interpreter that
 lacks it.
@@ -51,12 +52,52 @@ PINNED = {
     "full_4x10": (dict(orbit_count=4, sats_per_orbit=10, uav_count=5, ground_count=3,
                        duration_s=36000.0, elevation_min_deg=5.0, seed=123),
                   "969f1b6ec6fb47b14c05ef94495701b8c5c87a60bbb58c4962a3a762355b068d"),
+    # Geometry at the per-plane lookups' fallbacks and edges, recorded from
+    # the all-satellite scans.  Polar planes 90 degrees apart are
+    # perpendicular (and those 180 apart coplanar); every equatorial plane is
+    # the same plane; three-satellite rings take the full scan.
+    "polar_perpendicular": (dict(inclination_deg=90.0, orbit_count=4, sats_per_orbit=6),
+                            "4e3c43ca112c7db6d6422aa9b3b7eefc903d00be03420babc5836c2402d8e1ae"),
+    "equatorial_coplanar": (dict(inclination_deg=0.0, orbit_count=3, sats_per_orbit=5),
+                            "eddc30fb90d3fbd28f5afa7beb751008207d41d7d6aa73964d63466ca8a745d9"),
+    "ring_of_three": (dict(orbit_count=3, sats_per_orbit=3),
+                      "a66c9f1d21fcdc0038b3a0e9dd397b27cc9f06c1f327e51e7828d2e974a01cec"),
+    "retrograde": (dict(inclination_deg=-127.0, orbit_count=5, sats_per_orbit=7, seed=2),
+                   "1646a4846fd9a85bac76611731e11271dd3b3ce7ec05dc59369539b876cb5fe6"),
+    # UAVs above the shell, half a metre below it (both scan every
+    # satellite) and 10 km below it (the arc lookup); a mask near the
+    # zenith; a shell so far out that a node sees whole planes.
+    "uav_above_shell": (dict(uav_altitude_km=30000.0, uav_count=4, orbit_count=3,
+                             sats_per_orbit=6, air_range_km=40000.0),
+                        "e51606eeb83c88629c8f0cf1386adaa9ba53ffc35ebb245823de1a5bd519d348"),
+    "uav_near_shell": (dict(uav_altitude_km=589.9995, uav_count=4, orbit_count=3,
+                            sats_per_orbit=6),
+                       "a09c8cdac7fa6aa3a65bf43fafa198831f12bcd511340963ab8ddab5b2390050"),
+    "uav_below_shell": (dict(uav_altitude_km=580.0, uav_count=4, orbit_count=3,
+                             sats_per_orbit=6),
+                        "58ed137046129e04839dfa3c8c2e8a0b629674c8009f492554d420463016e69d"),
+    "steep_mask": (dict(elevation_min_deg=89.9, orbit_count=4, sats_per_orbit=10,
+                        ground_count=6, duration_s=36000.0),
+                   "88294506c96f033ff0b85c4b59e0c05b83915ae156b5b4cfbb8ad0619de8de9c"),
+    "far_shell": (dict(altitude_km=1e10, elevation_min_deg=0.0, orbit_count=3,
+                       sats_per_orbit=5),
+                  "f88f373bad20deb6f9d511d25f7d9ec3647d5abc2f5be4b0dc588f09a3d5cff3"),
+    # A far shell seen from within a few kilometres of one plane's pole
+    # (seed 15127 anchors the region there), and times so late that the
+    # orbit angle's rounding is no longer far below a slot.
+    "node_at_a_pole": (dict(inclination_deg=90.0, orbit_count=4, sats_per_orbit=6,
+                            altitude_km=1e10, elevation_min_deg=0.0,
+                            region_radius_km=5.0, seed=15127),
+                       "8110857a31bef135c38c494882bee9985d110fd5c997f761b208211bb6761938"),
+    "far_future": (dict(duration_s=1e13, snapshot_interval_s=2.5e12, orbit_count=3,
+                        sats_per_orbit=6),
+                   "da11e0d5342311576c1fee42e2d1e9c121d7501655ed3d9d5bd440b1652a1d11"),
 }
 
 
-def check(name):
+def check(name, generate=generate_sagin):
     overrides, digest = PINNED[name]
-    doc = topology_to_json(generate_sagin(desk_params(**overrides)))
+    doc = topology_to_json(generate(desk_params(**overrides)))
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, name
 
 

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
 from generator_digests import PINNED, desk_params
 from generator_digests import check as check_digest
+from sagin_oracle import draw_params, reference_sagin, same_topology
 from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
-                             ValidationError, _above_mask, generate_poisson_workload,
-                             generate_sagin, load_scenario, scenario_from_json)
+                             ValidationError, _above_mask, _line_of_sight,
+                             generate_poisson_workload, generate_sagin, load_scenario,
+                             scenario_from_json)
 from sfcsim.topology import topology_from_json, topology_to_json
 from sfcsim.workload import VnfCatalog, validate_workload
 
@@ -122,16 +124,47 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams, match="UAV x waypoint"):
             desk_params(**two, sats_per_orbit=1, uav_count=uavs, uav_waypoints=5)
 
-    @pytest.mark.parametrize("field", ["altitude_km", "earth_radius_km", "inclination_deg"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    # Every float field: some failed late (bad latency on an edge, a math
+    # domain error) and some generated silently before they were checked.
+    @pytest.mark.parametrize("field", ["altitude_km", "earth_radius_km", "inclination_deg",
+                                       "duration_s", "snapshot_interval_s",
+                                       "elevation_min_deg", "uav_altitude_km", "air_range_km",
+                                       "region_radius_km", "uav_loop_period_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_non_finite_satellite_geometry_rejected(self, field, value):
-        with pytest.raises(InvalidParams, match=field):
+        with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
             desk_params(**{field: value})
+
+    def test_orbit_radius_cubed_must_be_finite(self):
+        with pytest.raises(InvalidParams, match=r"^the orbit radius \(earth_radius_km"
+                                                r" \+ altitude_km\) cubed must be finite$"):
+            desk_params(altitude_km=1e120)
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_snapshots_match_pinned_digest(self, name):
         check_digest(name)
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_reference_scans_match_pinned_digest(self, name):
+        check_digest(name, reference_sagin)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_lookups_match_the_all_satellite_scans(self, data):
+        regime, params = draw_params(lambda options: data.draw(st.sampled_from(options)))
+        assert same_topology(params), regime
+
+    def test_colocated_nodes_are_not_linked(self):
+        # With a zero-radius region and UAVs on the ground, every UAV and
+        # ground station sits at one point: their range test passes at
+        # distance 0, and add_edge refuses a zero-length edge.
+        params = desk_params(region_radius_km=0.0, uav_altitude_km=0.0)
+        sat_n = params.orbit_count * params.sats_per_orbit
+        topo = generate_sagin(params)
+        for t in topo.time_points:
+            assert not [e for e in topo.snapshots[t].edges() if e[0] >= sat_n], t
+        assert any(u < sat_n <= v for t in topo.time_points
+                   for u, v in topo.snapshots[t].edges())  # the satellites still see them
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_matrix_round_trip_rebuilds_the_same_snapshots(self, name):
@@ -141,6 +174,24 @@ class TestSaginGenerator:
         assert back.time_points == topo.time_points
         for t in topo.time_points:
             assert back.snapshots[t] == topo.snapshots[t]
+
+
+class TestLineOfSight:
+    R = 6371.0
+
+    def test_zero_length_segment_is_clear(self):
+        assert _line_of_sight((7000.0, 0.0, 0.0), (7000.0, 0.0, 0.0), self.R) is True
+
+    def test_closest_approach_beyond_an_end_is_clear(self):
+        # both ends on one radial line: the closest point to the centre is p
+        assert _line_of_sight((7000.0, 0.0, 0.0), (8000.0, 0.0, 0.0), self.R) is True
+        assert _line_of_sight((8000.0, 0.0, 0.0), (7000.0, 0.0, 0.0), self.R) is True
+
+    def test_segment_through_the_earth_is_blocked(self):
+        assert _line_of_sight((7000.0, 0.0, 0.0), (-7000.0, 0.0, 0.0), self.R) is False
+
+    def test_segment_grazing_above_the_earth_is_clear(self):
+        assert _line_of_sight((7000.0, -7000.0, 0.0), (7000.0, 7000.0, 0.0), self.R) is True
 
 
 def exact_mask(sin_el, elevation_min_deg):

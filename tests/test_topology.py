@@ -214,6 +214,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="revisits"):
             PhysicalPath((0, 1, 0))
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError) as err:
+            PhysicalPath(())
+        assert str(err.value) == "a path needs at least one node"
+
+    def test_zero_node_snapshot_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SubstrateSnapshot(0, [], (), ())
+        assert str(err.value) == "snapshot needs at least one node"
+
 
 def reference_first_fault(adj, lat, band):
     """The full pair scan of the snapshot checks: the first fault's message."""

@@ -56,6 +56,10 @@ class TestValidateWorkload:
         req = make_request(chain=(0, 1), egress=2, end=5.0)
         assert validate_workload([req], catalog, topo).ok
 
+    def test_summary_of_a_valid_workload(self, topo, catalog):
+        reqs = [make_request(sfc_id=i, chain=(0, 1), egress=2) for i in range(3)]
+        assert validate_workload(reqs, catalog, topo).summary() == "3 requests, all valid"
+
     def test_missing_link_demand(self, topo, catalog):
         req = make_request(chain=(0, 2))
         report = validate_workload([req], catalog, topo)
