@@ -71,13 +71,16 @@ class SaginParams:
     uav_waypoints: int = 4
 
     def __post_init__(self):
+        for f in fields(self):  # first, so no check below compares a str or a NaN
+            x = getattr(self, f.name)
+            if f.type is int and type(x) is not int:
+                raise InvalidParams(f"{f.name} must be an int, got {x!r}")
+            if f.type is float and not math.isfinite(x):
+                raise InvalidParams(f"{f.name} must be finite")
         if self.orbit_count < 1 or self.sats_per_orbit < 1:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:
             raise InvalidParams("uav_count and ground_count cannot be negative")
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise InvalidParams(f"{f.name} must be finite")
         radius = self.earth_radius_km + self.altitude_km  # its cube sets the orbital rate
         if not math.isfinite(radius * radius * radius):
             raise InvalidParams("the orbit radius (earth_radius_km + altitude_km) cubed"
@@ -339,7 +342,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
 
         def add_edge(u: int, v: int, band_mbps: Fraction):
             d = math.dist(pos[u], pos[v])
-            if u == v or d <= 0:
+            if d <= 0:
                 return
             links[u][v] = links[v][u] = (d / LIGHT_KM_PER_MS, band_mbps)
 
@@ -423,10 +426,13 @@ def generate_poisson_workload(topo: SubstrateTopology, catalog: VnfCatalog,
     chains are uniform walks over template pairs that declare a bandwidth
     demand.
     """
-    if sfc_count <= 0:
-        raise InvalidParams("sfc_count must be > 0")
-    if mean_lifetime_s <= 0 or chain_len <= 0 or qos_ms <= 0:
-        raise InvalidParams("mean_lifetime_s, chain_len, and qos_ms must be > 0")
+    for name, x in (("sfc_count", sfc_count), ("chain_len", chain_len), ("seed", seed)):
+        if type(x) is not int:
+            raise InvalidParams(f"{name} must be an int, got {x!r}")
+    for name, x in (("sfc_count", sfc_count), ("mean_lifetime_s", mean_lifetime_s),
+                    ("chain_len", chain_len), ("qos_ms", qos_ms)):
+        if not 0 < x < math.inf:  # false for NaN too
+            raise InvalidParams(f"{name} must be finite and > 0")
     if sfc_count * chain_len > MAX_GENERATED:
         raise InvalidParams(f"sfc_count x chain_len above {MAX_GENERATED}")
     if not catalog.templates:
@@ -504,18 +510,11 @@ def _section(where: str, errors=INPUT_ERRORS):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _finite(value) -> float:
-    x = as_float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {value!r}")
-    return x
-
-
-_SAGIN_TYPES = {f.name: {int: as_integer, float: _finite, Fraction: as_fraction}[f.type]
+_SAGIN_TYPES = {f.name: {int: as_integer, float: as_float, Fraction: as_fraction}[f.type]
                 for f in fields(SaginParams)}
 _SAGIN_DEFAULTS = {f.name: f.default for f in fields(SaginParams) if f.default is not MISSING}
-_POISSON_TYPES = {"sfc_count": as_integer, "mean_lifetime_s": _finite,
-                  "chain_len": as_integer, "qos_ms": _finite, "seed": as_integer}
+_POISSON_TYPES = {"sfc_count": as_integer, "mean_lifetime_s": as_float,
+                  "chain_len": as_integer, "qos_ms": as_float, "seed": as_integer}
 
 
 def _generator(doc: dict, name: str, kind: str) -> tuple[dict, dict | None]:

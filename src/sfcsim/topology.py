@@ -121,11 +121,7 @@ class PhysicalPath:
             raise ValueError(f"path revisits a node: {self.nodes}")
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            yield a, b
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+        return zip(self.nodes, self.nodes[1:])
 
 
 @dataclass(frozen=True)
@@ -335,10 +331,8 @@ def _cells(where: str, convert, value) -> tuple[tuple, ...]:
     rows = read_at(where, as_list, value)
     try:
         return tuple(tuple(map(convert, as_list(row))) for row in rows)
-    except INPUT_ERRORS:
-        for i, row in enumerate(rows):  # name the first bad row or cell
-            read_items(f"{where}[{i}]", convert, row)
-        raise
+    except INPUT_ERRORS:  # read again, naming the first bad row or cell
+        return tuple(read_items(f"{where}[{i}]", convert, row) for i, row in enumerate(rows))
 
 
 def _band_kind(value):

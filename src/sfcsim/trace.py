@@ -9,6 +9,7 @@ usage each, so all run metrics can be recomputed from the log alone.
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,14 +52,6 @@ class UtilizationSample:
     cpu_capacity: Fraction
     ram_used: Fraction
     ram_capacity: Fraction
-
-    @property
-    def cpu_used_fraction(self) -> Fraction:
-        return self.cpu_used / self.cpu_capacity if self.cpu_capacity else Fraction(0)
-
-    @property
-    def ram_used_fraction(self) -> Fraction:
-        return self.ram_used / self.ram_capacity if self.ram_capacity else Fraction(0)
 
 
 class _UtilizationBlock(NamedTuple):
@@ -163,15 +156,17 @@ class TraceLog:
         out.mkdir(parents=True, exist_ok=True)
         written = []
 
-        path = out / "events.csv"
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["time", "seq", "kind", "sfc_id", "outcome", "reason"])
-            for r in self.records:
-                w.writerow([_fmt(r.time), r.seq, r.kind,
-                            "" if r.sfc_id is None else r.sfc_id,
-                            r.outcome or "", r.reason.value if r.reason else ""])
-        written.append(path)
+        def write(name: str, header: list, rows) -> None:
+            path = out / name
+            with open(path, "w", newline="") as f:
+                w = csv.writer(f, lineterminator="\n")
+                w.writerow(header)
+                w.writerows(rows)
+            written.append(path)
+
+        write("events.csv", ["time", "seq", "kind", "sfc_id", "outcome", "reason"],
+              ([_fmt(r.time), r.seq, r.kind, "" if r.sfc_id is None else r.sfc_id,
+                r.outcome or "", r.reason.value if r.reason else ""] for r in self.records))
 
         path = out / "utilization.csv"
         with open(path, "w", newline="") as f:
@@ -198,25 +193,15 @@ class TraceLog:
                 f.write(prefix + ("\n" + prefix).join(texts) + "\n")
         written.append(path)
 
-        path = out / "running_count.csv"
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["time", "count"])
-            for t, count in self.running_count_series():
-                w.writerow([_fmt(t), count])
-        written.append(path)
+        write("running_count.csv", ["time", "count"],
+              ([_fmt(t), count] for t, count in self.running_count_series()))
 
-        path = out / "summary.csv"
+        totals = [self.arrival_count(), self.accepted_count(), self.rejected_count(),
+                  self.terminated_count(), _fmt(self.acceptance_ratio())]
         breakdown = self.failure_breakdown()
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["arrivals", "accepted", "rejected", "terminated_early",
-                        "acceptance_ratio"])
-            w.writerow([self.arrival_count(), self.accepted_count(),
-                        self.rejected_count(), self.terminated_count(),
-                        _fmt(self.acceptance_ratio())])
-            w.writerow(["reason", "count", "", "", ""])
-            for reason in FailureReason:
-                w.writerow([reason.value, breakdown.get(reason, 0), "", "", ""])
-        written.append(path)
+        write("summary.csv", ["arrivals", "accepted", "rejected", "terminated_early",
+                              "acceptance_ratio"],
+              chain([totals, ["reason", "count", "", "", ""]],
+                    ([reason.value, breakdown.get(reason, 0), "", "", ""]
+                     for reason in FailureReason)))
         return written

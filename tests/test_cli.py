@@ -226,6 +226,17 @@ class TestValidateCommand:
         assert run_cli("validate", path) == 2
         assert "MissingLinkDemand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0])
+    def test_poisson_float_outside_finite_positive(self, tmp_path, capsys, field, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["workload"]["generator"]["poisson"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().err == (
+            f"error: workload.generator.poisson: {field} must be finite and > 0\n")
+
     def test_oversized_generator(self, tmp_path, capsys):
         doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
         doc["substrate"]["generator"]["sagin"]["orbit_count"] = 10**400

@@ -135,6 +135,16 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
             desk_params(**{field: value})
 
+    # Every integer field, through the Python API: a float or a bool crashed
+    # deep in the generator or drew silently; a string was compared with 1.
+    @pytest.mark.parametrize("field", ["orbit_count", "sats_per_orbit", "uav_count",
+                                       "ground_count", "seed", "uav_waypoints"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+    def test_non_int_count_rejected(self, field, value):
+        with pytest.raises(InvalidParams,
+                           match="^" + re.escape(f"{field} must be an int, got {value!r}") + "$"):
+            desk_params(**{field: value})
+
     def test_orbit_radius_cubed_must_be_finite(self):
         with pytest.raises(InvalidParams, match=r"^the orbit radius \(earth_radius_km"
                                                 r" \+ altitude_km\) cubed must be finite$"):
@@ -259,6 +269,27 @@ class TestPoissonWorkload:
             generate_poisson_workload(self.horizon_topo(), self.catalog(),
                                       sfc_count=sfc_count, mean_lifetime_s=600,
                                       chain_len=chain_len, qos_ms=50)
+
+    # A NaN lifetime drew NaN end times, an infinite one divided by zero, and
+    # an infinite QoS bound generated as is.
+    @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, 0.0, -1.5])
+    def test_float_outside_finite_positive_rejected(self, field, value):
+        args = dict(sfc_count=3, mean_lifetime_s=600.0, chain_len=2, qos_ms=50.0)
+        args[field] = value
+        with pytest.raises(InvalidParams, match=f"^{field} must be finite and > 0$"):
+            generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)
+
+    @pytest.mark.parametrize("field, value", [("sfc_count", 2.5), ("sfc_count", 3.0),
+                                              ("sfc_count", True), ("chain_len", 2.0),
+                                              ("chain_len", False), ("chain_len", "2"),
+                                              ("seed", 1.5), ("seed", True), ("seed", None)])
+    def test_non_int_count_rejected(self, field, value):
+        args = dict(sfc_count=3, mean_lifetime_s=600.0, chain_len=2, qos_ms=50.0)
+        args[field] = value
+        with pytest.raises(InvalidParams,
+                           match="^" + re.escape(f"{field} must be an int, got {value!r}") + "$"):
+            generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)
 
     def test_same_seed_identical(self):
         args = dict(sfc_count=40, mean_lifetime_s=600, chain_len=3, qos_ms=50, seed=3)
@@ -407,6 +438,17 @@ class TestLoadScenario:
         with pytest.raises(ValidationError,
                            match=rf"^{parent}\.generator\.{section}\.{field}: expected an integer"):
             scenario_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0])
+    def test_poisson_float_outside_finite_positive_is_located(self, tmp_path, field, value):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["workload"]["generator"]["poisson"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # written as the NaN / Infinity literals
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"workload.generator.poisson: {field} must be finite and > 0") + "$"):
+            load_scenario(path)
 
     @pytest.mark.parametrize("value", [3, 3.0, "3"])
     def test_integral_generator_counts_accepted(self, value):

@@ -133,8 +133,8 @@ class TestUtilizationReconstruction:
     def test_fractions_within_bounds(self):
         _, trace, _, _ = example_a_run()
         for s in trace.utilization:
-            assert 0 <= s.cpu_used_fraction <= 1
-            assert 0 <= s.ram_used_fraction <= 1
+            assert 0 <= s.cpu_used <= s.cpu_capacity
+            assert 0 <= s.ram_used <= s.ram_capacity
 
 
 def ledger_samples(time, ledger):
