@@ -11,7 +11,7 @@ from .scenario import (InvalidParams, ParseError, SaginParams, Scenario,
                        load_scenario)
 from .solver import (SOLVERS, GreedySolver, RandomSolver, SolveMode, Solver,
                      SolverDecision, SolverInput, make_solver)
-from .topology import (InvalidPath, PhysicalPath, SubstrateSnapshot,
+from .topology import (OVER_BUDGET, InvalidPath, PhysicalPath, SubstrateSnapshot,
                        SubstrateTopology, TimeBeforeStart, as_fraction,
                        path_latency, shortest_feasible_path, topology_from_json,
                        topology_to_json)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from . import trace as tr
-from .mano import (FailureReason, ResourceLedger, check_plan, find_affected_sfcs,
-                   plan_structure_errors)
-from .solver import Solver, SolveMode, SolverInput
+from .mano import (EmbeddingPlan, FailureReason, ResourceLedger, check_plan,
+                   find_affected_sfcs, plan_structure_errors)
+from .solver import Solver, SolveMode, SolverDecision, SolverInput
 from .topology import SubstrateTopology
 from .trace import TraceLog
 from .workload import SfcRequest, VnfCatalog, validate_workload
@@ -110,8 +110,10 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
     """Execute one simulation run and return its report.
 
     Arrivals go through the solver and, on accept, the orchestrator's plan
-    check before resources are committed; a solver answer that fails that
-    check is demoted to a rejection and the discrepancy is trace-logged.
+    check before resources are committed; an Accept that fails that check,
+    a Reject whose reason is no ``FailureReason``, or an answer that is no
+    ``SolverDecision`` is demoted to a rejection and the discrepancy is
+    trace-logged.  An exception raised by the solver propagates.
     Departures release.  Topology changes swap the active snapshot, then
     migrate every invalidated SFC in ascending id order: the old plan is
     released first so the solver can reuse the SFC's own resources, and a
@@ -138,15 +140,18 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
         decision = solver.solve(SolverInput(
             request=request, catalog=catalog, snapshot=ledger.snapshot,
             units=ledger.free_units(), mode=mode, old_plan=old_plan), rng)
-        plan = decision.plan
-        if plan is None:
-            trace.record(time, kind, request.sfc_id, failed, decision.reason)
-        elif (plan_structure_errors(plan, request, catalog, ledger.snapshot)
+        plan, reason = ((decision.plan, decision.reason)
+                        if isinstance(decision, SolverDecision) else (None, None))
+        if plan is None and isinstance(reason, FailureReason):
+            trace.record(time, kind, request.sfc_id, failed, reason)
+        elif (plan is None or plan_structure_errors(plan, request, catalog, ledger.snapshot)
               or check_plan(plan, ledger, request) is not None):
-            # Solver broke its contract: an Accept that fails validation.
+            # Solver broke its contract: no decision, a Reject without a
+            # FailureReason, or an Accept that fails validation.
             trace.record(time, kind, request.sfc_id, failed, broken)
             trace.record(time, tr.KIND_DISCREPANCY, request.sfc_id, reason=broken,
-                         plan_nodes=plan.vnf_placement)
+                         plan_nodes=plan.vnf_placement if isinstance(plan, EmbeddingPlan)
+                         else None)
         else:
             ledger.allocate(plan)
             trace.record(time, kind, request.sfc_id, committed,

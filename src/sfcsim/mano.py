@@ -8,12 +8,12 @@ through before resources move.
 """
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import Mapping
 
 from .topology import (PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
                        path_latency)
@@ -114,8 +114,22 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     Returns human-readable problems; an empty list means the plan is wired
     correctly: it is for this request, placements cover the chain, every leg
     runs between its waypoints over nodes and edges of ``snap``, and the
-    allocation maps and latency match what the placement implies.
+    allocation maps and latency match what the placement implies.  Types
+    are tested before any attribute is read, so a malformed answer is a
+    problem, not an exception.
     """
+    if not isinstance(plan, EmbeddingPlan):
+        return [f"plan is a {type(plan).__name__}, not an EmbeddingPlan"]
+    for name, kind in (("vnf_placement", Sequence), ("virtual_link_paths", Sequence),
+                       ("cpu_alloc", Mapping), ("ram_alloc", Mapping), ("band_alloc", Mapping)):
+        value = getattr(plan, name)
+        if not isinstance(value, kind):
+            return [f"{name} is a {type(value).__name__}, not a {kind.__name__.lower()}"]
+    for i, path in enumerate(plan.virtual_link_paths):
+        if not isinstance(path, PhysicalPath):
+            return [f"leg {i} is a {type(path).__name__}, not a PhysicalPath"]
+        if not isinstance(path.nodes, Sequence):
+            return [f"leg {i} has its nodes in a {type(path.nodes).__name__}, not a sequence"]
     if plan.sfc_id != request.sfc_id:
         return [f"plan is for sfc {plan.sfc_id}, not {request.sfc_id}"]
     problems: list[str] = []

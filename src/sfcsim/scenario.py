@@ -12,6 +12,7 @@ parameter with a default.
 
 import json
 import math
+import numbers
 import random
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -40,6 +41,11 @@ class ValidationError(ValueError):
 
 class InvalidParams(ValueError):
     """Generator parameters violate their invariants."""
+
+
+def _is_number(x) -> bool:
+    """A real number that is not a bool, such as an int, a float or a Fraction."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,9 @@ class SaginParams:
             x = getattr(self, f.name)
             if f.type is int and type(x) is not int:
                 raise InvalidParams(f"{f.name} must be an int, got {x!r}")
-            if f.type is float and not math.isfinite(x):
+            if f.type is not int and not _is_number(x):
+                raise InvalidParams(f"{f.name} must be a number, got {x!r}")
+            if f.type is not int and not math.isfinite(x):
                 raise InvalidParams(f"{f.name} must be finite")
         if self.orbit_count < 1 or self.sats_per_orbit < 1:
             raise InvalidParams("need at least one orbit with one satellite")
@@ -429,6 +437,9 @@ def generate_poisson_workload(topo: SubstrateTopology, catalog: VnfCatalog,
     for name, x in (("sfc_count", sfc_count), ("chain_len", chain_len), ("seed", seed)):
         if type(x) is not int:
             raise InvalidParams(f"{name} must be an int, got {x!r}")
+    for name, x in (("mean_lifetime_s", mean_lifetime_s), ("qos_ms", qos_ms)):
+        if not _is_number(x):
+            raise InvalidParams(f"{name} must be a number, got {x!r}")
     for name, x in (("sfc_count", sfc_count), ("mean_lifetime_s", mean_lifetime_s),
                     ("chain_len", chain_len), ("qos_ms", qos_ms)):
         if not 0 < x < math.inf:  # false for NaN too

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
                    leg_band_demands)
-from .topology import SubstrateSnapshot, edge_key, path_latency, shortest_feasible_path
+from .topology import (OVER_BUDGET, SubstrateSnapshot, edge_key, path_latency,
+                       shortest_feasible_path)
 from .workload import SfcRequest, VnfCatalog
 
 
@@ -103,11 +104,16 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     latency = 0.0
 
     def route(src: int, dst: int, demand: int):
+        """The leg's path, booked, or why it has none: no path passes the
+        band filter, or the best one breaks the QoS bound."""
         nonlocal latency
-        path = shortest_feasible_path(snap, src, dst, demand, band)
+        path = shortest_feasible_path(snap, src, dst, demand, band,
+                                      latency, req.qos_max_latency)
         if path is None:
-            return None
-        latency += path_latency(snap, path)
+            return FailureReason.NO_PATH
+        if path is OVER_BUDGET:
+            return FailureReason.QOS_LATENCY_VIOLATED
+        latency += path_latency(snap, path)  # within the bound: the search tested it
         if demand > 0:
             for a, b in path.edges():
                 key = edge_key(a, b)
@@ -125,10 +131,8 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
             return SolverDecision.reject(FailureReason.NODE_RAM_INSUFFICIENT)
         node = choose(candidates, cpu, ram, max_cpu, max_ram)
         path = route(prev, node, demands[pos])
-        if path is None:
-            return SolverDecision.reject(FailureReason.NO_PATH)
-        if latency > req.qos_max_latency:
-            return SolverDecision.reject(FailureReason.QOS_LATENCY_VIOLATED)
+        if isinstance(path, FailureReason):
+            return SolverDecision.reject(path)
         cpu[node] -= cpu_need
         ram[node] -= ram_need
         assert cpu[node] >= 0 and ram[node] >= 0
@@ -137,10 +141,8 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
         prev = node
 
     path = route(prev, req.egress, demands[-1])
-    if path is None:
-        return SolverDecision.reject(FailureReason.NO_PATH)
-    if latency > req.qos_max_latency:
-        return SolverDecision.reject(FailureReason.QOS_LATENCY_VIOLATED)
+    if isinstance(path, FailureReason):
+        return SolverDecision.reject(path)
     paths.append(path)
 
     plan = build_plan(req, cat, snap, placement, paths)

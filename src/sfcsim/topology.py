@@ -278,9 +278,22 @@ def path_is_valid(snap: SubstrateSnapshot, path: PhysicalPath) -> bool:
     return all(snap.has_edge(a, b) for a, b in path.edges())
 
 
+class _OverBudget:
+    """Type of :data:`OVER_BUDGET`."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "OVER_BUDGET"
+
+
+OVER_BUDGET = _OverBudget()  # a path passes the filter, but not within the budget
+
+
 def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band: Fraction | int,
-                           residual_band: Mapping[tuple[int, int], Fraction | int]
-                           ) -> PhysicalPath | None:
+                           residual_band: Mapping[tuple[int, int], Fraction | int],
+                           base: float = 0.0, limit: float = math.inf
+                           ) -> PhysicalPath | _OverBudget | None:
     """Minimum-latency simple path using only edges with enough free bandwidth.
 
     ``residual_band`` maps canonical edge keys to free bandwidth (an edge it
@@ -288,30 +301,70 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     numbers, ints or Fractions, as long as they share one unit.  Among
     equal-latency paths the lexicographically smallest node sequence wins, which
     keeps traces reproducible.  Returns ``None`` when no path passes the filter.
+
+    ``base`` and ``limit`` are a latency budget: a path whose latency ``c``
+    (its ``path_latency``; latencies are floats) gives ``base + c > limit``
+    fails it, which is the solvers' QoS test, compared as they compare it.
+    When the best path fails it, :data:`OVER_BUDGET` is returned instead;
+    otherwise the result is the one the unbudgeted search gives.
+
+    Proof: a relaxation whose cost fails the test is never pushed.
+    Latencies are >= 0 and addition, rounded or not, is monotone, so a label
+    that fails costs strictly more than any label that passes (``base + a
+    <= limit < base + b`` gives ``a < b``), and each extension of it fails
+    too.  The unbudgeted search therefore pops every passing label before
+    any failing one; the pushed labels are exactly the passing ones and pop
+    in the same order, settling the same nodes.  So a ``dst`` settled here
+    is settled by the same label there, and a ``dst`` not settled here is
+    reached there, if at all, by a failing label.  Which of those holds is
+    decided by one reachability pass over the same band filter, from the
+    heads of the labels left unpushed.
     """
     n = snap.node_count
     if not (0 <= src < n and 0 <= dst < n):
         raise ValueError(f"endpoint outside substrate: src={src}, dst={dst}")
     if src == dst:
-        return PhysicalPath((src,))
+        return OVER_BUDGET if base > limit else PhysicalPath((src,))
 
     # Lazy Dijkstra keyed on (latency, node sequence): the tuple comparison
     # settles latency ties lexicographically, and extending two simple paths
-    # that end at the same node cannot flip their relative order.
+    # that end at the same node cannot flip their relative order.  Costs add
+    # up left to right from 0.0, as path_latency's do from 0 (the float start
+    # keeps the addition specialized for floats).
+    links, push, pop = snap.links, heapq.heappush, heapq.heappop
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
     settled: set[int] = set()
+    over: list[int] = []  # heads of the labels not pushed: over the budget
     while heap:
-        cost, nodes = heapq.heappop(heap)
+        cost, nodes = pop(heap)
         head = nodes[-1]
         if head in settled:
             continue
         settled.add(head)
         if head == dst:
             return PhysicalPath(nodes)
-        for nxt, (latency, _) in snap.links[head].items():
+        for nxt, (latency, _) in links[head].items():
             if nxt not in settled and \
                     residual_band.get((head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
-                heapq.heappush(heap, (cost + latency, nodes + (nxt,)))
+                c = cost + latency
+                if base + c > limit:
+                    over.append(nxt)
+                else:
+                    push(heap, (c, nodes + (nxt,)))
+
+    # Every node the filter lets src reach is settled or reachable from an
+    # unpushed head through unsettled nodes.
+    stack = [v for v in over if v not in settled]
+    settled.update(stack)
+    while stack:
+        head = stack.pop()
+        if head == dst:
+            return OVER_BUDGET
+        for nxt in links[head]:
+            if nxt not in settled and \
+                    residual_band.get((head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
+                settled.add(nxt)
+                stack.append(nxt)
     return None
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -247,8 +248,15 @@ def assert_conserved(time, ledger):
         assert ledger.band_free(u, v) >= 0
 
 
+class Answer(NamedTuple):
+    """A tamper's whole answer to the engine, given as is, not as an Accept."""
+
+    value: object
+
+
 class TamperingSolver(Solver):
-    """Greedy, except that every Accept in ``modes`` is rewritten by ``tamper``."""
+    """Greedy, except that every Accept in ``modes`` is rewritten by ``tamper``:
+    to another plan, which is accepted, or to an :class:`Answer`."""
 
     def __init__(self, tamper, modes=(SolveMode.EMBED, SolveMode.MIGRATE)):
         self.tamper, self.modes, self.tampered = tamper, modes, 0
@@ -258,7 +266,19 @@ class TamperingSolver(Solver):
         if not decision.accepted or inp.mode not in self.modes:
             return decision
         self.tampered += 1
-        return SolverDecision.accept(self.tamper(decision.plan, inp))
+        out = self.tamper(decision.plan, inp)
+        return out.value if isinstance(out, Answer) else SolverDecision.accept(out)
+
+
+# Answers of the wrong type: each raised out of run() or emit_csv before.
+MALFORMED_ANSWERS = {
+    "tuple legs": lambda plan, inp: dataclasses.replace(
+        plan, virtual_link_paths=tuple(path.nodes for path in plan.virtual_link_paths)),
+    "None": lambda plan, inp: Answer(None),
+    "bare plan": lambda plan, inp: Answer(plan),
+    "str reason": lambda plan, inp: Answer(SolverDecision(reason="NoPath")),
+    "placement as plan": lambda plan, inp: Answer(SolverDecision(plan=plan.vnf_placement)),
+}
 
 
 def moved(plan, i, node, paths):
@@ -341,6 +361,28 @@ class TestSolverContractBreaks:
             (1.0, "discrepancy", 0, None, FailureReason.SOLVER_REJECTED, (node,))]
         assert (report.accepted, report.rejected) == (0, 1)
 
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_ANSWERS))
+    def test_malformed_answers_are_demoted_not_raised(self, shape, tmp_path):
+        topo, reqs, cat = example_a()
+        trace = TraceLog()
+        report = run(topo, reqs, cat, TamperingSolver(MALFORMED_ANSWERS[shape]), trace,
+                     seed=0, boundary_hook=assert_conserved)
+        demoted = FailureReason.SOLVER_REJECTED
+        noted = (1, 1, 1) if shape == "tuple legs" else None  # an EmbeddingPlan's placement
+        assert rows(trace) == [
+            (5.0, "arrival", 0, "rejected", demoted, None),
+            (5.0, "discrepancy", 0, None, demoted, noted),
+            (10.0, "arrival", 1, "rejected", demoted, None),
+            (10.0, "discrepancy", 1, None, demoted, noted),
+            (25.0, "departure", 0, None, None, None),
+            (50.0, "departure", 1, None, None, None)]
+        assert (report.accepted, report.rejected) == (0, 2)
+        trace.emit_csv(tmp_path)
+        assert (tmp_path / "summary.csv").read_text().splitlines()[:2] == [
+            "arrivals,accepted,rejected,terminated_early,acceptance_ratio",
+            "2,0,2,0,0.000000"]
+        assert "SolverRejected,2,,," in (tmp_path / "summary.csv").read_text().splitlines()
+
     @pytest.mark.parametrize("field", ["cpu_alloc", "ram_alloc", "band_alloc", "nodes"])
     def test_float_nodes_are_demoted_not_raised(self, field):
         """{1.0: x} == {1: x}, so only the gate's int test keeps a float key
@@ -387,8 +429,10 @@ def _bump(mapping, key, delta):
 def tampers(draw):
     """A rewrite that turns any honest Accept on ``line_scenario`` into a bad plan."""
     kind = draw(st.sampled_from(["sfc_id", "legs", "placement", "node", "edge",
-                                 "alloc", "floats", "latency"]))
+                                 "alloc", "floats", "latency", "answer"]))
     i = draw(st.integers(0, 1))  # VNF position to move
+    if kind == "answer":
+        return MALFORMED_ANSWERS[draw(st.sampled_from(sorted(MALFORMED_ANSWERS)))]
     if kind == "sfc_id":
         k = draw(st.integers(1, 3))
         return lambda plan, inp: dataclasses.replace(plan, sfc_id=plan.sfc_id + k)

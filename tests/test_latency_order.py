@@ -3,9 +3,10 @@
 From Python 3.12 on, ``sum()`` of floats is compensated, so a path of
 ``1e16, 1, 1`` ms sums to 1e16 + 2 there and to 1e16 before.  The simulator
 adds left to right everywhere, so its decisions do not depend on the Python
-version.  This module needs no pytest: ``python tests/test_latency_order.py``
-(with ``src`` on ``PYTHONPATH``) runs the same checks on an interpreter that
-lacks it.
+version, and the path search tests its latency budget as the solvers test
+their QoS bound, ``base + cost > limit``.  This module needs no pytest:
+``python tests/test_latency_order.py`` (with ``src`` on ``PYTHONPATH``) runs
+the same checks on an interpreter that lacks it.
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from fractions import Fraction
 from sfcsim.engine import run
 from sfcsim.mano import build_plan
 from sfcsim.solver import SOLVERS, make_solver
-from sfcsim.topology import PhysicalPath, SubstrateSnapshot, SubstrateTopology, path_latency
+from sfcsim.topology import (PhysicalPath, SubstrateSnapshot, SubstrateTopology, path_latency,
+                             shortest_feasible_path)
 from sfcsim.trace import TraceLog
 from sfcsim.workload import SfcRequest, VnfCatalog, VnfTemplate
 
@@ -38,8 +40,8 @@ def catalog(*cpu):
     return cat
 
 
-def request(chain):
-    return SfcRequest(sfc_id=0, start_time=1.0, end_time=2.0, ingress=0, egress=3,
+def request(chain, egress=3):
+    return SfcRequest(sfc_id=0, start_time=1.0, end_time=2.0, ingress=0, egress=egress,
                       vnf_chain=chain, qos_max_latency=1e16)
 
 
@@ -76,6 +78,21 @@ def test_three_one_edge_legs_pass_the_self_check():
     plan = build_plan(req, cat, snap, (1, 2), [PhysicalPath((0, 1)), PhysicalPath((1, 2)),
                                                PhysicalPath((2, 3))])
     assert plan.total_latency == 1e16
+
+
+def test_a_budget_is_tested_as_the_solvers_test_it():
+    # After the 1e16 ms leg 0-1 the budget left is 0, yet the leg 1-2 of
+    # 1 ms fits: 1e16 + 1.0 == 1e16.  The subtracted form would refuse it.
+    base, leg, limit = 1e16, 1.0, 1e16
+    assert not base + leg > limit and leg > limit - base
+    snap = line_snapshot([1] * 4)
+    band = {key: 100 for key in snap.edges()}
+    assert shortest_feasible_path(snap, 1, 2, 0, band, base, limit) == PhysicalPath((1, 2))
+    # one VNF, which only node 1 can host: legs 0-1 and 1-2, searched with
+    # the chain's latency so far as the budget's base
+    cat, req = catalog(1), request((0,), egress=2)
+    for name, outcome in accepted_placements(line_snapshot([0, 1, 0, 0]), cat, req).items():
+        assert outcome == [("accepted", None, (1,))], name
 
 
 if __name__ == "__main__":

@@ -499,6 +499,30 @@ class TestStructure:
         assert plan_structure_errors(bad, req, cat, snap) == [
             "a node or an allocation key is not an int"]
 
+    # A solver's answer is read before it is trusted: each wrong type is a
+    # named problem, where it used to raise AttributeError or TypeError.
+    @pytest.mark.parametrize("rewrite, problem", [
+        (lambda plan: plan.vnf_placement, "plan is a tuple, not an EmbeddingPlan"),
+        (lambda plan: None, "plan is a NoneType, not an EmbeddingPlan"),
+        (lambda plan: dataclasses.replace(plan, vnf_placement=set(plan.vnf_placement)),
+         "vnf_placement is a set, not a sequence"),
+        (lambda plan: dataclasses.replace(plan, virtual_link_paths=None),
+         "virtual_link_paths is a NoneType, not a sequence"),
+        (lambda plan: dataclasses.replace(plan, band_alloc=list(plan.band_alloc.items())),
+         "band_alloc is a list, not a mapping"),
+        (lambda plan: dataclasses.replace(plan, virtual_link_paths=tuple(
+            path.nodes for path in plan.virtual_link_paths)),
+         "leg 0 is a tuple, not a PhysicalPath"),
+        (lambda plan: dataclasses.replace(plan, virtual_link_paths=(
+            *plan.virtual_link_paths[:2], PhysicalPath(frozenset({1, 2})),
+            plan.virtual_link_paths[3])),
+         "leg 2 has its nodes in a frozenset, not a sequence"),
+    ])
+    def test_malformed_types_are_named(self, rewrite, problem):
+        snap, cat = chain_snapshot(), catalog()
+        req, plan = plan_all_on(1, snap, cat)
+        assert plan_structure_errors(rewrite(plan), req, cat, snap) == [problem]
+
 
 class TestConservation:
     def test_random_interleavings_conserve_exactly(self):

@@ -145,6 +145,25 @@ class TestSaginGenerator:
                            match="^" + re.escape(f"{field} must be an int, got {value!r}") + "$"):
             desk_params(**{field: value})
 
+    # Every float and exact-quantity field, through the Python API: a string
+    # or None raised TypeError from the first comparison, a bool loaded as 1.
+    @pytest.mark.parametrize("field", ["altitude_km", "earth_radius_km", "duration_s",
+                                       "elevation_min_deg", "uav_loop_period_s",
+                                       "sat_cpu", "uav_cpu", "ground_cpu", "node_ram_mb",
+                                       "isl_band_mbps", "sg_band_mbps"])
+    @pytest.mark.parametrize("value", ["590", "3", None, True, [3]])
+    def test_non_number_quantity_rejected(self, field, value):
+        message = f"{field} must be a number, got {value!r}"
+        with pytest.raises(InvalidParams, match="^" + re.escape(message) + "$"):
+            desk_params(**{field: value})
+
+    # An infinite capacity or band generated, then raised OverflowError in run().
+    @pytest.mark.parametrize("field", ["sat_cpu", "node_ram_mb", "isl_band_mbps"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_quantity_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
+            desk_params(**{field: value})
+
     def test_orbit_radius_cubed_must_be_finite(self):
         with pytest.raises(InvalidParams, match=r"^the orbit radius \(earth_radius_km"
                                                 r" \+ altitude_km\) cubed must be finite$"):
@@ -290,6 +309,20 @@ class TestPoissonWorkload:
         with pytest.raises(InvalidParams,
                            match="^" + re.escape(f"{field} must be an int, got {value!r}") + "$"):
             generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)
+
+    @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
+    @pytest.mark.parametrize("value", ["600", None, True, 600j])
+    def test_non_number_float_rejected(self, field, value):
+        args = dict(sfc_count=3, mean_lifetime_s=600.0, chain_len=2, qos_ms=50.0)
+        args[field] = value
+        message = f"{field} must be a number, got {value!r}"
+        with pytest.raises(InvalidParams, match="^" + re.escape(message) + "$"):
+            generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)
+
+    def test_exact_and_int_quantities_are_numbers(self):
+        args = dict(sfc_count=3, mean_lifetime_s=F(600), chain_len=2, qos_ms=50)
+        assert len(generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)) == 3
+        assert desk_params(altitude_km=590, sat_cpu=3).sat_cpu == 3
 
     def test_same_seed_identical(self):
         args = dict(sfc_count=40, mean_lifetime_s=600, chain_len=3, qos_ms=50, seed=3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
-from sfcsim.topology import (InvalidPath, PhysicalPath, SubstrateSnapshot,
+from sfcsim.topology import (OVER_BUDGET, InvalidPath, PhysicalPath, SubstrateSnapshot,
                              SubstrateTopology, TimeBeforeStart, path_latency,
                              shortest_feasible_path, topology_from_json, topology_to_json)
 
@@ -163,6 +163,53 @@ class TestAgainstBruteForce:
                 continue
             for nodes in all_simple_paths(snap, 0, 5):
                 assert path_latency(snap, got) <= path_cost(snap, nodes)
+
+
+@st.composite
+def budgeted_searches(draw):
+    """A small snapshot with integer and zero latencies (so ties are common),
+    a residual map with negative and missing entries, a band filter, two
+    endpoints and a budget ``(base, limit)``."""
+    n = draw(st.integers(2, 7))
+    edges = [(u, v, draw(st.integers(0, 4))) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    snap = make_snapshot(n, edges)
+    residual = {key: draw(st.integers(-1, 3)) for key in snap.edges()
+                if draw(st.integers(0, 7))}  # a missing edge has none free
+    min_band = draw(st.integers(0, 2))
+    src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    amount = st.one_of(st.integers(0, 12).map(float),
+                       st.floats(0, 20, allow_nan=False), st.just(math.inf))
+    return snap, src, dst, min_band, residual, draw(amount), draw(amount)
+
+
+class TestBudgetedSearch:
+    @given(budgeted_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_budget_changes_no_path_only_the_verdict(self, case):
+        """The unbudgeted path when it fits, OVER_BUDGET exactly when it
+        exists and does not, None exactly when there is none."""
+        snap, src, dst, min_band, residual, base, limit = case
+        unbounded = shortest_feasible_path(snap, src, dst, min_band, residual)
+        got = shortest_feasible_path(snap, src, dst, min_band, residual, base, limit)
+        want = min_latency_path(snap, src, dst, min_band, residual)
+        if want is None:
+            assert unbounded is None and got is None
+        else:
+            assert unbounded.nodes == want[1]
+            assert got == (OVER_BUDGET if base + want[0] > limit else unbounded)
+
+    def test_over_budget_is_not_no_path(self):
+        # 0 - 1 - 2 at 5 ms a hop; the band filter cuts 2 - 3
+        snap = make_snapshot(4, [(0, 1, 5.0), (1, 2, 5.0), (2, 3, 1.0, 10)])
+        assert shortest_feasible_path(snap, 0, 2, 0, capacities(snap), 1.0, 11.0).nodes \
+            == (0, 1, 2)
+        assert shortest_feasible_path(snap, 0, 2, 0, capacities(snap), 1.0, 10.5) \
+            is OVER_BUDGET
+        assert shortest_feasible_path(snap, 0, 3, 20, capacities(snap), 1.0, 10.5) is None
+        assert shortest_feasible_path(snap, 1, 1, 0, capacities(snap), 2.0, 1.0) \
+            is OVER_BUDGET
+        assert repr(OVER_BUDGET) == "OVER_BUDGET"
 
 
 class TestValidation:
