@@ -48,6 +48,15 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """Whether the number ``x`` converts to a finite float; one beyond float
+    range does not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SaginParams:
     """Knobs of the space-air-ground substrate generator."""
@@ -83,20 +92,22 @@ class SaginParams:
                 raise InvalidParams(f"{f.name} must be an int, got {x!r}")
             if f.type is not int and not _is_number(x):
                 raise InvalidParams(f"{f.name} must be a number, got {x!r}")
-            if f.type is not int and not math.isfinite(x):
+            if f.type is not int and not _finite(x):
                 raise InvalidParams(f"{f.name} must be finite")
+            if f.type is Fraction:  # as a scenario file reads it: 0.3 is 3/10
+                object.__setattr__(self, f.name, as_fraction(x))
         if self.orbit_count < 1 or self.sats_per_orbit < 1:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:
             raise InvalidParams("uav_count and ground_count cannot be negative")
         radius = self.earth_radius_km + self.altitude_km  # its cube sets the orbital rate
-        if not math.isfinite(radius * radius * radius):
+        if not _finite(radius * radius * radius):
             raise InvalidParams("the orbit radius (earth_radius_km + altitude_km) cubed"
                                 " must be finite")
         if self.duration_s <= 0 or self.snapshot_interval_s <= 0:
             raise InvalidParams("duration and snapshot interval must be > 0")
         steps = self.duration_s / self.snapshot_interval_s
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        if not _finite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise InvalidParams("snapshot_interval_s must divide duration_s")
         if not 0 <= self.elevation_min_deg < 90:
             raise InvalidParams("elevation_min_deg must be in [0, 90)")
@@ -363,7 +374,9 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
 
         # Nearest cross-plane neighbor, line-of-sight permitting: the
         # smallest distance, and of equal ones the smallest index, as the
-        # first minimum of an ascending scan would find.
+        # first minimum of an ascending scan would find.  Only these writes
+        # link two planes, so a nearest already linked to u chose u and has
+        # written the pair: an edge exists when either end sees the other.
         if p.orbit_count >= 2:
             offsets = [phase + wt for _, phase, _, _ in planes]
             for u in range(sat_n):
@@ -373,24 +386,18 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 for o2, proj in cross[u // m]:
                     base2 = o2 * m
                     if proj is None:
-                        for v in range(base2, base2 + m):
-                            d = math.dist(pu, pos[v])
-                            if d < best or d == best and v < nearest:
-                                best, nearest = d, v
-                        continue
-                    # The two slots that bracket u's projection onto o2.
-                    xx, xy, yx, yy = proj
-                    k = math.floor((math.atan2(x * yx + y * yy, x * xx + y * xy)
-                                    - offsets[o2]) * slots_per_rad)
-                    v = base2 + k % m
-                    d = math.dist(pu, pos[v])
-                    if d < best or d == best and v < nearest:
-                        best, nearest = d, v
-                    v = base2 + (k + 1) % m
-                    d = math.dist(pu, pos[v])
-                    if d < best or d == best and v < nearest:
-                        best, nearest = d, v
-                if _line_of_sight(pu, pos[nearest], p.earth_radius_km):
+                        slots = range(base2, base2 + m)
+                    else:  # the two slots that bracket u's projection onto o2
+                        xx, xy, yx, yy = proj
+                        k = math.floor((math.atan2(x * yx + y * yy, x * xx + y * xy)
+                                        - offsets[o2]) * slots_per_rad)
+                        slots = (base2 + k % m, base2 + (k + 1) % m)
+                    for v in slots:
+                        d = math.dist(pu, pos[v])
+                        if d < best or d == best and v < nearest:
+                            best, nearest = d, v
+                if nearest not in links[u] and \
+                        _line_of_sight(pu, pos[nearest], p.earth_radius_km):
                     add_edge(u, nearest, p.isl_band_mbps)
 
         # Surface/air to satellite, by elevation mask: the angle of the
@@ -437,12 +444,13 @@ def generate_poisson_workload(topo: SubstrateTopology, catalog: VnfCatalog,
     for name, x in (("sfc_count", sfc_count), ("chain_len", chain_len), ("seed", seed)):
         if type(x) is not int:
             raise InvalidParams(f"{name} must be an int, got {x!r}")
+    for name, x in (("sfc_count", sfc_count), ("chain_len", chain_len)):
+        if x < 1:
+            raise InvalidParams(f"{name} must be finite and > 0")
     for name, x in (("mean_lifetime_s", mean_lifetime_s), ("qos_ms", qos_ms)):
         if not _is_number(x):
             raise InvalidParams(f"{name} must be a number, got {x!r}")
-    for name, x in (("sfc_count", sfc_count), ("mean_lifetime_s", mean_lifetime_s),
-                    ("chain_len", chain_len), ("qos_ms", qos_ms)):
-        if not 0 < x < math.inf:  # false for NaN too
+        if not (_finite(x) and x > 0):
             raise InvalidParams(f"{name} must be finite and > 0")
     if sfc_count * chain_len > MAX_GENERATED:
         raise InvalidParams(f"sfc_count x chain_len above {MAX_GENERATED}")

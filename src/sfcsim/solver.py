@@ -102,48 +102,37 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     placement: list[int] = []
     paths = []
     latency = 0.0
-
-    def route(src: int, dst: int, demand: int):
-        """The leg's path, booked, or why it has none: no path passes the
-        band filter, or the best one breaks the QoS bound."""
-        nonlocal latency
-        path = shortest_feasible_path(snap, src, dst, demand, band,
+    prev = req.ingress
+    for pos, demand in enumerate(demands):  # one leg into each VNF, then one to egress
+        if pos < len(cpu_demand):
+            cpu_need, ram_need = cpu_demand[pos], ram_demand[pos]
+            cpu_ok = [n for n, free in enumerate(cpu) if free >= cpu_need]
+            if not cpu_ok:
+                return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT)
+            candidates = [n for n in cpu_ok if ram[n] >= ram_need]
+            if not candidates:
+                return SolverDecision.reject(FailureReason.NODE_RAM_INSUFFICIENT)
+            node = choose(candidates, cpu, ram, max_cpu, max_ram)
+            cpu[node] -= cpu_need
+            ram[node] -= ram_need
+            assert cpu[node] >= 0 and ram[node] >= 0
+            placement.append(node)
+        else:
+            node = req.egress
+        path = shortest_feasible_path(snap, prev, node, demand, band,
                                       latency, req.qos_max_latency)
         if path is None:
-            return FailureReason.NO_PATH
+            return SolverDecision.reject(FailureReason.NO_PATH)
         if path is OVER_BUDGET:
-            return FailureReason.QOS_LATENCY_VIOLATED
+            return SolverDecision.reject(FailureReason.QOS_LATENCY_VIOLATED)
         latency += path_latency(snap, path)  # within the bound: the search tested it
         if demand > 0:
             for a, b in path.edges():
                 key = edge_key(a, b)
                 band[key] -= demand
                 assert band[key] >= 0
-        return path
-
-    prev = req.ingress
-    for pos, (cpu_need, ram_need) in enumerate(zip(cpu_demand, ram_demand)):
-        cpu_ok = [n for n, free in enumerate(cpu) if free >= cpu_need]
-        if not cpu_ok:
-            return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT)
-        candidates = [n for n in cpu_ok if ram[n] >= ram_need]
-        if not candidates:
-            return SolverDecision.reject(FailureReason.NODE_RAM_INSUFFICIENT)
-        node = choose(candidates, cpu, ram, max_cpu, max_ram)
-        path = route(prev, node, demands[pos])
-        if isinstance(path, FailureReason):
-            return SolverDecision.reject(path)
-        cpu[node] -= cpu_need
-        ram[node] -= ram_need
-        assert cpu[node] >= 0 and ram[node] >= 0
-        placement.append(node)
         paths.append(path)
         prev = node
-
-    path = route(prev, req.egress, demands[-1])
-    if isinstance(path, FailureReason):
-        return SolverDecision.reject(path)
-    paths.append(path)
 
     plan = build_plan(req, cat, snap, placement, paths)
     # Contract self-check: an Accept must survive the orchestrator's gate.

@@ -12,6 +12,7 @@ and time stay as floats.
 
 import heapq
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +58,7 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("expected a number, got a bool")
-    if isinstance(value, int):
+    if isinstance(value, numbers.Rational):  # an int, or another integer type
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -151,8 +152,12 @@ class SubstrateSnapshot:
                           ("node_ram_capacity", self.node_ram_capacity)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
-            if any(x < 0 for x in dict(zip(map(id, vec), vec)).values()):
+            distinct = dict(zip(map(id, vec), vec)).values()
+            if any(x < 0 for x in distinct):
                 raise ValueError(f"{name} has a negative entry")
+            for x in distinct:
+                if type(x) not in (int, Fraction):
+                    raise ValueError(f"{name} entry {x!r} is not an int or a Fraction")
         good_bands = {}  # id -> band object that passed
         for u, row in enumerate(self.links):
             for v, edge in row.items():
@@ -170,6 +175,9 @@ class SubstrateSnapshot:
                     if id(band) not in good_bands:
                         if not band >= 0:
                             raise ValueError(f"negative bandwidth on edge ({u},{v})")
+                        if type(band) not in (int, Fraction):
+                            raise ValueError(f"bandwidth {band!r} on edge ({u},{v})"
+                                             " is not an int or a Fraction")
                         good_bands[id(band)] = band
         object.__setattr__(self, "links", tuple(MappingProxyType(dict(sorted(row.items())))
                                                 for row in self.links))
@@ -370,10 +378,17 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
 
 # --- JSON (de)serialization -------------------------------------------------
 
-def _num(x) -> int | float:
-    """Render a Fraction/float as a compact JSON number."""
+def _num(x) -> int | float | str:
+    """Render a Fraction/float as a compact JSON number, or a Fraction that no
+    float reads back to exactly (``as_fraction``) as the string ``"n/d"``."""
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
+        if x.denominator == 1:
+            return int(x)
+        try:
+            f = float(x)
+        except OverflowError:  # beyond float range
+            return str(x)
+        return f if as_fraction(f) == x else str(x)
     if isinstance(x, float) and x.is_integer():
         return int(x)
     return x

@@ -15,6 +15,8 @@ class VnfTemplate:
     ram_demand: Fraction
 
     def __post_init__(self):
+        for name in ("cpu_demand", "ram_demand"):  # as a scenario file reads it: 0.3 is 3/10
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.cpu_demand <= 0:
             raise ValueError(f"vnf {self.vnf_id}: cpu_demand must be > 0")
         if self.ram_demand <= 0:

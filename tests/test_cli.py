@@ -10,6 +10,7 @@ from conftest import SCENARIO_DIR
 from sfcsim import cli
 from sfcsim.cli import main
 from sfcsim.mano import InsufficientResources
+from sfcsim.scenario import load_scenario, scenario_from_json
 from test_golden_outputs import CSV_NAMES
 
 
@@ -211,6 +212,24 @@ class TestGenerateCommand:
         roundtrip = tmp_path / "roundtrip.json"
         roundtrip.write_text(json.dumps(doc))
         assert run_cli("validate", roundtrip) == 0
+
+    def test_generated_files_reproduce_the_scenario(self, tmp_path):
+        # 5/7 and 1/3 used to be written as floats and read back as other numbers.
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        doc["substrate"]["generator"]["sagin"]["uav_cpu"] = "5/7"
+        doc["catalog"]["links"][1]["band_mbps"] = "1/3"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        assert run_cli("generate", params, "--out", tmp_path / "gen") == 0
+        workload = json.loads((tmp_path / "gen" / "workload.json").read_text())
+        generated = scenario_from_json(dict(
+            doc, substrate=json.loads((tmp_path / "gen" / "substrate.json").read_text()),
+            workload={"sfcs": workload["sfcs"]}, catalog=workload["catalog"]))
+        original = load_scenario(params)
+        assert generated.topo == original.topo
+        assert generated.requests == original.requests
+        assert generated.catalog.templates == original.catalog.templates
+        assert generated.catalog.link_band_demand == original.catalog.link_band_demand
 
 
 class TestValidateCommand:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,10 +15,13 @@ from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot
 from sfcsim import engine
 from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
 from sfcsim.mano import FailureReason, ResourceLedger, build_plan
-from sfcsim.scenario import load_scenario
-from sfcsim.solver import GreedySolver, RandomSolver, SolveMode, Solver, SolverDecision
+from sfcsim.scenario import SaginParams, generate_poisson_workload, generate_sagin, load_scenario
+from sfcsim.solver import (GreedySolver, RandomSolver, SolveMode, Solver, SolverDecision,
+                           make_solver)
 from sfcsim.topology import PhysicalPath
 from sfcsim.trace import TraceLog
+from sfcsim.workload import VnfCatalog, VnfTemplate
+from test_golden_outputs import DIGESTS as GOLDEN
 
 
 def example_a():
@@ -553,3 +558,43 @@ def test_solvers_read_the_ledgers_free_amounts(monkeypatch):
     assert len(ledgers) == 1
     assert solver.modes.count(SolveMode.EMBED) == len(sc.requests)
     assert SolveMode.MIGRATE in solver.modes
+
+
+def csv_digest(topo, requests, catalog, solver_name, seed, out_dir):
+    """The digest ``sfcsim run`` pins in ``test_golden_outputs``, from an in-process run."""
+    trace = TraceLog()
+    run(topo, requests, catalog, make_solver(solver_name), trace, seed=seed)
+    digest = hashlib.sha256()
+    for path in trace.emit_csv(out_dir):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestFloatQuantitiesThroughTheApi:
+    """A float exact quantity handed to the Python API means what the same
+    number means in a scenario file: 0.3 is 3/10.  Both runs below used to
+    raise AttributeError ('float' object has no attribute 'denominator')."""
+
+    @pytest.mark.parametrize("solver_name", ["greedy", "random"])
+    def test_float_catalog_runs_as_its_fraction_twin(self, solver_name, tmp_path):
+        sc = load_scenario(SCENARIO_DIR / "example_a.json")
+        catalog = VnfCatalog([VnfTemplate(t.vnf_id, float(t.cpu_demand), float(t.ram_demand))
+                              for t in sc.catalog.templates.values()],
+                             sc.catalog.link_band_demand)
+        assert catalog.templates[0].cpu_demand == Fraction(1, 5)
+        assert csv_digest(sc.topo, sc.requests, catalog, solver_name, sc.seed,
+                          tmp_path) == GOLDEN[("example_a", solver_name)]
+
+    @pytest.mark.parametrize("solver_name", ["greedy", "random"])
+    def test_float_sagin_params_run_as_their_fraction_twins(self, solver_name, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        cfg = doc["substrate"]["generator"]["sagin"]
+        assert type(cfg["sat_cpu"]) is float and type(cfg["uav_cpu"]) is float  # 1.5, 0.3
+        sc = load_scenario(SCENARIO_DIR / "sagin_desk.json")
+        topo = generate_sagin(SaginParams(**cfg))
+        assert topo.snapshots[0.0].node_cpu_capacity[0] == Fraction(3, 2)
+        requests = generate_poisson_workload(topo, sc.catalog, seed=sc.seed,
+                                             **doc["workload"]["generator"]["poisson"])
+        assert requests == sc.requests
+        assert csv_digest(topo, requests, sc.catalog, solver_name, sc.seed,
+                          tmp_path) == GOLDEN[("sagin_desk", solver_name)]

@@ -164,6 +164,27 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
             desk_params(**{field: value})
 
+    # A number beyond float range raised OverflowError from math.isfinite.
+    @pytest.mark.parametrize("field, value", [("altitude_km", 10**400), ("duration_s", 10**400),
+                                              ("sat_cpu", F(10**400)), ("node_ram_mb", 10**400),
+                                              ("isl_band_mbps", -F(10**400))],
+                             ids=["altitude_km", "duration_s", "sat_cpu", "node_ram_mb",
+                                  "isl_band_mbps"])
+    def test_quantity_beyond_float_range_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
+            desk_params(**{field: value})
+
+    # Exact operands in range whose result is not: an int cube, a Fraction quotient.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(earth_radius_km=6371, altitude_km=10**120),
+         r"the orbit radius \(earth_radius_km \+ altitude_km\) cubed must be finite"),
+        (dict(duration_s=F(10**300), snapshot_interval_s=Fraction(1, 10**10)),
+         "snapshot_interval_s must divide duration_s"),
+    ], ids=["int-cube", "fraction-steps"])
+    def test_derived_number_beyond_float_range_rejected(self, overrides, message):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            desk_params(**overrides)
+
     def test_orbit_radius_cubed_must_be_finite(self):
         with pytest.raises(InvalidParams, match=r"^the orbit radius \(earth_radius_km"
                                                 r" \+ altitude_km\) cubed must be finite$"):
@@ -294,6 +315,15 @@ class TestPoissonWorkload:
     @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, 0.0, -1.5])
     def test_float_outside_finite_positive_rejected(self, field, value):
+        args = dict(sfc_count=3, mean_lifetime_s=600.0, chain_len=2, qos_ms=50.0)
+        args[field] = value
+        with pytest.raises(InvalidParams, match=f"^{field} must be finite and > 0$"):
+            generate_poisson_workload(self.horizon_topo(), self.catalog(), **args)
+
+    # mean_lifetime_s overflowed in 1.0 / mean_lifetime_s; qos_ms was accepted.
+    @pytest.mark.parametrize("field", ["mean_lifetime_s", "qos_ms"])
+    @pytest.mark.parametrize("value", [10**400, F(10**400)], ids=["int", "Fraction"])
+    def test_float_beyond_float_range_rejected(self, field, value):
         args = dict(sfc_count=3, mean_lifetime_s=600.0, chain_len=2, qos_ms=50.0)
         args[field] = value
         with pytest.raises(InvalidParams, match=f"^{field} must be finite and > 0$"):

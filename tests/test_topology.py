@@ -569,6 +569,36 @@ class TestSharedObjectChecks:
             links[u][v] = links[v][u] = (1.0, b)
         self.expect(links, (good,) * 4, (good,) * 4, "negative bandwidth on edge (2,3)")
 
+    # A float capacity or band crashed run() far from its source: the ledger's
+    # unit conversion reads a denominator.  It is refused after the sign test,
+    # so a NaN band above still reads as negative.
+    @pytest.mark.parametrize("name", ["node_cpu_capacity", "node_ram_capacity"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_capacity_that_is_not_exact_is_refused(self, name, value):
+        good = F(2)
+        vec = (good, value, good)
+        cpu, ram = (vec, (good,) * 3) if name == "node_cpu_capacity" else ((good,) * 3, vec)
+        self.expect(sparse(3, []), cpu, ram,
+                    f"{name} entry {value!r} is not an int or a Fraction")
+
+    def test_band_that_is_not_exact_is_refused(self):
+        good = F(10)
+        links = [{} for _ in range(4)]
+        for u, v, b in [(0, 1, good), (1, 2, 10.0), (2, 3, 10.0)]:
+            links[u][v] = links[v][u] = (1.0, b)
+        self.expect(links, (good,) * 4, (good,) * 4,
+                    "bandwidth 10.0 on edge (1,2) is not an int or a Fraction")
+
+    def test_float_matrices_are_refused(self):
+        adjacency = [[False, True], [True, False]]
+        latency = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^node_cpu_capacity entry 0\.3 is not an int"):
+            SubstrateSnapshot.from_matrices(adjacency, latency, [[0, 5], [5, 0]],
+                                            [0.3, 1], [F(1), F(1)])
+        with pytest.raises(ValueError, match=r"^bandwidth 5\.0 on edge \(0,1\) is not an int"):
+            SubstrateSnapshot.from_matrices(adjacency, latency, [[0, 5.0], [5.0, 0]],
+                                            [1, 1], [1, 1])
+
     def test_later_fault_on_an_edge_with_a_checked_band(self):
         good = F(10)
         links = [{} for _ in range(3)]
@@ -602,6 +632,21 @@ class TestJsonRoundTrip:
         topo = make_topo({0.0: snap})
         back = topology_from_json(topology_to_json(topo))
         assert back.snapshots[0.0].node_cpu_capacity[0] == Fraction(1, 5)
+
+    def test_non_decimal_fractions_survive(self):
+        # A float written for 5/7 read back as 7142857142857143/10**16, above
+        # 5/7, so seven 5/7-cpu VNFs no longer fitted a capacity-5 node.
+        big = Fraction(10**400 + 1, 2)  # beyond float range
+        snap = make_snapshot(3, [(0, 1, 1.0, Fraction(5, 7)), (1, 2, 2.0, big)],
+                             cpu=[Fraction(5, 7), 5, Fraction(3, 10)], ram=[big, 1, 1])
+        doc = topology_to_json(make_topo({0.0: snap}))
+        first = doc["snapshots"][0]
+        assert first["node_cpu"] == ["5/7", 5, 0.3]
+        assert first["link_band_mbps"][0][1] == "5/7"
+        back = topology_from_json(json.loads(json.dumps(doc))).snapshots[0.0]
+        assert back.node_cpu_capacity == snap.node_cpu_capacity
+        assert back.node_ram_capacity == snap.node_ram_capacity
+        assert back.links == snap.links
 
     def test_bundled_matrices_are_written_back_unchanged(self):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())["substrate"]

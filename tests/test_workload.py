@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +51,20 @@ class TestCatalog:
         cat = VnfCatalog([VnfTemplate(0, F(1), F(1))])
         with pytest.raises(ValueError, match="> 0"):
             cat.add_link_demand(0, 0, 0)
+
+    def test_demands_are_read_as_a_scenario_file_reads_them(self):
+        # A float used to stay a float: 0.3 became 5404319552844595/2**54 in
+        # the solver's units, or crashed it.
+        t = VnfTemplate(0, 0.3, 64)
+        assert (t.cpu_demand, t.ram_demand) == (Fraction(3, 10), Fraction(64))
+        assert type(t.cpu_demand) is type(t.ram_demand) is Fraction
+        assert VnfTemplate(0, "5/7", F(1)).cpu_demand == Fraction(5, 7)
+
+    def test_numpy_numbers_are_exact_quantities(self):
+        np = pytest.importorskip("numpy")  # a test tool only; the runtime is stdlib
+        t = VnfTemplate(0, np.int64(2), np.float64(0.3))
+        assert (t.cpu_demand, t.ram_demand) == (Fraction(2), Fraction(3, 10))
+        assert type(t.cpu_demand) is Fraction
 
 
 class TestValidateWorkload:
@@ -112,6 +128,22 @@ class TestJson:
         assert back.templates.keys() == catalog.templates.keys()
         assert back.templates[0].cpu_demand == F(0.2)
         assert back.link_band_demand == catalog.link_band_demand
+
+    def test_non_decimal_fractions_round_trip(self):
+        # A float written for 1/3 read back as 3333333333333333/10**16, and
+        # one for 5/7 as a little more than 5/7: seven such VNFs then no
+        # longer fitted a capacity-5 node.
+        cat = VnfCatalog([VnfTemplate(0, Fraction(5, 7), F(64)),
+                          VnfTemplate(1, F(0.3), Fraction(1, 3))])
+        cat.add_link_demand(0, 1, Fraction(1, 3))
+        doc = json.loads(json.dumps(catalog_to_json(cat)))
+        assert doc["templates"] == [{"id": 0, "cpu": "5/7", "ram_mb": 64},
+                                    {"id": 1, "cpu": 0.3, "ram_mb": "1/3"}]
+        assert doc["links"] == [{"a": 0, "b": 1, "band_mbps": "1/3"}]
+        back = catalog_from_json(doc)
+        assert back.templates == cat.templates
+        assert back.link_band_demand == cat.link_band_demand
+        assert 7 * back.templates[0].cpu_demand <= 5
 
     def test_workload_round_trip(self, catalog):
         reqs = [make_request(sfc_id=1, start=5, end=25, ingress=0, egress=2,
