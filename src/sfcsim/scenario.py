@@ -12,7 +12,6 @@ parameter with a default.
 
 import json
 import math
-import numbers
 import random
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -20,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .solver import SOLVERS
-from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, as_float,
+from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, _is_number, as_float,
                        as_fraction, as_integer, as_object, topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
@@ -41,11 +40,6 @@ class ValidationError(ValueError):
 
 class InvalidParams(ValueError):
     """Generator parameters violate their invariants."""
-
-
-def _is_number(x) -> bool:
-    """A real number that is not a bool, such as an int, a float or a Fraction."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:

@@ -3,9 +3,10 @@
 A solver receives the request, a catalog view, the current snapshot, and a
 copy of the ledger's free amounts in exact integer units, and answers with a
 complete mapping table or a rejection reason.  Any accepted plan must
-hold up under the orchestrator's own plan check against the same residuals;
-the baselines self-validate before answering.  Decisions must be
-deterministic given the input and the provided RNG state.
+hold up under the orchestrator's own plan check against the same residuals,
+which the engine runs on every Accept before resources move; the baselines'
+walk makes every Accept fit, so they answer without checking their own plan.
+Decisions must be deterministic given the input and the provided RNG state.
 """
 
 import random
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+# check_plan_against stays importable from here: the README offers it, bench/layers.py reads it
 from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
                    leg_band_demands)
 from .topology import (OVER_BUDGET, SubstrateSnapshot, edge_key, path_latency,
@@ -89,6 +91,21 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     comparison and deduction exact.  ``choose(candidates, cpu, ram, max_cpu,
     max_ram)`` sees the free amounts and the snapshot's largest node
     capacities in those units.
+
+    The plan is not run through ``check_plan_against``: the walk makes every
+    Accept pass it, and the engine's gate vets the plan anyway.
+      - cpu / ram: each position takes a node with at least the demand free,
+        in the input's own units, and deducts it there; ``build_plan`` sums
+        the same demands per node, so no node is over-drawn.
+      - Bandwidth: each leg with demand > 0 deducts it from every edge of its
+        path, and the search admits only edges with that much still free.  A
+        ``PhysicalPath`` never repeats a node, so no leg crosses an edge
+        twice, and ``build_plan`` sums the same amounts per edge.
+      - Paths: every hop comes from ``snap.links``.
+      - QoS: the search refuses ``base + c > limit`` with ``base`` the walk's
+        running latency; the walk and ``build_plan`` both add
+        ``path_latency`` left to right from zero, so the plan's total cannot
+        exceed ``qos_max_latency``.
     """
     req, cat, snap, units = inp.request, inp.catalog, inp.snapshot, inp.units
     cpu_demand = [_demand_units(cat.templates[vnf_id].cpu_demand, units.cpu_scale)
@@ -134,12 +151,7 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
         paths.append(path)
         prev = node
 
-    plan = build_plan(req, cat, snap, placement, paths)
-    # Contract self-check: an Accept must survive the orchestrator's gate.
-    verdict = check_plan_against(plan, req, snap, units)
-    if verdict is not None:
-        return SolverDecision.reject(verdict)
-    return SolverDecision.accept(plan)
+    return SolverDecision.accept(build_plan(req, cat, snap, placement, paths))
 
 
 class RandomSolver(Solver):

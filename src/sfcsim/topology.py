@@ -13,6 +13,7 @@ and time stay as floats.
 import heapq
 import math
 import numbers
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,11 +49,22 @@ def read_items(where: str, convert, value) -> tuple:
                  for j, x in enumerate(read_at(where, as_list, value)))
 
 
+# The string grammar of Python 3.10's ``Fraction``, which later versions
+# widen (``1_0``, ``1 / 5``), so a file reads alike on every version.
+_FRACTION_LITERAL = re.compile(r"""
+    \s*[-+]?(?=\d|\.\d)\d*                     # whitespace, sign, integer digits
+    (?:/\d+|(?:\.\d*)?(?:e(?P<exp>[-+]?\d+))?)  # a denominator, or decimals and exponent
+    \s*""", re.VERBOSE | re.IGNORECASE)
+# CPython's default int-string digit limit; 10**exponent costs time growing with it.
+MAX_EXPONENT = 4300
+
+
 def as_fraction(value) -> Fraction:
     """Convert a JSON number (int, float, or numeric string) to a Fraction.
 
     Floats are routed through their shortest decimal repr, so a value written
-    as ``0.2`` in a scenario file becomes exactly 1/5.
+    as ``0.2`` in a scenario file becomes exactly 1/5.  A string must match
+    ``_FRACTION_LITERAL`` with an exponent of at most ``MAX_EXPONENT``.
     """
     if isinstance(value, Fraction):
         return value
@@ -65,8 +77,19 @@ def as_fraction(value) -> Fraction:
             raise ValueError(f"non-finite resource value: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
+        literal = _FRACTION_LITERAL.fullmatch(value)
+        if literal is None:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        if literal["exp"] and abs(int(literal["exp"])) > MAX_EXPONENT:
+            raise ValueError(f"exponent {int(literal['exp'])} in {value!r} is outside "
+                             f"-{MAX_EXPONENT}..{MAX_EXPONENT}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a resource quantity")
+
+
+def _is_number(x) -> bool:
+    """A real number that is not a bool, such as an int, a float or a Fraction."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def as_integer(value) -> int:

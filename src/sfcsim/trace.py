@@ -8,6 +8,7 @@ usage each, so all run metrics can be recomputed from the log alone.
 
 import csv
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -66,8 +67,17 @@ class _UtilizationBlock(NamedTuple):
 
 
 def _fmt(x) -> str:
-    """Fixed-format decimal for CSV cells (6 places)."""
-    return f"{float(x):.6f}"
+    """Fixed-format decimal for CSV cells (6 places).
+
+    A value beyond float range is written as its exact value rounded
+    half-even; ``Decimal`` prints the digits, as ``str()`` of an int
+    refuses more than 4300 of them.
+    """
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:  # so at least 309 digits before the point
+        digits = str(Decimal(round(Fraction(x) * 1_000_000)))
+        return f"{digits[:-6]}.{digits[-6:]}"
 
 
 class TraceLog:
@@ -175,8 +185,10 @@ class TraceLog:
             # values and the block's scales, so it is formatted again only when
             # one of them differs from the previous block's; a block on another
             # substrate or on other scales is formatted afresh.  ``units / scale``
-            # rounds as float() of the Fraction does.  No cell needs csv
-            # quoting: they are ints and fixed-point decimals.
+            # rounds as float() of the Fraction does; a quotient beyond float
+            # range makes the scales Fractions, whose quotient _fmt writes
+            # exactly.  No cell needs csv quoting: they are ints and
+            # fixed-point decimals.
             keys = texts = scales = []
             for b in self._blocks:
                 new_keys = list(zip(b.cpu_used, b.snapshot.node_cpu_capacity,
@@ -184,10 +196,16 @@ class TraceLog:
                 if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
                     keys = texts = [None] * len(new_keys)
                     scales = cpu_scale, ram_scale = b.cpu_scale, b.ram_scale
-                texts = [text if key == old else
-                         f"{node},{_fmt(key[0] / cpu_scale)},{_fmt(key[1])},"
-                         f"{_fmt(key[2] / ram_scale)},{_fmt(key[3])}"
-                         for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
+                while True:
+                    try:
+                        texts = [text if key == old else
+                                 f"{node},{_fmt(key[0] / cpu_scale)},{_fmt(key[1])},"
+                                 f"{_fmt(key[2] / ram_scale)},{_fmt(key[3])}"
+                                 for node, (key, old, text) in enumerate(zip(new_keys, keys,
+                                                                             texts))]
+                        break
+                    except OverflowError:
+                        cpu_scale, ram_scale = Fraction(cpu_scale), Fraction(ram_scale)
                 keys = new_keys
                 prefix = _fmt(b.time) + ","
                 f.write(prefix + ("\n" + prefix).join(texts) + "\n")

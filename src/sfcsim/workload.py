@@ -4,8 +4,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .topology import (SubstrateTopology, _num, as_float, as_fraction, as_integer, as_list,
-                       edge_key, read_at, read_items)
+from .topology import (SubstrateTopology, _is_number, _num, as_float, as_fraction, as_integer,
+                       as_list, edge_key, read_at, read_items)
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,17 @@ def validate_workload(requests, catalog: VnfCatalog,
     n = topo.node_count
     for req in requests:
         bad = report.issues.append
-        if req.sfc_id in seen:
+        if type(req.sfc_id) is not int:  # tested before it is hashed
+            bad(ValidationIssue(req.sfc_id, "BadSfcId", f"sfc_id {req.sfc_id!r} is not an int"))
+        elif req.sfc_id in seen:
             bad(ValidationIssue(req.sfc_id, "DuplicateSfcId", "sfc_id used twice"))
-        seen.add(req.sfc_id)
-        if not req.start_time < req.end_time < math.inf:  # false for NaN too
+        else:
+            seen.add(req.sfc_id)
+        if not (_is_number(req.start_time) and _is_number(req.end_time)):
+            bad(ValidationIssue(req.sfc_id, "BadLifecycle",
+                                f"start {req.start_time!r} and end {req.end_time!r} "
+                                f"must be numbers"))
+        elif not req.start_time < req.end_time < math.inf:  # false for NaN too
             bad(ValidationIssue(req.sfc_id, "BadLifecycle",
                                 f"start {req.start_time} must precede a finite end {req.end_time}"))
         elif req.start_time < topo.start_time:
@@ -123,10 +130,10 @@ def validate_workload(requests, catalog: VnfCatalog,
             if type(node) is not int or not 0 <= node < n:  # 1.0 and True index no node
                 bad(ValidationIssue(req.sfc_id, "BadEndpoint",
                                     f"{role} {node!r} is not a node in 0..{n - 1}"))
-        if not 0 < req.qos_max_latency < math.inf:
+        if not (_is_number(req.qos_max_latency) and 0 < req.qos_max_latency < math.inf):
             bad(ValidationIssue(req.sfc_id, "BadQos",
-                                f"qos_max_latency {req.qos_max_latency} must be finite and > 0"))
-        unknown = [v for v in req.vnf_chain if v not in catalog]
+                                f"qos_max_latency {req.qos_max_latency!r} must be finite and > 0"))
+        unknown = [v for v in req.vnf_chain if type(v) is not int or v not in catalog]
         if unknown:
             bad(ValidationIssue(req.sfc_id, "UnknownVnf",
                                 f"templates {unknown} not in catalog"))

@@ -132,6 +132,27 @@ class TestRunCommand:
         assert run_cli("run", bad, "--out", tmp_path / "out") == 2
         assert "sfcs[0].chain[1]: expected an integer, got 1.5" in capsys.readouterr().err
 
+    def test_quantities_beyond_float_range_are_written_exactly(self, tmp_path):
+        # Such a scene validated, ran, then raised OverflowError from float()
+        # while utilization.csv was written.
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["substrate"]["snapshots"][0]["node_cpu"][0] = "1e400"
+        scene = tmp_path / "capacity.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli("run", scene, "--out", tmp_path / "capacity") == 0
+        rows = (tmp_path / "capacity" / "greedy" / "utilization.csv").read_text().splitlines()
+        assert rows[1].split(",")[:4] == ["5.000000", "0", "0.600000",
+                                          "1" + "0" * 400 + ".000000"]
+        # A usage beyond float range, rounded half-even to six places: VNF 0
+        # takes 10**400 + 2.5e-6 of node 0's 2e400, written with ...002, not ...003.
+        doc["substrate"]["snapshots"][0]["node_cpu"][0] = "2e400"
+        doc["catalog"]["templates"][0]["cpu"] = f"{10**407 + 25}/{10**7}"
+        scene.write_text(json.dumps(doc))
+        assert run_cli("run", scene, "--out", tmp_path / "usage") == 0
+        rows = (tmp_path / "usage" / "greedy" / "utilization.csv").read_text().splitlines()
+        assert rows[1].split(",")[:4] == ["5.000000", "0", "1" + "0" * 400 + ".000002",
+                                          "2" + "0" * 400 + ".000000"]
+
     def test_unknown_solver_flag(self, tmp_path):
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
                        "--solver", "pso", "--out", tmp_path) == 2

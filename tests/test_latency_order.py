@@ -71,7 +71,8 @@ def test_one_leg_over_the_line_fits_the_qos_bound():
 
 def test_three_one_edge_legs_pass_the_self_check():
     # VNF 0 fits only on node 1 and VNF 1 only on node 2: legs 0-1, 1-2, 2-3,
-    # whose running sum the solver checks and whose plan total it checks again
+    # whose running sum the solver checks and whose plan total the engine's
+    # gate checks again
     snap, cat, req = line_snapshot([0, 2, 1, 0]), catalog(2, 1), request((0, 1))
     for name, outcome in accepted_placements(snap, cat, req).items():
         assert outcome == [("accepted", None, (1, 2))], name

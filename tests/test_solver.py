@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import F, held_ledger, make_catalog, make_request, make_snapshot, unit_fractions
 from oracle import (exhaustive_embedding, greedy_pick, placement_feasible, random_pick,
                     sequential_decision)
-from sfcsim.mano import FailureReason, FreeUnits, ResourceLedger, check_plan
+from sfcsim.mano import FailureReason, FreeUnits, ResourceLedger, check_plan, check_plan_against
 from sfcsim.solver import (SOLVERS, GreedySolver, RandomSolver, SolverDecision,
                            SolverInput, make_solver)
 
@@ -235,6 +235,10 @@ class TestIntegerUnitsMatchReference:
         for solver, pick in ((GreedySolver(), greedy_pick(inp.snapshot)),
                              (RandomSolver(), random_pick(random.Random(seed)))):
             dec = solver.solve(inp, random.Random(seed))
+            if dec.accepted:
+                # the walk alone makes the plan fit: the baselines no longer check it
+                assert check_plan_against(dec.plan, inp.request, inp.snapshot,
+                                          inp.units) is None
             got = ((dec.plan.vnf_placement,
                     tuple(p.nodes for p in dec.plan.virtual_link_paths), None)
                    if dec.accepted else (None, None, dec.reason.value))

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import (F, make_catalog, make_request, make_snapshot, make_topo,
+from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot, make_topo,
                       single_topo)
+from sfcsim.engine import MalformedScenario, run
+from sfcsim.scenario import load_scenario
+from sfcsim.solver import GreedySolver
 from sfcsim.workload import (VnfCatalog, VnfTemplate, catalog_from_json,
                              catalog_to_json, validate_workload,
                              workload_from_json, workload_to_json)
@@ -115,6 +119,26 @@ class TestValidateWorkload:
         reqs = [make_request(sfc_id=4), make_request(sfc_id=4)]
         reasons = [i.reason for i in validate_workload(reqs, catalog, topo).issues]
         assert "DuplicateSfcId" in reasons
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("sfc_id", 1.5, "BadSfcId"),            # used to run, writing 1.5 into events.csv
+        ("sfc_id", [1], "BadSfcId"),            # unhashable: TypeError at `in seen`
+        ("start_time", "0", "BadLifecycle"),
+        ("start_time", True, "BadLifecycle"),   # used to validate as time 1
+        ("end_time", None, "BadLifecycle"),
+        ("qos_max_latency", None, "BadQos"),
+        ("vnf_chain", ([0], 1), "UnknownVnf"),
+        ("vnf_chain", (0, 1.0, 2), "UnknownVnf"),  # 1.0 == 1 used to find template 1
+    ])
+    def test_a_field_of_the_wrong_kind_is_an_issue(self, field, value, reason):
+        # The Python API is held to the JSON readers' kinds: a TypeError used
+        # to escape validate_workload, or the value ran as another one.
+        sc = load_scenario(SCENARIO_DIR / "example_a.json")
+        requests = [dataclasses.replace(sc.requests[0], **{field: value}), *sc.requests[1:]]
+        report = validate_workload(requests, sc.catalog, sc.topo)
+        assert [i.reason for i in report.issues] == [reason]
+        with pytest.raises(MalformedScenario, match=reason):
+            run(sc.topo, requests, sc.catalog, GreedySolver())
 
     def test_summary_names_the_sfc(self, topo, catalog):
         report = validate_workload([make_request(sfc_id=13, chain=(0, 2))], catalog, topo)
