@@ -2,23 +2,25 @@
 
 Exit codes: 0 success, 2 scenario/parameter validation error, 1 I/O error.
 All randomness flows from the scenario seed (optionally overridden); per-run
-seeds in a sweep are derived as ``seed + run_index`` so every output is
-reproducible from the command line alone.
+seeds in a sweep are derived as ``seed + sweep_index * repeat + repeat_index``,
+the same for every solver, so every output is reproducible from the command
+line alone.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import run as run_engine
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
 from .solver import SOLVERS, make_solver
 from .topology import topology_to_json
-from .trace import TraceLog
+from .trace import TraceLog, _fmt, write_csv
 from .workload import workload_to_json
 
 EXIT_OK = 0
@@ -47,88 +49,76 @@ class RunConfig:
             unknown = [s for s in self.solvers if s not in SOLVERS]
             if unknown:
                 raise ValidationError(f"unknown solver(s) {unknown}; available: {sorted(SOLVERS)}")
+            if len(set(self.solvers)) != len(self.solvers):
+                raise ValidationError("--solver names must be distinct")
 
 
-@dataclass
-class RunResult:
+class Cell(NamedTuple):
+    """One (solver x sweep x repeat) run; its counters are read from ``trace``."""
+
     label: str
     solver: str
     sfc_count: int
     repeat_index: int
-    arrivals: int
-    accepted: int
-    rejected: int
-    terminated_early: int
-    acceptance_ratio: float
-    breakdown: dict = field(default_factory=dict)
+    trace: TraceLog
 
 
 def _default_out_root() -> Path:
     return Path(os.environ.get("SFC_SIM_OUT", "out"))
 
 
-def _plan_runs(cfg: RunConfig, scenario: Scenario):
-    """Yield (label, solver_name, sfc_count or None, repeat_index, run_seed)."""
-    base_seed = cfg.seed if cfg.seed is not None else scenario.seed
-    solvers = cfg.solvers or [scenario.solver_name]
-    sweep = cfg.sweep or [None]
-    for solver_name in solvers:
-        for si, count in enumerate(sweep):
-            for rep in range(cfg.repeat):
-                parts = [solver_name]
-                if count is not None:
-                    parts.append(f"n{count}")
-                if cfg.repeat > 1:
-                    parts.append(f"r{rep}")
-                run_seed = base_seed + si * cfg.repeat + rep
-                yield "_".join(parts), solver_name, count, rep, run_seed
+def execute_runs(cfg: RunConfig, scenario: Scenario) -> list[Cell]:
+    """Run every (solver x sweep x repeat) cell, writing CSVs per run.
 
-
-def execute_runs(cfg: RunConfig, scenario: Scenario) -> list[RunResult]:
-    """Run every (solver x sweep x repeat) cell, writing CSVs per run."""
+    A cell is labelled by its solver, then ``n<count>`` in a sweep and
+    ``r<repeat>`` when repeated.
+    """
     if cfg.sweep is not None and scenario.workload_generator is None:
         raise ValidationError("--sweep needs a workload generator in the scenario")
-    results = []
-    for label, solver_name, count, rep, run_seed in _plan_runs(cfg, scenario):
+    base_seed = cfg.seed if cfg.seed is not None else scenario.seed
+    cells = []
+    for solver_name, (si, count), rep in product(cfg.solvers or [scenario.solver_name],
+                                                  enumerate(cfg.sweep or [None]),
+                                                  range(cfg.repeat)):
+        label = (solver_name + (f"_n{count}" if count is not None else "")
+                 + (f"_r{rep}" if cfg.repeat > 1 else ""))
+        run_seed = base_seed + si * cfg.repeat + rep
         if scenario.workload_generator is not None:
             requests = scenario.regenerate_workload(sfc_count=count, seed=run_seed)
         else:
             requests = scenario.requests
         trace = TraceLog()
-        report = run_engine(scenario.topo, requests, scenario.catalog,
-                            make_solver(solver_name), trace, seed=run_seed)
+        run_engine(scenario.topo, requests, scenario.catalog, make_solver(solver_name), trace,
+                   seed=run_seed)
         trace.emit_csv(cfg.out_dir / label)
-        results.append(RunResult(
-            label=label, solver=solver_name, sfc_count=len(requests),
-            repeat_index=rep, arrivals=report.arrivals, accepted=report.accepted,
-            rejected=report.rejected, terminated_early=report.terminated_early,
-            acceptance_ratio=trace.acceptance_ratio(),
-            breakdown={r.value: c for r, c in trace.failure_breakdown().items()}))
-    return results
+        cells.append(Cell(label, solver_name, len(requests), rep, trace))
+    return cells
 
 
-def write_sweep_summary(results: list[RunResult], out_dir: Path) -> Path:
-    path = out_dir / "sweep_summary.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["solver", "sfc_count", "repeat", "acceptance_ratio",
-                    "arrivals", "accepted", "rejected", "terminated_early"])
-        for r in results:
-            w.writerow([r.solver, r.sfc_count, r.repeat_index,
-                        f"{r.acceptance_ratio:.6f}", r.arrivals, r.accepted,
-                        r.rejected, r.terminated_early])
-    return path
+def _counts(trace: TraceLog) -> tuple[int, int, int, int]:
+    """Arrivals, accepted, rejected and early-terminated chains of a run."""
+    return (trace.arrival_count(), trace.accepted_count(), trace.rejected_count(),
+            trace.terminated_count())
 
 
-def _print_summary(results: list[RunResult]) -> None:
+def write_sweep_summary(cells: list[Cell], out_dir: Path) -> Path:
+    return write_csv(out_dir / "sweep_summary.csv",
+                     ["solver", "sfc_count", "repeat", "acceptance_ratio",
+                      "arrivals", "accepted", "rejected", "terminated_early"],
+                     ([c.solver, c.sfc_count, c.repeat_index, _fmt(c.trace.acceptance_ratio()),
+                       *_counts(c.trace)] for c in cells))
+
+
+def _print_summary(cells: list[Cell]) -> None:
     print(f"{'run':<24} {'arrivals':>8} {'accepted':>8} {'rejected':>8} "
           f"{'term':>5} {'accept_ratio':>12}")
-    for r in results:
-        print(f"{r.label:<24} {r.arrivals:>8} {r.accepted:>8} {r.rejected:>8} "
-              f"{r.terminated_early:>5} {r.acceptance_ratio:>12.6f}")
-        if r.breakdown:
-            reasons = ", ".join(f"{k}={v}" for k, v in sorted(r.breakdown.items()))
-            print(f"{'':<24} failures: {reasons}")
+    for c in cells:
+        arrivals, accepted, rejected, terminated = _counts(c.trace)
+        print(f"{c.label:<24} {arrivals:>8} {accepted:>8} {rejected:>8} "
+              f"{terminated:>5} {_fmt(c.trace.acceptance_ratio()):>12}")
+        breakdown = sorted((r.value, n) for r, n in c.trace.failure_breakdown().items())
+        if breakdown:
+            print(f"{'':<24} failures: {', '.join(f'{r}={n}' for r, n in breakdown)}")
 
 
 def _sweep_counts(text: str) -> list[int]:
@@ -145,10 +135,10 @@ def cmd_run(args) -> int:
                     seed=args.seed,
                     sweep=_sweep_counts(args.sweep) if args.sweep else None,
                     repeat=args.repeat)
-    results = execute_runs(cfg, load_scenario(cfg.scenario_path))
-    _print_summary(results)
-    if len(results) > 1:
-        write_sweep_summary(results, cfg.out_dir)
+    cells = execute_runs(cfg, load_scenario(cfg.scenario_path))
+    _print_summary(cells)
+    if len(cells) > 1:
+        write_sweep_summary(cells, cfg.out_dir)
     return EXIT_OK
 
 

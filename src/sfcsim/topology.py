@@ -16,6 +16,7 @@ import numbers
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 from types import MappingProxyType
@@ -55,8 +56,11 @@ _FRACTION_LITERAL = re.compile(r"""
     \s*[-+]?(?=\d|\.\d)\d*                     # whitespace, sign, integer digits
     (?:/\d+|(?:\.\d*)?(?:e(?P<exp>[-+]?\d+))?)  # a denominator, or decimals and exponent
     \s*""", re.VERBOSE | re.IGNORECASE)
-# CPython's default int-string digit limit; 10**exponent costs time growing with it.
+# CPython's default int-string digit limit: the most digits a file's number
+# has on each side of its point, and its largest exponent, as 10**exponent
+# costs time growing with it.
 MAX_EXPONENT = 4300
+_DIGITS_BOUND = 10**MAX_EXPONENT
 
 
 def as_fraction(value) -> Fraction:
@@ -402,9 +406,16 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
 # --- JSON (de)serialization -------------------------------------------------
 
 def _num(x) -> int | float | str:
-    """Render a Fraction/float as a compact JSON number, or a Fraction that no
-    float reads back to exactly (``as_fraction``) as the string ``"n/d"``."""
+    """Render a Fraction/float as a JSON value that ``as_fraction`` reads back.
+
+    An integer, or a Fraction that a float reads back to exactly, is written
+    as a JSON number, and any other Fraction as the string ``"n/d"``.  A
+    Fraction whose n or d has more than ``MAX_EXPONENT`` digits, which no
+    reader takes, is written as a decimal string instead (``_long_decimal``).
+    """
     if isinstance(x, Fraction):
+        if max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
+            return _long_decimal(x)
         if x.denominator == 1:
             return int(x)
         try:
@@ -415,6 +426,32 @@ def _num(x) -> int | float | str:
     if isinstance(x, float) and x.is_integer():
         return int(x)
     return x
+
+
+def _long_decimal(x: Fraction) -> str:
+    """``x`` as ``"I.DeX"``: at most ``MAX_EXPONENT`` digits in I and in D, and
+    ``|X| <= MAX_EXPONENT``, with the whole significand in I where that fits;
+    ``.D`` and ``eX`` are left out when empty or zero.  Every decimal that a
+    scenario file can write has such a form; anything else raises ValueError.
+    """
+    n, d = x.numerator, x.denominator
+    scale = d.bit_length()  # 10**scale is a multiple of every 2**a * 5**b up to d
+    significand, rest = divmod(abs(n) * 10**scale, d)
+    text = str(Decimal(significand))  # str() of an int refuses over 4300 digits
+    digits = text.rstrip("0")
+    exp = len(text) - len(digits) - scale  # |x| == int(digits) * 10**exp
+    low = max(len(digits) - MAX_EXPONENT, -MAX_EXPONENT - exp)
+    high = min(MAX_EXPONENT, MAX_EXPONENT - exp)
+    if rest or low > high:
+        raise ValueError(f"no decimal form of at most {MAX_EXPONENT} digits a part")
+    places = min(max(0, low), high)  # digits after the point
+    if places <= 0:
+        mantissa = digits + "0" * -places
+    else:
+        padded = digits.rjust(places + 1, "0")
+        mantissa = f"{padded[:-places]}.{padded[-places:]}"
+    exp += places
+    return ("-" if n < 0 else "") + mantissa + (f"e{exp}" if exp else "")
 
 
 def _cells(where: str, convert, value) -> tuple[tuple, ...]:

@@ -66,18 +66,28 @@ class _UtilizationBlock(NamedTuple):
     ram_scale: int
 
 
-def _fmt(x) -> str:
-    """Fixed-format decimal for CSV cells (6 places).
+def _fmt(x, scale=1) -> str:
+    """``x / scale`` as a fixed-format decimal for CSV cells (6 places).
 
-    A value beyond float range is written as its exact value rounded
+    The quotient of two ints rounds as float() of their Fraction does.  A
+    value beyond float range is written as its exact value rounded
     half-even; ``Decimal`` prints the digits, as ``str()`` of an int
     refuses more than 4300 of them.
     """
     try:
-        return f"{float(x):.6f}"
+        return f"{float(x) if scale == 1 else x / scale:.6f}"
     except OverflowError:  # so at least 309 digits before the point
-        digits = str(Decimal(round(Fraction(x) * 1_000_000)))
+        digits = str(Decimal(round(Fraction(x) / scale * 1_000_000)))
         return f"{digits[:-6]}.{digits[-6:]}"
+
+
+def write_csv(path: Path, header: list, rows) -> Path:
+    """Write ``header`` and then ``rows`` as a CSV file; overwrites."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 class TraceLog:
@@ -164,62 +174,44 @@ class TraceLog:
         """Write events/utilization/running_count/summary CSVs; overwrites."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
+        events = write_csv(out / "events.csv",
+                           ["time", "seq", "kind", "sfc_id", "outcome", "reason"],
+                           ([_fmt(r.time), r.seq, r.kind, "" if r.sfc_id is None else r.sfc_id,
+                             r.outcome or "", r.reason.value if r.reason else ""]
+                            for r in self.records))
 
-        def write(name: str, header: list, rows) -> None:
-            path = out / name
-            with open(path, "w", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(header)
-                w.writerows(rows)
-            written.append(path)
-
-        write("events.csv", ["time", "seq", "kind", "sfc_id", "outcome", "reason"],
-              ([_fmt(r.time), r.seq, r.kind, "" if r.sfc_id is None else r.sfc_id,
-                r.outcome or "", r.reason.value if r.reason else ""] for r in self.records))
-
-        path = out / "utilization.csv"
-        with open(path, "w", newline="") as f:
+        utilization = out / "utilization.csv"
+        with open(utilization, "w", newline="") as f:
             f.write("time,node,cpu_used,cpu_capacity,ram_used_mb,ram_capacity_mb\n")
             # A node's text after the time column depends only on its four
             # values and the block's scales, so it is formatted again only when
             # one of them differs from the previous block's; a block on another
-            # substrate or on other scales is formatted afresh.  ``units / scale``
-            # rounds as float() of the Fraction does; a quotient beyond float
-            # range makes the scales Fractions, whose quotient _fmt writes
-            # exactly.  No cell needs csv quoting: they are ints and
-            # fixed-point decimals.
+            # substrate or on other scales is formatted afresh.  No cell needs
+            # csv quoting: they are ints and fixed-point decimals.
             keys = texts = scales = []
             for b in self._blocks:
                 new_keys = list(zip(b.cpu_used, b.snapshot.node_cpu_capacity,
                                     b.ram_used, b.snapshot.node_ram_capacity))
                 if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
                     keys = texts = [None] * len(new_keys)
-                    scales = cpu_scale, ram_scale = b.cpu_scale, b.ram_scale
-                while True:
-                    try:
-                        texts = [text if key == old else
-                                 f"{node},{_fmt(key[0] / cpu_scale)},{_fmt(key[1])},"
-                                 f"{_fmt(key[2] / ram_scale)},{_fmt(key[3])}"
-                                 for node, (key, old, text) in enumerate(zip(new_keys, keys,
-                                                                             texts))]
-                        break
-                    except OverflowError:
-                        cpu_scale, ram_scale = Fraction(cpu_scale), Fraction(ram_scale)
+                    scales = b.cpu_scale, b.ram_scale
+                texts = [text if key == old else
+                         f"{node},{_fmt(key[0], b.cpu_scale)},{_fmt(key[1])},"
+                         f"{_fmt(key[2], b.ram_scale)},{_fmt(key[3])}"
+                         for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
                 keys = new_keys
                 prefix = _fmt(b.time) + ","
                 f.write(prefix + ("\n" + prefix).join(texts) + "\n")
-        written.append(path)
 
-        write("running_count.csv", ["time", "count"],
-              ([_fmt(t), count] for t, count in self.running_count_series()))
+        running = write_csv(out / "running_count.csv", ["time", "count"],
+                            ([_fmt(t), count] for t, count in self.running_count_series()))
 
         totals = [self.arrival_count(), self.accepted_count(), self.rejected_count(),
                   self.terminated_count(), _fmt(self.acceptance_ratio())]
         breakdown = self.failure_breakdown()
-        write("summary.csv", ["arrivals", "accepted", "rejected", "terminated_early",
-                              "acceptance_ratio"],
-              chain([totals, ["reason", "count", "", "", ""]],
-                    ([reason.value, breakdown.get(reason, 0), "", "", ""]
-                     for reason in FailureReason)))
-        return written
+        summary = write_csv(out / "summary.csv", ["arrivals", "accepted", "rejected",
+                                                  "terminated_early", "acceptance_ratio"],
+                            chain([totals, ["reason", "count", "", "", ""]],
+                                  ([reason.value, breakdown.get(reason, 0), "", "", ""]
+                                   for reason in FailureReason)))
+        return [events, utilization, running, summary]

@@ -287,7 +287,7 @@ def test_criterion_6_acceptance_trend(tmp_path):
         for solver in ("random", "greedy"):
             means = []
             for count in (50, 100, 200):
-                cell = [r.acceptance_ratio for r in results
+                cell = [r.trace.acceptance_ratio() for r in results
                         if r.solver == solver and r.label.startswith(f"{solver}_n{count}_")]
                 assert len(cell) == 5
                 means.append(sum(cell) / len(cell))

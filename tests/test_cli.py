@@ -157,6 +157,13 @@ class TestRunCommand:
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
                        "--solver", "pso", "--out", tmp_path) == 2
 
+    def test_repeated_solver_flag(self, tmp_path, capsys):
+        # greedy,greedy ran the same cell twice into one greedy/ directory
+        assert run_cli("run", SCENARIO_DIR / "example_a.json",
+                       "--solver", "greedy,greedy", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == "error: --solver names must be distinct\n"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
     def test_repeat_produces_labelled_dirs(self, tmp_path):
         code = run_cli("run", SCENARIO_DIR / "sagin_desk.json",
                        "--repeat", "2", "--out", tmp_path)
@@ -190,6 +197,33 @@ class TestRunCommand:
             digests.append(hashlib.sha256(b"".join(
                 (tmp_path / str(i) / label / name).read_bytes() for name in CSV_NAMES)).digest())
         assert digests[0] == digests[1] == digests[2]
+
+    def test_sweep_outputs_match_pinned_digests(self, tmp_path, capsys):
+        # SHA-256 of stdout, of sweep_summary.csv and, per run directory, of
+        # its four CSVs in CSV_NAMES order
+        expected = {
+            "stdout": "85044564004a69859902491182639050f0b1ad06cce5b531d5dbf224e8e16b12",
+            "sweep_summary.csv":
+                "aa4d5ae54c5d658d521c16e2e76023e1ae8f3af8259b5762da56432e4d54e98f",
+            "random_n20_r0": "082a4271e935398ef598ac7e3bb06e921ad81aa970d47ad6248f98e0991ef37c",
+            "random_n20_r1": "e54f30e3fe4819f5c560de4efd75a571fb810ec2badfc9b8c7c6819f08985c36",
+            "random_n40_r0": "9d651454f4a57b406cf100e1624540fd6f1f950de625d9d29df8b4f26fd2c8b8",
+            "random_n40_r1": "8277af91425db65efd5b783148833aabb99fed7a99f0e5b2cb4f693cd69ffdc1",
+            "greedy_n20_r0": "0baa0d037ddc5372c1341d96928127434b012229c1cab6008915b0ea7f6bb491",
+            "greedy_n20_r1": "e4ba99c0a24be58c6614885213498a63b6a9e443833f77ed67db671d82c9365a",
+            "greedy_n40_r0": "d059585eeda0eae17ae08c012e83385e65b2fae2b2affc5779c38d8ef5c9523e",
+            "greedy_n40_r1": "a577130e6012e6a6249eb8fd48d4161840b07634f1f054d85bc1a1c326903f8a",
+        }
+        assert run_cli("run", SCENARIO_DIR / "sagin_desk.json", "--solver", "random,greedy",
+                       "--sweep", "20,40", "--repeat", 2, "--out", tmp_path) == 0
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+               "sweep_summary.csv":
+                   hashlib.sha256((tmp_path / "sweep_summary.csv").read_bytes()).hexdigest()}
+        for label in expected.keys() - got.keys():
+            got[label] = hashlib.sha256(b"".join(
+                (tmp_path / label / name).read_bytes() for name in CSV_NAMES)).hexdigest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected.keys() - {"stdout"})
+        assert got == expected
 
     def test_out_root_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFC_SIM_OUT", str(tmp_path / "envroot"))
@@ -251,6 +285,18 @@ class TestGenerateCommand:
         assert generated.requests == original.requests
         assert generated.catalog.templates == original.catalog.templates
         assert generated.catalog.link_band_demand == original.catalog.link_band_demand
+
+
+    def test_quantity_of_over_4300_digits(self, tmp_path):
+        # validate and run took such a scene, generate raised ValueError
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["substrate"]["snapshots"][0]["node_cpu"][0] = "1e4300"
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli("generate", scene, "--out", tmp_path / "gen") == 0
+        substrate = json.loads((tmp_path / "gen" / "substrate.json").read_text())
+        assert substrate["snapshots"][0]["node_cpu"][0] == "1e4300"
+        assert load_scenario(scene).topo == scenario_from_json(dict(doc, substrate=substrate)).topo
 
 
 class TestValidateCommand:

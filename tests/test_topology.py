@@ -11,7 +11,8 @@ from conftest import SCENARIO_DIR, F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
 from sfcsim.topology import (OVER_BUDGET, InvalidPath, PhysicalPath, SubstrateSnapshot,
                              SubstrateTopology, TimeBeforeStart, path_latency,
-                             shortest_feasible_path, topology_from_json, topology_to_json)
+                             _num, as_fraction, shortest_feasible_path, topology_from_json,
+                             topology_to_json)
 
 
 def three_step_topo():
@@ -647,6 +648,40 @@ class TestJsonRoundTrip:
         assert back.node_cpu_capacity == snap.node_cpu_capacity
         assert back.node_ram_capacity == snap.node_ram_capacity
         assert back.links == snap.links
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "9" * 4300 + "e4300"],
+                             ids=["1e4300", "1e-4300", "4300 nines e4300"])
+    def test_quantities_of_over_4300_digits_survive(self, text):
+        # json.dumps of the int written for 1e4300, and str() of 1e-4300 as
+        # "n/d", raised ValueError: each has more than 4300 digits.
+        x = as_fraction(text)
+        snap = make_snapshot(2, [(0, 1, 1.0, x)], cpu=[x, 1], ram=[1, x])
+        doc = json.loads(json.dumps(topology_to_json(make_topo({0.0: snap}))))
+        assert doc["snapshots"][0]["node_cpu"] == [text, 1]
+        back = topology_from_json(doc).snapshots[0.0]
+        assert back.node_cpu_capacity == snap.node_cpu_capacity
+        assert back.node_ram_capacity == snap.node_ram_capacity
+        assert back.links == snap.links
+
+    @pytest.mark.parametrize("text, written", [
+        ("1" + "0" * 4299 + "e4300", "1" + "0" * 4299 + "e4300"),
+        ("10e4299", "1e4300"),
+        ("123.456e-4300", "123.456e-4300"),
+        ("0." + "1" * 4300 + "e-4300", "0." + "1" * 4300 + "e-4300"),
+        ("9" * 4300 + "." + "9" * 4300, "9" * 4300 + "." + "9" * 4300),
+        ("9" * 4300 + "." + "9" * 4300 + "e4300", "9" * 4300 + "." + "9" * 4300 + "e4300"),
+        ("-1e-4300", "-1e-4300")],
+        ids=["4300 digits e4300", "10e4299", "123.456e-4300",
+             "4300 decimals e-4300", "4300 digits each side", "both sides e4300", "-1e-4300"])
+    def test_long_decimals_keep_each_part_within_4300_digits(self, text, written):
+        # the significand as a whole where it fits, else the point moved the
+        # fewest places that bring the exponent within range
+        assert _num(as_fraction(text)) == written
+        assert as_fraction(written) == as_fraction(text)
+
+    def test_fraction_beyond_any_decimal_form_is_refused(self):
+        with pytest.raises(ValueError, match="no decimal form"):
+            _num(Fraction(1, 3 * 10**4300))
 
     def test_bundled_matrices_are_written_back_unchanged(self):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())["substrate"]

@@ -10,6 +10,7 @@ from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot
 from sfcsim.engine import MalformedScenario, run
 from sfcsim.scenario import load_scenario
 from sfcsim.solver import GreedySolver
+from sfcsim.topology import as_fraction
 from sfcsim.workload import (VnfCatalog, VnfTemplate, catalog_from_json,
                              catalog_to_json, validate_workload,
                              workload_from_json, workload_to_json)
@@ -168,6 +169,18 @@ class TestJson:
         assert back.templates == cat.templates
         assert back.link_band_demand == cat.link_band_demand
         assert 7 * back.templates[0].cpu_demand <= 5
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "9" * 4300 + "e4300"],
+                             ids=["1e4300", "1e-4300", "4300 nines e4300"])
+    def test_quantities_of_over_4300_digits_round_trip(self, text):
+        x = as_fraction(text)
+        cat = VnfCatalog([VnfTemplate(0, x, x), VnfTemplate(1, F(1), F(64))])
+        cat.add_link_demand(0, 1, x)
+        doc = json.loads(json.dumps(catalog_to_json(cat)))
+        assert doc["templates"][0] == {"id": 0, "cpu": text, "ram_mb": text}
+        back = catalog_from_json(doc)
+        assert back.templates == cat.templates
+        assert back.link_band_demand == cat.link_band_demand
 
     def test_workload_round_trip(self, catalog):
         reqs = [make_request(sfc_id=1, start=5, end=25, ingress=0, egress=2,
