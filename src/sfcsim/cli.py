@@ -131,9 +131,9 @@ def _sweep_counts(text: str) -> list[int]:
 def cmd_run(args) -> int:
     cfg = RunConfig(scenario_path=Path(args.scenario),
                     out_dir=Path(args.out) if args.out else _default_out_root(),
-                    solvers=args.solver.split(",") if args.solver else None,
+                    solvers=args.solver.split(",") if args.solver is not None else None,
                     seed=args.seed,
-                    sweep=_sweep_counts(args.sweep) if args.sweep else None,
+                    sweep=_sweep_counts(args.sweep) if args.sweep is not None else None,
                     repeat=args.repeat)
     cells = execute_runs(cfg, load_scenario(cfg.scenario_path))
     _print_summary(cells)

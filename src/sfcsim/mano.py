@@ -63,6 +63,9 @@ class EmbeddingPlan:
     total_latency: float
 
 
+_ZERO = Fraction(0)  # the demand of the legs to and from the chain's endpoints
+
+
 def leg_band_demands(request: SfcRequest, catalog: VnfCatalog) -> tuple[Fraction, ...]:
     """Bandwidth demand per virtual link, ingress/egress legs included.
 
@@ -75,36 +78,68 @@ def leg_band_demands(request: SfcRequest, catalog: VnfCatalog) -> tuple[Fraction
         if band is None:
             raise ValueError(f"no bandwidth demand declared for template pair ({a},{b})")
         inner.append(band)
-    return (Fraction(0), *inner, Fraction(0))
+    return (_ZERO, *inner, _ZERO)
+
+
+def _unit_sums(pairs) -> tuple[dict, int]:
+    """Exact per-key sums of ``(key, amount)`` pairs as ints of ``1/scale``,
+    ``scale`` being the LCM of the amounts' denominators."""
+    ratios = [(key, x.as_integer_ratio()) for key, x in pairs]
+    scale = lcm(*{den for _, (_, den) in ratios})
+    sums: dict = {}
+    for key, (num, den) in ratios:
+        sums[key] = sums.get(key, 0) + num * (scale // den)
+    return sums, scale
+
+
+def _plan_sums(request: SfcRequest, catalog: VnfCatalog, placement, paths) -> tuple:
+    """cpu and ram per node, bandwidth per edge key, each as ``_unit_sums`` gives them."""
+    hosted = [(node, catalog.templates[vnf_id])
+              for node, vnf_id in zip(placement, request.vnf_chain)]
+    band = []
+    for demand, path in zip(leg_band_demands(request, catalog), paths):
+        if demand != 0:
+            band += [(edge_key(a, b), demand) for a, b in path.edges()]
+    return (_unit_sums((node, t.cpu_demand) for node, t in hosted),
+            _unit_sums((node, t.ram_demand) for node, t in hosted),
+            _unit_sums(band))
+
+
+def _same_amounts(alloc: Mapping, sums: dict, scale: int) -> bool:
+    """``alloc`` holds ``sums`` over ``scale``, as dict equality would find it;
+    an exact amount is compared by cross-multiplication, not as a new Fraction."""
+    alloc = dict(alloc)
+    if alloc.keys() != sums.keys():
+        return False
+    for key, x in alloc.items():
+        if type(x) is int or type(x) is Fraction:
+            num, den = x.as_integer_ratio()
+            if num * scale != sums[key] * den:
+                return False
+        elif not x == Fraction(sums[key], scale):
+            return False
+    return True
+
+
+def _total_latency(snap: SubstrateSnapshot, paths) -> float:
+    total = 0  # left to right, as in path_latency
+    for path in paths:
+        total += path_latency(snap, path)
+    return total
 
 
 def build_plan(request: SfcRequest, catalog: VnfCatalog, snap: SubstrateSnapshot,
                placement, paths) -> EmbeddingPlan:
-    """Assemble a plan from a placement and per-leg paths, deriving allocations."""
+    """Assemble a plan from a placement and per-leg paths, deriving allocations.
+
+    Each allocation is summed in integer units and becomes one Fraction per key."""
     placement = tuple(placement)
     paths = tuple(paths)
-    cpu: dict[int, Fraction] = {}
-    ram: dict[int, Fraction] = {}
-    for node, vnf_id in zip(placement, request.vnf_chain):
-        t = catalog.templates[vnf_id]
-        cpu[node] = cpu.get(node, Fraction(0)) + t.cpu_demand
-        ram[node] = ram.get(node, Fraction(0)) + t.ram_demand
-    band: dict[tuple[int, int], Fraction] = {}
-    for demand, path in zip(leg_band_demands(request, catalog), paths):
-        if demand == 0:
-            continue
-        for a, b in path.edges():
-            key = edge_key(a, b)
-            band[key] = band.get(key, Fraction(0)) + demand
-    total = 0  # left to right, as in path_latency
-    for path in paths:
-        total += path_latency(snap, path)
+    cpu, ram, band = ({key: Fraction(units, scale) for key, units in sorted(sums.items())}
+                      for sums, scale in _plan_sums(request, catalog, placement, paths))
     return EmbeddingPlan(sfc_id=request.sfc_id, vnf_placement=placement,
-                         virtual_link_paths=paths,
-                         cpu_alloc=dict(sorted(cpu.items())),
-                         ram_alloc=dict(sorted(ram.items())),
-                         band_alloc=dict(sorted(band.items())),
-                         total_latency=total)
+                         virtual_link_paths=paths, cpu_alloc=cpu, ram_alloc=ram,
+                         band_alloc=band, total_latency=_total_latency(snap, paths))
 
 
 def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
@@ -161,19 +196,19 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     if problems:
         return problems
 
-    rebuilt = build_plan(request, catalog, snap, plan.vnf_placement,
-                         plan.virtual_link_paths)
-    if dict(plan.cpu_alloc) != rebuilt.cpu_alloc:
+    cpu, ram, band = _plan_sums(request, catalog, plan.vnf_placement, plan.virtual_link_paths)
+    if not _same_amounts(plan.cpu_alloc, *cpu):
         problems.append("cpu_alloc does not match placement demands")
-    if dict(plan.ram_alloc) != rebuilt.ram_alloc:
+    if not _same_amounts(plan.ram_alloc, *ram):
         problems.append("ram_alloc does not match placement demands")
-    if dict(plan.band_alloc) != rebuilt.band_alloc:
+    if not _same_amounts(plan.band_alloc, *band):
         problems.append("band_alloc does not match path demands")
     if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for alloc in
            (plan.cpu_alloc, plan.ram_alloc, plan.band_alloc) for x in alloc.values()):
         problems.append("an allocated amount is not an int or a Fraction")  # 20.0 == 20
-    if plan.total_latency != rebuilt.total_latency:
-        problems.append(f"total_latency {plan.total_latency} != {rebuilt.total_latency}")
+    total = _total_latency(snap, plan.virtual_link_paths)
+    if plan.total_latency != total:
+        problems.append(f"total_latency {plan.total_latency} != {total}")
     return problems
 
 

@@ -18,7 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import ge
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -298,19 +299,28 @@ class SubstrateTopology:
 
 def path_latency(snap: SubstrateSnapshot, path: PhysicalPath) -> float:
     """Total propagation latency of a path in ms; 0 for a single-node path."""
-    for node in path.nodes:
-        if not 0 <= node < snap.node_count:
+    nodes, n, links = path.nodes, snap.node_count, snap.links
+    for node in nodes:
+        if not 0 <= node < n:
             raise InvalidPath(f"node {node} outside substrate")
     total = 0  # left to right: from Python 3.12 on, sum() of floats rounds otherwise
-    for a, b in path.edges():
-        total += snap.edge_latency(a, b)
+    for a, b in zip(nodes, nodes[1:]):
+        edge = links[a].get(b)
+        if edge is None:
+            raise InvalidPath(f"({a},{b}) is not an edge")
+        total += edge[0]
     return total
 
 
 def path_is_valid(snap: SubstrateSnapshot, path: PhysicalPath) -> bool:
-    if any(not 0 <= node < snap.node_count for node in path.nodes):
-        return False
-    return all(snap.has_edge(a, b) for a, b in path.edges())
+    nodes, n, links = path.nodes, snap.node_count, snap.links
+    for node in nodes:
+        if not 0 <= node < n:
+            return False
+    for a, b in zip(nodes, nodes[1:]):
+        if b not in links[a]:
+            return False
+    return True
 
 
 class _OverBudget:
@@ -354,6 +364,16 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     reached there, if at all, by a failing label.  Which of those holds is
     decided by one reachability pass over the same band filter, from the
     heads of the labels left unpushed.
+
+    An open filter is not tested.  Proof: let ``min_band <= 0`` and
+    ``value >= min_band`` hold for every value of ``residual_band``.  (1) An
+    edge in the map passes: that is its test.  (2) An edge the map lacks reads
+    0, and ``0 >= min_band``.  (3) So every edge passes, and the test changes
+    nothing.  The openness check runs the per-edge test on each value, so a
+    NaN, which blocks its edge, keeps the filter closed.  This is not skipping
+    the test on every zero-demand leg: a capacity shrink can leave an edge's
+    free amount below 0, and that edge must stay excluded; the unconditional
+    skip changed decisions (``test_random_scenes_match_reference``, scene 22).
     """
     n = snap.node_count
     if not (0 <= src < n and 0 <= dst < n):
@@ -367,6 +387,7 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     # up left to right from 0.0, as path_latency's do from 0 (the float start
     # keeps the addition specialized for floats).
     links, push, pop = snap.links, heapq.heappush, heapq.heappop
+    open_filter = min_band <= 0 and all(map(ge, residual_band.values(), repeat(min_band)))
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
     settled: set[int] = set()
     over: list[int] = []  # heads of the labels not pushed: over the budget
@@ -379,8 +400,8 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
         if head == dst:
             return PhysicalPath(nodes)
         for nxt, (latency, _) in links[head].items():
-            if nxt not in settled and \
-                    residual_band.get((head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
+            if nxt not in settled and (open_filter or residual_band.get(
+                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
                 c = cost + latency
                 if base + c > limit:
                     over.append(nxt)
@@ -396,8 +417,8 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
         if head == dst:
             return OVER_BUDGET
         for nxt in links[head]:
-            if nxt not in settled and \
-                    residual_band.get((head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
+            if nxt not in settled and (open_filter or residual_band.get(
+                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
                 settled.add(nxt)
                 stack.append(nxt)
     return None

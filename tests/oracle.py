@@ -53,7 +53,7 @@ def min_latency_path(snap, src, dst, min_band=0, residual=None):
         for a, b in zip(nodes, nodes[1:]):
             key = (a, b) if a < b else (b, a)
             free = snap.edge_band(a, b) if residual is None else residual.get(key, 0)
-            if free < min_band:
+            if not free >= min_band:  # enough free bandwidth; NaN is not enough
                 ok = False
                 break
         if not ok:

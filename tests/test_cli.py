@@ -87,6 +87,14 @@ class TestRunCommand:
                        "--sweep", "a,b", "--out", tmp_path) == 2
         assert "--sweep" in capsys.readouterr().err
 
+    def test_empty_sweep_is_refused_not_ignored(self, tmp_path, capsys):
+        # an empty --sweep used to run one unswept cell and exit 0
+        assert run_cli("run", SCENARIO_DIR / "sagin_desk.json",
+                       "--sweep", "", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == \
+            "error: --sweep takes comma-separated integers, got ''\n"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("field, value", [("orbit_count", "two"),
                                               ("duration_s", float("nan")),
                                               ("orbit_count", True),
@@ -162,6 +170,14 @@ class TestRunCommand:
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
                        "--solver", "greedy,greedy", "--out", tmp_path) == 2
         assert capsys.readouterr().err == "error: --solver names must be distinct\n"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_empty_solver_flag_is_refused_not_ignored(self, tmp_path, capsys):
+        # an empty --solver used to run the scenario's own solver and exit 0
+        assert run_cli("run", SCENARIO_DIR / "example_a.json",
+                       "--solver", "", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown solver(s) ['']; available: ['greedy', 'random']\n"
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
     def test_repeat_produces_labelled_dirs(self, tmp_path):

@@ -524,6 +524,80 @@ class TestStructure:
         assert plan_structure_errors(rewrite(plan), req, cat, snap) == [problem]
 
 
+def coprime_catalog():
+    """Template demands in sevenths, elevenths and thirteenths, pair demands too."""
+    return make_catalog([(0, F(1) / 7, F(5) / 7), (1, F(2) / 11, F(6) / 11),
+                         (2, F(3) / 13, F(7) / 13)],
+                        [(0, 1, F(4) / 7), (1, 2, F(5) / 13), (0, 2, F(9) / 11),
+                         (0, 0, F(2) / 13), (1, 1, F(3) / 7), (2, 2, F(8) / 11)])
+
+
+def assert_fraction_sums(plan, req, cat, placement, nodes):
+    """The plan's maps are the Fraction sums of ``oracle.chain_holding``:
+    the same values, in sorted key order, every value a Fraction."""
+    _, *want = oracle.chain_holding(req, cat, placement, nodes)
+    for alloc, sums in zip((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc), want):
+        assert list(alloc.items()) == sorted(sums.items())
+        assert {type(x) for x in alloc.values()} <= {Fraction}
+
+
+class TestIntegerPlanSums:
+    """``build_plan`` and the gate's rebuild sum demands in integer units."""
+
+    def test_shared_node_and_edge_on_coprime_denominators(self):
+        snap, cat = make_snapshot(4, [(0, 1), (1, 2), (2, 3)]), coprime_catalog()
+        req = make_request(ingress=0, egress=0, chain=(0, 1, 2))
+        # node 1 hosts VNFs 0 and 2; legs 1 and 2 both cross (1, 2) and (2, 3);
+        # the legs from and to the endpoints carry no demand over (0, 1)
+        nodes = [(0, 1), (1, 2, 3), (3, 2, 1), (1, 0)]
+        plan = build_plan(req, cat, snap, (1, 3, 1), map(PhysicalPath, nodes))
+        assert plan.cpu_alloc == {1: F(1) / 7 + F(3) / 13, 3: F(2) / 11}
+        assert plan.band_alloc == dict.fromkeys([(1, 2), (2, 3)], F(4) / 7 + F(5) / 13)
+        assert_fraction_sums(plan, req, cat, (1, 3, 1), nodes)
+        assert plan_structure_errors(plan, req, cat, snap) == []
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_placement_and_paths_match_fraction_sums(self, chain, data):
+        snap, cat = make_snapshot(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]), \
+            coprime_catalog()
+        req = make_request(ingress=data.draw(st.integers(0, 3)),
+                           egress=data.draw(st.integers(0, 3)), chain=chain)
+        placement = data.draw(st.lists(st.integers(0, 3), min_size=len(chain),
+                                       max_size=len(chain)))
+        waypoints = (req.ingress, *placement, req.egress)
+        nodes = [data.draw(st.sampled_from(oracle.all_simple_paths(snap, a, b)))
+                 for a, b in zip(waypoints, waypoints[1:])]
+        plan = build_plan(req, cat, snap, placement, map(PhysicalPath, nodes))
+        assert_fraction_sums(plan, req, cat, placement, nodes)
+        assert plan_structure_errors(plan, req, cat, snap) == []
+
+    @pytest.mark.parametrize("solver_name", sorted(SOLVERS))
+    def test_gate_passes_the_solver_plan_and_refuses_one_off_by_1_1001(self, solver_name):
+        snap = make_snapshot(4, [(0, 1, 1.0, F(90) / 7), (1, 2, 1.0, F(80) / 11),
+                                 (2, 3, 1.0, F(70) / 13), (0, 3, 5.0, F(60) / 7)],
+                             cpu=[F(9) / 13] * 4, ram=[F(20) / 11] * 4)
+        cat = coprime_catalog()
+        req = make_request(ingress=0, egress=3, chain=(0, 1, 2, 0))
+        ledger = ResourceLedger(snap, cat)
+        decision = make_solver(solver_name).solve(
+            SolverInput(req, cat, snap, ledger.free_units()), random.Random(3))
+        plan = decision.plan
+        assert plan is not None, decision.reason
+        nodes = [path.nodes for path in plan.virtual_link_paths]
+        assert_fraction_sums(plan, req, cat, plan.vnf_placement, nodes)
+        assert plan_structure_errors(plan, req, cat, snap) == []
+        assert check_plan(plan, ledger, req) is None
+        for name, problem in (("cpu_alloc", "cpu_alloc does not match placement demands"),
+                              ("ram_alloc", "ram_alloc does not match placement demands"),
+                              ("band_alloc", "band_alloc does not match path demands")):
+            alloc = getattr(plan, name)
+            key = next(iter(alloc))
+            for off in (Fraction(1, 1001), Fraction(-1, 1001)):
+                bad = dataclasses.replace(plan, **{name: {**alloc, key: alloc[key] + off}})
+                assert plan_structure_errors(bad, req, cat, snap) == [problem]
+
+
 class TestConservation:
     def test_random_interleavings_conserve_exactly(self):
         snap, cat = chain_snapshot(), catalog()

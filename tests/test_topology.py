@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
 from sfcsim.topology import (OVER_BUDGET, InvalidPath, PhysicalPath, SubstrateSnapshot,
-                             SubstrateTopology, TimeBeforeStart, path_latency,
+                             SubstrateTopology, TimeBeforeStart, path_is_valid, path_latency,
                              _num, as_fraction, shortest_feasible_path, topology_from_json,
                              topology_to_json)
 
@@ -63,6 +63,27 @@ class TestPathLatency:
         snap = make_snapshot(2, [(0, 1)])
         with pytest.raises(InvalidPath):
             path_latency(snap, PhysicalPath((0, 5)))
+
+    def test_missing_edge_is_named(self):
+        snap = make_snapshot(4, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidPath) as err:
+            path_latency(snap, PhysicalPath((0, 1, 2, 3)))
+        assert str(err.value) == "(2,3) is not an edge"
+
+    def test_node_out_of_range_is_named_before_a_missing_edge(self):
+        snap = make_snapshot(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidPath) as err:
+            path_latency(snap, PhysicalPath((0, 2, 3)))
+        assert str(err.value) == "node 3 outside substrate"
+
+    @pytest.mark.parametrize("nodes, valid", [((0, 1, 2), True), ((2,), True),
+                                              ((0, 1, 3), False), ((-1, 0), False),
+                                              ((0, 2), False), ((1, 0, 2), False)],
+                             ids=["edges", "one-node", "out-of-range", "negative",
+                                  "missing-edge", "missing-last-edge"])
+    def test_path_is_valid(self, nodes, valid):
+        snap = make_snapshot(3, [(0, 1), (1, 2)])
+        assert path_is_valid(snap, PhysicalPath(nodes)) is valid
 
     def test_band_of_a_non_edge_raises(self):
         snap = make_snapshot(3, [(0, 1), (1, 2)])
@@ -184,9 +205,34 @@ def budgeted_searches(draw):
     return snap, src, dst, min_band, residual, draw(amount), draw(amount)
 
 
+@st.composite
+def band_filters(draw):
+    """A small snapshot, endpoints, a budget, and a band filter of one of four
+    kinds: every value >= ``min_band`` (open when ``min_band <= 0``), one value
+    below it, keys missing, or a float NaN entry."""
+    n = draw(st.integers(2, 7))
+    edges = [(u, v, draw(st.integers(0, 4))) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    snap = make_snapshot(n, edges)
+    keys = list(snap.edges())
+    kind = draw(st.sampled_from(["at least", "one below", "missing", "nan"]))
+    halves = st.integers(-4, 0 if kind in ("at least", "nan") else 4).map(lambda k: Fraction(k, 2))
+    min_band = draw(st.one_of(st.integers(-2, 0), halves))
+    residual = {key: min_band + draw(st.integers(0, 3)) for key in keys}
+    if keys and kind == "one below":
+        residual[draw(st.sampled_from(keys))] = min_band - draw(st.integers(1, 2))
+    elif kind == "missing":
+        residual = {key: x for key, x in residual.items() if draw(st.booleans())}
+    elif keys and kind == "nan":
+        residual[draw(st.sampled_from(keys))] = math.nan
+    src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    amount = st.one_of(st.integers(0, 12).map(float), st.just(math.inf))
+    return snap, src, dst, min_band, residual, draw(amount), draw(amount)
+
+
 class TestBudgetedSearch:
-    @given(budgeted_searches())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(budgeted_searches(), band_filters()))
+    @settings(max_examples=700, deadline=None)
     def test_budget_changes_no_path_only_the_verdict(self, case):
         """The unbudgeted path when it fits, OVER_BUDGET exactly when it
         exists and does not, None exactly when there is none."""
@@ -211,6 +257,39 @@ class TestBudgetedSearch:
         assert shortest_feasible_path(snap, 1, 1, 0, capacities(snap), 2.0, 1.0) \
             is OVER_BUDGET
         assert repr(OVER_BUDGET) == "OVER_BUDGET"
+
+
+class _NoLookups(dict):
+    """A residual map that fails the test when the search reads an edge from it."""
+
+    def get(self, key, default=None):
+        raise AssertionError(f"the open filter looked up {key}")
+
+
+class TestOpenFilter:
+    """A band filter every edge passes is not tested; any other is, edge by edge
+    (``band_filters`` draws both kinds for the budgeted-search property)."""
+
+    def test_open_filter_reads_no_edge(self):
+        # 0 - 1 - 2 - 3; (2, 3) is missing from the map and reads 0
+        snap = make_snapshot(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        residual = _NoLookups({(0, 1): 5, (1, 2): 1})
+        assert shortest_feasible_path(snap, 0, 3, 0, residual).nodes == (0, 1, 2, 3)
+        assert shortest_feasible_path(snap, 0, 3, 0, residual, 0.0, 2.5) is OVER_BUDGET
+        with pytest.raises(AssertionError, match="looked up"):  # a missing (2, 3) blocks
+            shortest_feasible_path(snap, 0, 3, Fraction(1, 2), residual)
+        with pytest.raises(AssertionError, match="looked up"):  # (1, 2) is short
+            shortest_feasible_path(snap, 0, 3, 0, _NoLookups({(0, 1): 0, (1, 2): -1}))
+
+    @pytest.mark.parametrize("blocked", [-1, math.nan], ids=["negative", "nan"])
+    def test_a_value_below_zero_or_nan_blocks_its_edge(self, blocked):
+        # the zero-demand leg must not cross (1, 2), so it takes the 10 ms detour
+        snap = make_snapshot(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
+        residual = {(0, 1): 0, (1, 2): blocked, (0, 2): 0}
+        assert shortest_feasible_path(snap, 0, 2, 0, residual).nodes == (0, 2)
+        assert shortest_feasible_path(snap, 1, 2, 0, residual, 0.0, 5.0) is OVER_BUDGET
+        residual[(0, 2)] = -1
+        assert shortest_feasible_path(snap, 1, 2, 0, residual) is None
 
 
 class TestValidation:
