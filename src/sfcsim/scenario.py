@@ -274,17 +274,33 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     # bracket or shrink the gap noticeably.  Rings of three or fewer, planes
     # near perpendicular (polar planes 90° apart) and times so late that
     # angle_err nears the gap scan all m slots of the other plane.
+    #
+    # A whole plane o2 is skipped when nothing on its circle can beat the
+    # best distance so far.  A point at radius a and signed distance h from
+    # plane o2 (h = x·(e1·n_o2) + y·(e2·n_o2)) lies at d² ≥ 2a² − 2a·√(a² − h²)
+    # from every point of that circle.  With B = best²·(1 + 1e-6) < 2a², the
+    # bound exceeds B + 1e-9·a² once h² > B − B²/(4a²) + 1e-9·a², since it
+    # grows at least as fast as h².  Positions lie within a few ulps of their
+    # circles and h within a few ulps times a, so the computed h² and every
+    # computed d² are off by under 1e-13·a², far below both margins: each
+    # distance in a skipped plane is above best, and the smallest-distance,
+    # smallest-index rule picks the same nearest.  At B ≥ 2a² the bound says
+    # nothing, and no plane is skipped.  Planes are visited by cyclic
+    # distance, o ± 1 first, so a tight best comes early.
     slot_gap = math.cos(math.pi / m) - math.cos(2 * math.pi / m)
-    cross = []  # per orbit: (other orbit, projection or None)
+    a2 = a * a
+    orbits = p.orbit_count
+    cross = []  # per orbit: (other orbit, projection or None, e1·n_o2, e2·n_o2)
     for o, (_, _, e1, e2) in enumerate(planes):
         row = []
-        for o2, (_, _, f1, f2) in enumerate(planes):
-            if o2 == o:
-                continue
+        for o2 in sorted(range(orbits), key=lambda o2: min((o2 - o) % orbits,
+                                                           (o - o2) % orbits))[1:]:
+            _, _, f1, f2 = planes[o2]
             gap = 2 * abs(_dot(normals[o], normals[o2])) * slot_gap
             # (x, y) in plane o maps to (x·xx + y·xy, x·yx + y·yy) in plane o2.
             proj = (_dot(e1, f1), _dot(e2, f1), _dot(e1, f2), _dot(e2, f2))
-            row.append((o2, proj if m > 3 and gap > 1.6e7 * angle_err else None))
+            row.append((o2, proj if m > 3 and gap > 1.6e7 * angle_err else None,
+                        _dot(e1, normals[o2]), _dot(e2, normals[o2])))
         cross.append(row)
 
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
@@ -345,16 +361,18 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             runs.append(range(base + k, base + k + count))
         return runs
 
+    ground_pos = [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
+
     def snapshot_at(t: float) -> SubstrateSnapshot:
         wt = omega * t
         pos, in_plane = sat_positions(t)
         pos += [uav_position(u, t) for u in range(p.uav_count)]
-        pos += [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
+        pos += ground_pos
 
         links = [{} for _ in range(n)]
 
-        def add_edge(u: int, v: int, band_mbps: Fraction):
-            d = math.dist(pos[u], pos[v])
+        def add_edge(u: int, v: int, d: float, band_mbps: Fraction):
+            """Link u and v at distance ``d``, their ``math.dist`` as measured."""
             if d <= 0:
                 return
             links[u][v] = links[v][u] = (d / LIGHT_KM_PER_MS, band_mbps)
@@ -364,7 +382,8 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             base = orbit * m
             if m >= 2:
                 for j in range(m if m > 2 else 1):
-                    add_edge(base + j, base + (j + 1) % m, p.isl_band_mbps)
+                    u, v = base + j, base + (j + 1) % m
+                    add_edge(u, v, math.dist(pos[u], pos[v]), p.isl_band_mbps)
 
         # Nearest cross-plane neighbor, line-of-sight permitting: the
         # smallest distance, and of equal ones the smallest index, as the
@@ -376,8 +395,11 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             for u in range(sat_n):
                 pu = pos[u]
                 x, y = in_plane[u]
-                best, nearest = math.inf, -1
-                for o2, proj in cross[u // m]:
+                best, nearest, h2_skip = math.inf, -1, math.inf
+                for o2, proj, hx, hy in cross[u // m]:
+                    h = x * hx + y * hy
+                    if h * h > h2_skip:
+                        continue
                     base2 = o2 * m
                     if proj is None:
                         slots = range(base2, base2 + m)
@@ -390,9 +412,12 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                         d = math.dist(pu, pos[v])
                         if d < best or d == best and v < nearest:
                             best, nearest = d, v
+                    bound = best * best * (1 + 1e-6)
+                    if bound < 2 * a2:
+                        h2_skip = bound - bound * bound / (4 * a2) + 1e-9 * a2
                 if nearest not in links[u] and \
                         _line_of_sight(pu, pos[nearest], p.earth_radius_km):
-                    add_edge(u, nearest, p.isl_band_mbps)
+                    add_edge(u, nearest, best, p.isl_band_mbps)
 
         # Surface/air to satellite, by elevation mask: the angle of the
         # satellite above the node's local horizon.  The three-term sums are
@@ -408,14 +433,15 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                     sin_el = ((dx * gx + dy * gy + dz * gz)
                               / (math.sqrt(dx * dx + dy * dy + dz * dz) * gr))
                     if _above_mask(sin_el, sin_min, p.elevation_min_deg):
-                        add_edge(g, s, p.sg_band_mbps)
+                        add_edge(g, s, math.dist(pos[g], pos[s]), p.sg_band_mbps)
 
         # UAV-UAV and UAV-ground, by range.  Ground stations do not
         # interconnect directly (the terrestrial backhaul is assumed gone).
         for u in range(sat_n, sat_n + p.uav_count):
             for v in range(u + 1, n):
-                if math.dist(pos[u], pos[v]) <= p.air_range_km:
-                    add_edge(u, v, p.sg_band_mbps)
+                d = math.dist(pos[u], pos[v])
+                if d <= p.air_range_km:
+                    add_edge(u, v, d, p.sg_band_mbps)
 
         return SubstrateSnapshot(n, links, cpu, ram)
 

@@ -92,6 +92,14 @@ PINNED = {
     "far_future": (dict(duration_s=1e13, snapshot_interval_s=2.5e12, orbit_count=3,
                         sats_per_orbit=6),
                    "da11e0d5342311576c1fee42e2d1e9c121d7501655ed3d9d5bd440b1652a1d11"),
+    # The cross-plane search's plane skip, recorded from the search that
+    # brackets every other plane: a shell of many planes, where most are
+    # skipped, and one whose nearest neighbours are often so far apart
+    # (best² ≥ 2a²) that the bound says nothing.
+    "shell_12x20": (dict(orbit_count=12, sats_per_orbit=20, duration_s=1200.0),
+                    "c2bb76967072472d2a9083cd54613b8730cada2f7a98615f8597e8720374ea6d"),
+    "far_planes_5x1": (dict(orbit_count=5, sats_per_orbit=1, altitude_km=20200.0),
+                       "20dd69cf68c7f15f4b4f6a00a5bba76dc7c9020d8a6285ae78ec3372249bd078"),
 }
 
 

@@ -12,7 +12,8 @@ draw in one regime of ``REGIMES``.
 ``tests/test_scenario.py`` drives it with hypothesis.  This module needs no
 pytest: ``python tests/sagin_oracle.py [draws]`` (with ``src`` on
 ``PYTHONPATH``) checks the reference against the pinned digests, then the
-generator against the reference on ``draws`` seeded draws (default 200).
+generator against the reference on ``draws`` seeded draws (default 200), and
+fails when a regime gets none of them.
 """
 
 import json
@@ -149,25 +150,35 @@ def reference_sagin(params: SaginParams) -> SubstrateTopology:
                              snapshots={t: snapshot_at(t) for t in times})
 
 
-# Overrides, by the drawn shell altitude, that put a draw where a lookup
-# falls back to scanning or sits at its edge (coplanar planes, the smallest
-# ring that is bracketed); "free" keeps the plain draw.
+# Overrides, from the drawn shell altitude and further ``pick``s, that put a
+# draw where a lookup falls back to scanning, sits at its edge (coplanar
+# planes, the smallest ring that is bracketed) or skips whole planes; "free"
+# keeps the plain draw.
 REGIMES = {
-    "free": lambda alt: {},
+    "free": lambda alt, pick: {},
     # polar planes 90° apart are perpendicular (180° apart, coplanar)
-    "perpendicular": lambda alt: dict(inclination_deg=90.0, orbit_count=4),
-    "coplanar": lambda alt: dict(inclination_deg=0.0),
-    "ring_of_1": lambda alt: dict(sats_per_orbit=1),
-    "ring_of_2": lambda alt: dict(sats_per_orbit=2),
-    "ring_of_3": lambda alt: dict(sats_per_orbit=3),
-    "ring_of_4": lambda alt: dict(sats_per_orbit=4),
-    "uav_above_shell": lambda alt: dict(uav_count=3, uav_altitude_km=alt + 30000.0),
-    "uav_at_shell": lambda alt: dict(uav_count=3, uav_altitude_km=alt - 0.0005),
-    "near_zenith_mask": lambda alt: dict(elevation_min_deg=89.9),
+    "perpendicular": lambda alt, pick: dict(inclination_deg=90.0, orbit_count=4),
+    "coplanar": lambda alt, pick: dict(inclination_deg=0.0),
+    "ring_of_1": lambda alt, pick: dict(sats_per_orbit=1),
+    "ring_of_2": lambda alt, pick: dict(sats_per_orbit=2),
+    "ring_of_3": lambda alt, pick: dict(sats_per_orbit=3),
+    "ring_of_4": lambda alt, pick: dict(sats_per_orbit=4),
+    "uav_above_shell": lambda alt, pick: dict(uav_count=3, uav_altitude_km=alt + 30000.0),
+    "uav_at_shell": lambda alt, pick: dict(uav_count=3, uav_altitude_km=alt - 0.0005),
+    "near_zenith_mask": lambda alt, pick: dict(elevation_min_deg=89.9),
     # a node sees whole planes of a far shell
-    "far_shell": lambda alt: dict(altitude_km=1e10, elevation_min_deg=0.0),
+    "far_shell": lambda alt, pick: dict(altitude_km=1e10, elevation_min_deg=0.0),
     # orbit angles so large that their rounding nears a slot
-    "far_future": lambda alt: dict(duration_s=1e13, snapshot_interval_s=2.5e12),
+    "far_future": lambda alt, pick: dict(duration_s=1e13, snapshot_interval_s=2.5e12),
+    # a low shell of many planes: most planes are skipped by the distance bound
+    "many_planes": lambda alt, pick: dict(orbit_count=pick(range(10, 17)),
+                                          sats_per_orbit=pick(range(1, 13)),
+                                          altitude_km=pick([160.0, 590.0]),
+                                          duration_s=1800.0),
+    # one or two satellites per plane of a far shell: nearest neighbours are
+    # often so far apart (best² ≥ 2a²) that the bound says nothing
+    "far_planes": lambda alt, pick: dict(orbit_count=pick(range(3, 17)),
+                                         sats_per_orbit=pick([1, 2]), altitude_km=20200.0),
 }
 
 
@@ -181,7 +192,7 @@ def draw_params(pick) -> tuple[str, SaginParams]:
                   elevation_min_deg=pick([0.0, 10.0, 40.0]),
                   region_radius_km=pick([1.0, 50.0, 3000.0]), seed=pick(range(100)))
     regime = pick(sorted(REGIMES))
-    fields.update(REGIMES[regime](alt))
+    fields.update(REGIMES[regime](alt, pick))
     return regime, desk_params(**fields)
 
 
@@ -202,3 +213,6 @@ if __name__ == "__main__":
         seen[regime] += 1
     print(f"reference: {len(PINNED)} pinned digests ok; generator: {draws} draws match it;"
           f" draws per regime: {seen}")
+    # The draws are seeded, so a regime that none of them reaches is never tested.
+    if not all(seen.values()):
+        sys.exit(f"no draw in regimes {[r for r, count in seen.items() if not count]}")
