@@ -19,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .solver import SOLVERS
-from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, _is_number, as_float,
-                       as_fraction, as_integer, as_object, topology_from_json)
+from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, _finite, _is_number,
+                       as_float, as_fraction, as_integer, as_object, topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
 
@@ -40,15 +40,6 @@ class ValidationError(ValueError):
 
 class InvalidParams(ValueError):
     """Generator parameters violate their invariants."""
-
-
-def _finite(x) -> bool:
-    """Whether the number ``x`` converts to a finite float; one beyond float
-    range does not."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,10 @@ class SaginParams:
             if f.type is not int and not _finite(x):
                 raise InvalidParams(f"{f.name} must be finite")
             if f.type is Fraction:  # as a scenario file reads it: 0.3 is 3/10
-                object.__setattr__(self, f.name, as_fraction(x))
+                try:
+                    object.__setattr__(self, f.name, as_fraction(x))
+                except ValueError as exc:  # beyond the magnitude rule
+                    raise InvalidParams(f"{f.name}: {exc}") from None
         if self.orbit_count < 1 or self.sats_per_orbit < 1:
             raise InvalidParams("need at least one orbit with one satellite")
         if self.uav_count < 0 or self.ground_count < 0:

@@ -16,7 +16,6 @@ import numbers
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import ge
@@ -62,6 +61,22 @@ _FRACTION_LITERAL = re.compile(r"""
 # costs time growing with it.
 MAX_EXPONENT = 4300
 _DIGITS_BOUND = 10**MAX_EXPONENT
+_OUT_OF_RANGE = f"beyond float range or of over {MAX_EXPONENT} digits"
+
+
+def _finite(x) -> bool:
+    """Whether the number ``x`` converts to a finite float; one beyond float
+    range does not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _in_range(x: int | Fraction) -> bool:
+    """The one magnitude rule of an exact quantity: at most ``MAX_EXPONENT``
+    digits in its numerator and in its denominator, and a finite float."""
+    return max(abs(x.numerator), x.denominator) < _DIGITS_BOUND and _finite(x)
 
 
 def as_fraction(value) -> Fraction:
@@ -69,27 +84,32 @@ def as_fraction(value) -> Fraction:
 
     Floats are routed through their shortest decimal repr, so a value written
     as ``0.2`` in a scenario file becomes exactly 1/5.  A string must match
-    ``_FRACTION_LITERAL`` with an exponent of at most ``MAX_EXPONENT``.
+    ``_FRACTION_LITERAL`` with an exponent of at most ``MAX_EXPONENT``, and
+    every result must pass ``_in_range``.
     """
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+        x = value
+    elif isinstance(value, bool):
         raise TypeError("expected a number, got a bool")
-    if isinstance(value, numbers.Rational):  # an int, or another integer type
-        return Fraction(value)
-    if isinstance(value, float):
+    elif isinstance(value, numbers.Rational):  # an int, or another integer type
+        x = Fraction(value)
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite resource value: {value!r}")
-        return Fraction(str(value))
-    if isinstance(value, str):
+        x = Fraction(str(value))
+    elif isinstance(value, str):
         literal = _FRACTION_LITERAL.fullmatch(value)
         if literal is None:
             raise ValueError(f"Invalid literal for Fraction: {value!r}")
         if literal["exp"] and abs(int(literal["exp"])) > MAX_EXPONENT:
             raise ValueError(f"exponent {int(literal['exp'])} in {value!r} is outside "
                              f"-{MAX_EXPONENT}..{MAX_EXPONENT}")
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a resource quantity")
+        x = Fraction(value)
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a resource quantity")
+    if not _in_range(x):
+        raise ValueError(f"quantity {_OUT_OF_RANGE}")  # no repr: one of 4301 digits raises
+    return x
 
 
 def _is_number(x) -> bool:
@@ -181,11 +201,13 @@ class SubstrateSnapshot:
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
             distinct = dict(zip(map(id, vec), vec)).values()
-            if any(x < 0 for x in distinct):
+            if any(_is_number(x) and x < 0 for x in distinct):
                 raise ValueError(f"{name} has a negative entry")
             for x in distinct:
                 if type(x) not in (int, Fraction):
                     raise ValueError(f"{name} entry {x!r} is not an int or a Fraction")
+                if not _in_range(x):
+                    raise ValueError(f"{name} has an entry {_OUT_OF_RANGE}")
         good_bands = {}  # id -> band object that passed
         for u, row in enumerate(self.links):
             for v, edge in row.items():
@@ -201,11 +223,13 @@ class SubstrateSnapshot:
                     if not (math.isfinite(lat) and lat >= 0):
                         raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
                     if id(band) not in good_bands:
-                        if not band >= 0:
+                        if _is_number(band) and not band >= 0:  # NaN included
                             raise ValueError(f"negative bandwidth on edge ({u},{v})")
                         if type(band) not in (int, Fraction):
                             raise ValueError(f"bandwidth {band!r} on edge ({u},{v})"
                                              " is not an int or a Fraction")
+                        if not _in_range(band):
+                            raise ValueError(f"bandwidth on edge ({u},{v}) is {_OUT_OF_RANGE}")
                         good_bands[id(band)] = band
         object.__setattr__(self, "links", tuple(MappingProxyType(dict(sorted(row.items())))
                                                 for row in self.links))
@@ -236,7 +260,7 @@ class SubstrateSnapshot:
                     raise ValueError(f"bandwidth not symmetric at ({i},{j})")
                 if not (math.isfinite(lat) and lat >= 0):
                     raise ValueError(f"bad latency {lat!r} on edge ({i},{j})")
-                if band < 0:
+                if _is_number(band) and band < 0:
                     raise ValueError(f"negative bandwidth on edge ({i},{j})")
                 links[i][j] = links[j][i] = (lat, band)
         return cls(n, links, tuple(node_cpu_capacity), tuple(node_ram_capacity))
@@ -430,49 +454,17 @@ def _num(x) -> int | float | str:
     """Render a Fraction/float as a JSON value that ``as_fraction`` reads back.
 
     An integer, or a Fraction that a float reads back to exactly, is written
-    as a JSON number, and any other Fraction as the string ``"n/d"``.  A
-    Fraction whose n or d has more than ``MAX_EXPONENT`` digits, which no
-    reader takes, is written as a decimal string instead (``_long_decimal``).
+    as a JSON number, and any other Fraction as the string ``"n/d"``; the
+    magnitude rule (``_in_range``) keeps each part within 4300 digits.
     """
     if isinstance(x, Fraction):
-        if max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
-            return _long_decimal(x)
         if x.denominator == 1:
             return int(x)
-        try:
-            f = float(x)
-        except OverflowError:  # beyond float range
-            return str(x)
+        f = float(x)
         return f if as_fraction(f) == x else str(x)
     if isinstance(x, float) and x.is_integer():
         return int(x)
     return x
-
-
-def _long_decimal(x: Fraction) -> str:
-    """``x`` as ``"I.DeX"``: at most ``MAX_EXPONENT`` digits in I and in D, and
-    ``|X| <= MAX_EXPONENT``, with the whole significand in I where that fits;
-    ``.D`` and ``eX`` are left out when empty or zero.  Every decimal that a
-    scenario file can write has such a form; anything else raises ValueError.
-    """
-    n, d = x.numerator, x.denominator
-    scale = d.bit_length()  # 10**scale is a multiple of every 2**a * 5**b up to d
-    significand, rest = divmod(abs(n) * 10**scale, d)
-    text = str(Decimal(significand))  # str() of an int refuses over 4300 digits
-    digits = text.rstrip("0")
-    exp = len(text) - len(digits) - scale  # |x| == int(digits) * 10**exp
-    low = max(len(digits) - MAX_EXPONENT, -MAX_EXPONENT - exp)
-    high = min(MAX_EXPONENT, MAX_EXPONENT - exp)
-    if rest or low > high:
-        raise ValueError(f"no decimal form of at most {MAX_EXPONENT} digits a part")
-    places = min(max(0, low), high)  # digits after the point
-    if places <= 0:
-        mantissa = digits + "0" * -places
-    else:
-        padded = digits.rjust(places + 1, "0")
-        mantissa = f"{padded[:-places]}.{padded[-places:]}"
-    exp += places
-    return ("-" if n < 0 else "") + mantissa + (f"e{exp}" if exp else "")
 
 
 def _cells(where: str, convert, value) -> tuple[tuple, ...]:

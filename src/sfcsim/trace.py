@@ -8,7 +8,6 @@ usage each, so all run metrics can be recomputed from the log alone.
 
 import csv
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -69,16 +68,11 @@ class _UtilizationBlock(NamedTuple):
 def _fmt(x, scale=1) -> str:
     """``x / scale`` as a fixed-format decimal for CSV cells (6 places).
 
-    The quotient of two ints rounds as float() of their Fraction does.  A
-    value beyond float range is written as its exact value rounded
-    half-even; ``Decimal`` prints the digits, as ``str()`` of an int
-    refuses more than 4300 of them.
+    The quotient of two ints rounds as float() of their Fraction does.  Every
+    accepted capacity converts to a finite float, and no usage exceeds a
+    capacity it was booked under, so no cell overflows.
     """
-    try:
-        return f"{float(x) if scale == 1 else x / scale:.6f}"
-    except OverflowError:  # so at least 309 digits before the point
-        digits = str(Decimal(round(Fraction(x) / scale * 1_000_000)))
-        return f"{digits[:-6]}.{digits[-6:]}"
+    return f"{float(x) if scale == 1 else x / scale:.6f}"
 
 
 def write_csv(path: Path, header: list, rows) -> Path:

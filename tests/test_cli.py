@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,26 +141,45 @@ class TestRunCommand:
         assert run_cli("run", bad, "--out", tmp_path / "out") == 2
         assert "sfcs[0].chain[1]: expected an integer, got 1.5" in capsys.readouterr().err
 
-    def test_quantities_beyond_float_range_are_written_exactly(self, tmp_path):
-        # Such a scene validated, ran, then raised OverflowError from float()
-        # while utilization.csv was written.
+    def test_quantities_beyond_float_range_are_written_exactly(self, tmp_path, capsys):
+        # Such scenes ran, their cells written exactly through a second writer;
+        # a quantity beyond float range is now refused at load, located.
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         doc["substrate"]["snapshots"][0]["node_cpu"][0] = "1e400"
         scene = tmp_path / "capacity.json"
         scene.write_text(json.dumps(doc))
-        assert run_cli("run", scene, "--out", tmp_path / "capacity") == 0
-        rows = (tmp_path / "capacity" / "greedy" / "utilization.csv").read_text().splitlines()
-        assert rows[1].split(",")[:4] == ["5.000000", "0", "0.600000",
-                                          "1" + "0" * 400 + ".000000"]
-        # A usage beyond float range, rounded half-even to six places: VNF 0
-        # takes 10**400 + 2.5e-6 of node 0's 2e400, written with ...002, not ...003.
+        assert run_cli("run", scene, "--out", tmp_path / "capacity") == 2
+        assert capsys.readouterr().err == ("error: substrate: snapshots[0].node_cpu[0]: quantity"
+                                           " beyond float range or of over 4300 digits\n")
+        assert not (tmp_path / "capacity").exists()
+        # A usage beyond float range: VNF 0 took 10**400 + 2.5e-6 of node 0's 2e400.
         doc["substrate"]["snapshots"][0]["node_cpu"][0] = "2e400"
         doc["catalog"]["templates"][0]["cpu"] = f"{10**407 + 25}/{10**7}"
         scene.write_text(json.dumps(doc))
-        assert run_cli("run", scene, "--out", tmp_path / "usage") == 0
-        rows = (tmp_path / "usage" / "greedy" / "utilization.csv").read_text().splitlines()
-        assert rows[1].split(",")[:4] == ["5.000000", "0", "1" + "0" * 400 + ".000002",
-                                          "2" + "0" * 400 + ".000000"]
+        assert run_cli("run", scene, "--out", tmp_path / "usage") == 2
+        assert capsys.readouterr().err == ("error: catalog: templates[0].cpu: quantity"
+                                           " beyond float range or of over 4300 digits\n")
+        doc["catalog"]["templates"][0]["cpu"] = 0.2
+        scene.write_text(json.dumps(doc))
+        assert run_cli("run", scene, "--out", tmp_path / "usage") == 2
+        assert "snapshots[0].node_cpu[0]: quantity beyond float range" in capsys.readouterr().err
+        assert not (tmp_path / "usage").exists()
+
+    def test_largest_accepted_quantity_runs_and_is_written(self, tmp_path):
+        # The premise of the one fixed-point writer: a capacity, and a usage
+        # booked under it, of the largest finite float are written as floats.
+        top = int(sys.float_info.max)
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        doc["substrate"]["snapshots"][0]["node_cpu"][0] = str(top)
+        doc["catalog"]["templates"][0]["cpu"] = str(top)
+        scene = tmp_path / "top.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli("run", scene, "--solver", "greedy", "--out", tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "greedy" / "utilization.csv").read_text().splitlines()
+        text = f"{top:.6f}"
+        assert text == f"{top}.000000"
+        node0 = [row.split(",")[2:4] for row in rows[1:] if row.split(",")[1] == "0"]
+        assert node0 == [[text, text], [text, text], ["0.000000", text], ["0.000000", text]]
 
     def test_unknown_solver_flag(self, tmp_path):
         assert run_cli("run", SCENARIO_DIR / "example_a.json",
@@ -303,16 +323,17 @@ class TestGenerateCommand:
         assert generated.catalog.link_band_demand == original.catalog.link_band_demand
 
 
-    def test_quantity_of_over_4300_digits(self, tmp_path):
-        # validate and run took such a scene, generate raised ValueError
+    def test_quantity_of_over_4300_digits(self, tmp_path, capsys):
+        # validate and run took such a scene, and generate wrote it as a
+        # decimal string; it is now refused at load, and nothing is written.
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         doc["substrate"]["snapshots"][0]["node_cpu"][0] = "1e4300"
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(doc))
-        assert run_cli("generate", scene, "--out", tmp_path / "gen") == 0
-        substrate = json.loads((tmp_path / "gen" / "substrate.json").read_text())
-        assert substrate["snapshots"][0]["node_cpu"][0] == "1e4300"
-        assert load_scenario(scene).topo == scenario_from_json(dict(doc, substrate=substrate)).topo
+        assert run_cli("generate", scene, "--out", tmp_path / "gen") == 2
+        assert capsys.readouterr().err == ("error: substrate: snapshots[0].node_cpu[0]: quantity"
+                                           " beyond float range or of over 4300 digits\n")
+        assert not (tmp_path / "gen").exists()
 
 
 class TestValidateCommand:

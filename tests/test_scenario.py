@@ -174,6 +174,14 @@ class TestSaginGenerator:
         with pytest.raises(InvalidParams, match=f"^{field} must be finite$"):
             desk_params(**{field: value})
 
+    # A finite quantity of over 4300 digits passed as the Fraction it is.
+    @pytest.mark.parametrize("value", [Fraction(1, 10**4300), Fraction(10**4300 + 1, 10**4300)],
+                             ids=["tiny", "near-one"])
+    def test_quantity_of_over_4300_digits_rejected(self, value):
+        with pytest.raises(InvalidParams, match="^sat_cpu: quantity beyond float range or of"
+                                                " over 4300 digits$"):
+            desk_params(sat_cpu=value)
+
     # Exact operands in range whose result is not: an int cube, a Fraction quotient.
     @pytest.mark.parametrize("overrides, message", [
         (dict(earth_radius_km=6371, altitude_km=10**120),
@@ -622,10 +630,10 @@ class TestLoadScenario:
                 f"substrate: snapshots[{snapshot}]: adjacency not symmetric at (0,1)") + "$"):
             scenario_from_json(doc)
 
-    # Every value kind a reader can be handed by mistake, and a number beyond
-    # float range.
+    # Every value kind a reader can be handed by mistake, a number beyond
+    # float range, and two quantities the magnitude rule refuses.
     MALFORMED = [None, True, False, "x", "1/0", [], {}, math.nan, math.inf, -math.inf, -1,
-                 10**400]
+                 10**400, "1e400", "1e-4300"]
 
     @staticmethod
     def document_nodes(node, path=()):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from conftest import SCENARIO_DIR, F, make_snapshot, make_topo
 from oracle import all_simple_paths, min_latency_path, path_cost
 from sfcsim.topology import (OVER_BUDGET, InvalidPath, PhysicalPath, SubstrateSnapshot,
                              SubstrateTopology, TimeBeforeStart, path_is_valid, path_latency,
-                             _num, as_fraction, shortest_feasible_path, topology_from_json,
-                             topology_to_json)
+                             _in_range, _num, as_fraction, shortest_feasible_path,
+                             topology_from_json, topology_to_json)
+
+OUT_OF_RANGE = "beyond float range or of over 4300 digits"
 
 
 def three_step_topo():
@@ -651,9 +654,10 @@ class TestSharedObjectChecks:
 
     # A float capacity or band crashed run() far from its source: the ledger's
     # unit conversion reads a denominator.  It is refused after the sign test,
-    # so a NaN band above still reads as negative.
+    # so a NaN band above still reads as negative; a str or None, which the
+    # sign test cannot compare, raised a bare TypeError from it.
     @pytest.mark.parametrize("name", ["node_cpu_capacity", "node_ram_capacity"])
-    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("value", [1.5, True, "3", None])
     def test_capacity_that_is_not_exact_is_refused(self, name, value):
         good = F(2)
         vec = (good, value, good)
@@ -661,13 +665,14 @@ class TestSharedObjectChecks:
         self.expect(sparse(3, []), cpu, ram,
                     f"{name} entry {value!r} is not an int or a Fraction")
 
-    def test_band_that_is_not_exact_is_refused(self):
+    @pytest.mark.parametrize("value", [10.0, "3", None])
+    def test_band_that_is_not_exact_is_refused(self, value):
         good = F(10)
         links = [{} for _ in range(4)]
-        for u, v, b in [(0, 1, good), (1, 2, 10.0), (2, 3, 10.0)]:
+        for u, v, b in [(0, 1, good), (1, 2, value), (2, 3, value)]:
             links[u][v] = links[v][u] = (1.0, b)
         self.expect(links, (good,) * 4, (good,) * 4,
-                    "bandwidth 10.0 on edge (1,2) is not an int or a Fraction")
+                    f"bandwidth {value!r} on edge (1,2) is not an int or a Fraction")
 
     def test_float_matrices_are_refused(self):
         adjacency = [[False, True], [True, False]]
@@ -687,6 +692,52 @@ class TestSharedObjectChecks:
         self.expect(links, (good,) * 3, (good,) * 3, "bad latency -1.0 on edge (1,2)")
         links[1][2] = (2.0, good)
         self.expect(links, (good,) * 3, (good,) * 3, "edge (1,2) not symmetric")
+
+
+# The exact numbers around each bound of the magnitude rule: 4300 digits a
+# part, the largest float, the smallest subnormal, and the point from which
+# float() of an exact number overflows (half an ulp above the largest float).
+DIGITS_TOP = 10**4300 - 1
+FLOAT_EDGE = 2**1024 - 2**970
+EDGE_PARTS = [1, 2, 3, 10**15, DIGITS_TOP, int(sys.float_info.max), FLOAT_EDGE, 2**1074, 10**324]
+
+
+def _near_edges():
+    part = st.builds(lambda edge, offset: max(1, edge + offset),
+                     st.sampled_from(EDGE_PARTS), st.integers(-2, 2))
+    ratios = st.builds(Fraction, part, part)
+    signed = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]), ratios)
+    return st.one_of(signed, part, st.integers(-10**30, 10**30),
+                     st.sampled_from([Fraction(sys.float_info.max), -Fraction(sys.float_info.max),
+                                      Fraction(5e-324)]))
+
+
+class TestMagnitudeRule:
+    """One rule for every exact quantity: what it accepts is written as a JSON
+    value that reads back to itself, and what it refuses is refused by both
+    entries, ``as_fraction`` and ``SubstrateSnapshot``."""
+
+    def test_the_edges_fall_where_float_puts_them(self):
+        assert float(FLOAT_EDGE - 1) == sys.float_info.max and _in_range(FLOAT_EDGE - 1)
+        with pytest.raises(OverflowError):
+            float(FLOAT_EDGE)
+        assert not _in_range(FLOAT_EDGE) and not _in_range(-FLOAT_EDGE)
+        assert float(Fraction(1, DIGITS_TOP)) == 0.0 and _in_range(Fraction(1, DIGITS_TOP))
+        assert not _in_range(Fraction(1, DIGITS_TOP + 1))
+        assert _in_range(Fraction(5e-324)) and _in_range(-Fraction(sys.float_info.max))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_near_edges())
+    def test_accepted_values_round_trip_and_refused_ones_are_refused(self, x):
+        if _in_range(x):
+            assert as_fraction(json.loads(json.dumps(_num(Fraction(x))))) == x
+            if x >= 0:
+                assert SubstrateSnapshot(1, ({},), (x,), (1,)).node_cpu_capacity == (x,)
+        else:
+            with pytest.raises(ValueError):
+                as_fraction(x)
+            with pytest.raises(ValueError):
+                SubstrateSnapshot(1, ({},), (x,), (1,))
 
 
 class TestJsonRoundTrip:
@@ -716,31 +767,40 @@ class TestJsonRoundTrip:
     def test_non_decimal_fractions_survive(self):
         # A float written for 5/7 read back as 7142857142857143/10**16, above
         # 5/7, so seven 5/7-cpu VNFs no longer fitted a capacity-5 node.
-        big = Fraction(10**400 + 1, 2)  # beyond float range
+        big = Fraction(10**300 + 1, 2)  # in float range, but no float is it
         snap = make_snapshot(3, [(0, 1, 1.0, Fraction(5, 7)), (1, 2, 2.0, big)],
                              cpu=[Fraction(5, 7), 5, Fraction(3, 10)], ram=[big, 1, 1])
         doc = topology_to_json(make_topo({0.0: snap}))
         first = doc["snapshots"][0]
         assert first["node_cpu"] == ["5/7", 5, 0.3]
         assert first["link_band_mbps"][0][1] == "5/7"
+        assert first["node_ram_mb"][0] == f"{10**300 + 1}/2"
         back = topology_from_json(json.loads(json.dumps(doc))).snapshots[0.0]
         assert back.node_cpu_capacity == snap.node_cpu_capacity
         assert back.node_ram_capacity == snap.node_ram_capacity
         assert back.links == snap.links
+        # (10**400 + 1)/2, beyond float range, was written as "n/d"; it is refused.
+        beyond = Fraction(10**400 + 1, 2)
+        with pytest.raises(ValueError, match=f"^quantity {OUT_OF_RANGE}$"):
+            as_fraction(beyond)
+        with pytest.raises(ValueError, match=f"^node_ram_capacity has an entry {OUT_OF_RANGE}$"):
+            make_snapshot(3, [(0, 1)], ram=[beyond, 1, 1])
+        with pytest.raises(ValueError, match=rf"^bandwidth on edge \(1,2\) is {OUT_OF_RANGE}$"):
+            make_snapshot(3, [(0, 1), (1, 2, 2.0, beyond)])
 
     @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "9" * 4300 + "e4300"],
                              ids=["1e4300", "1e-4300", "4300 nines e4300"])
     def test_quantities_of_over_4300_digits_survive(self, text):
-        # json.dumps of the int written for 1e4300, and str() of 1e-4300 as
-        # "n/d", raised ValueError: each has more than 4300 digits.
-        x = as_fraction(text)
-        snap = make_snapshot(2, [(0, 1, 1.0, x)], cpu=[x, 1], ram=[1, x])
-        doc = json.loads(json.dumps(topology_to_json(make_topo({0.0: snap}))))
-        assert doc["snapshots"][0]["node_cpu"] == [text, 1]
-        back = topology_from_json(doc).snapshots[0.0]
-        assert back.node_cpu_capacity == snap.node_cpu_capacity
-        assert back.node_ram_capacity == snap.node_ram_capacity
-        assert back.links == snap.links
+        # These were written as decimal strings, since json.dumps of the int
+        # for 1e4300, and str() of 1e-4300 as "n/d", raise ValueError; each
+        # has more than 4300 digits, and both entries now refuse it.
+        with pytest.raises(ValueError, match=f"^quantity {OUT_OF_RANGE}$"):
+            as_fraction(text)
+        x = Fraction(text)
+        with pytest.raises(ValueError, match=f"^node_cpu_capacity has an entry {OUT_OF_RANGE}$"):
+            make_snapshot(2, [(0, 1, 1.0, x)], cpu=[x, 1], ram=[1, x])
+        with pytest.raises(ValueError, match=rf"^bandwidth on edge \(0,1\) is {OUT_OF_RANGE}$"):
+            make_snapshot(2, [(0, 1, 1.0, x)])
 
     @pytest.mark.parametrize("text, written", [
         ("1" + "0" * 4299 + "e4300", "1" + "0" * 4299 + "e4300"),
@@ -753,14 +813,18 @@ class TestJsonRoundTrip:
         ids=["4300 digits e4300", "10e4299", "123.456e-4300",
              "4300 decimals e-4300", "4300 digits each side", "both sides e4300", "-1e-4300"])
     def test_long_decimals_keep_each_part_within_4300_digits(self, text, written):
-        # the significand as a whole where it fits, else the point moved the
-        # fewest places that bring the exponent within range
-        assert _num(as_fraction(text)) == written
-        assert as_fraction(written) == as_fraction(text)
+        # Each text, and the decimal form it was written back as, has a part
+        # of over 4300 digits once read as n/d: both are refused.
+        for literal in (text, written):
+            with pytest.raises(ValueError, match=f"^quantity {OUT_OF_RANGE}$"):
+                as_fraction(literal)
 
     def test_fraction_beyond_any_decimal_form_is_refused(self):
-        with pytest.raises(ValueError, match="no decimal form"):
-            _num(Fraction(1, 3 * 10**4300))
+        x = Fraction(1, 3 * 10**4300)
+        with pytest.raises(ValueError, match=f"^quantity {OUT_OF_RANGE}$"):
+            as_fraction(x)
+        with pytest.raises(ValueError, match=f"^node_cpu_capacity has an entry {OUT_OF_RANGE}$"):
+            SubstrateSnapshot(1, ({},), (x,), (1,))
 
     def test_bundled_matrices_are_written_back_unchanged(self):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())["substrate"]

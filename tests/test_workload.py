@@ -173,14 +173,20 @@ class TestJson:
     @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "9" * 4300 + "e4300"],
                              ids=["1e4300", "1e-4300", "4300 nines e4300"])
     def test_quantities_of_over_4300_digits_round_trip(self, text):
-        x = as_fraction(text)
-        cat = VnfCatalog([VnfTemplate(0, x, x), VnfTemplate(1, F(1), F(64))])
-        cat.add_link_demand(0, 1, x)
+        # Such a demand was written as a decimal string and read back; a part
+        # of over 4300 digits is now refused wherever a demand enters.
+        message = "quantity beyond float range or of over 4300 digits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_fraction(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VnfTemplate(0, Fraction(text), F(64))
+        cat = VnfCatalog([VnfTemplate(0, F(1), F(64)), VnfTemplate(1, F(1), F(64))])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cat.add_link_demand(0, 1, Fraction(text))
         doc = json.loads(json.dumps(catalog_to_json(cat)))
-        assert doc["templates"][0] == {"id": 0, "cpu": text, "ram_mb": text}
-        back = catalog_from_json(doc)
-        assert back.templates == cat.templates
-        assert back.link_band_demand == cat.link_band_demand
+        doc["templates"][0]["ram_mb"] = text
+        with pytest.raises(ValueError, match=rf"^templates\[0\].ram_mb: {message}$"):
+            catalog_from_json(doc)
 
     def test_workload_round_trip(self, catalog):
         reqs = [make_request(sfc_id=1, start=5, end=25, ingress=0, egress=2,
