@@ -11,6 +11,7 @@ solver.
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 from . import trace as tr
 from .mano import (EmbeddingPlan, FailureReason, ResourceLedger, check_plan,
@@ -90,7 +91,7 @@ def build_event_queue(topo: SubstrateTopology,
         events.append(SimEvent(time=req.end_time, kind=EventKind.SFC_DEPARTURE,
                                seq=seq, sfc_id=req.sfc_id))
         seq += 1
-    events.sort()
+    events.sort(key=attrgetter("time", "kind", "seq"))  # SimEvent's order, keyed at C level
     return events
 
 

@@ -363,13 +363,13 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         pos += [uav_position(u, t) for u in range(p.uav_count)]
         pos += ground_pos
 
-        links = [{} for _ in range(n)]
+        edges = {}  # u * n + v -> (latency, band), u < v
 
         def add_edge(u: int, v: int, d: float, band_mbps: Fraction):
             """Link u and v at distance ``d``, their ``math.dist`` as measured."""
             if d <= 0:
                 return
-            links[u][v] = links[v][u] = (d / LIGHT_KM_PER_MS, band_mbps)
+            edges[u * n + v if u < v else v * n + u] = (d / LIGHT_KM_PER_MS, band_mbps)
 
         # Intra-orbit rings.
         for orbit in range(p.orbit_count):
@@ -409,7 +409,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                     bound = best * best * (1 + 1e-6)
                     if bound < 2 * a2:
                         h2_skip = bound - bound * bound / (4 * a2) + 1e-9 * a2
-                if nearest not in links[u] and \
+                if (u * n + nearest if u < nearest else nearest * n + u) not in edges and \
                         _line_of_sight(pu, pos[nearest], p.earth_radius_km):
                     add_edge(u, nearest, best, p.isl_band_mbps)
 
@@ -437,7 +437,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 if d <= p.air_range_km:
                     add_edge(u, v, d, p.sg_band_mbps)
 
-        return SubstrateSnapshot(n, links, cpu, ram)
+        return SubstrateSnapshot._from_edges(n, edges, cpu, ram)
 
     return SubstrateTopology(time_points=times,
                              snapshots={t: snapshot_at(t) for t in times})

@@ -14,7 +14,7 @@ import heapq
 import math
 import numbers
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -180,6 +180,8 @@ class SubstrateSnapshot:
     ``links[u]`` is a read-only mapping ``{v: (latency_ms, band)}`` over the neighbours
     of ``u`` in ascending order; each edge stores one tuple under both of its ends.
     :meth:`from_matrices` builds a snapshot from the scenario file's dense matrices.
+    Every way in (these rows, the matrices, the generator's edge map) ends in
+    :meth:`_build`, the one check of each edge's values.
     """
 
     node_count: int
@@ -188,16 +190,50 @@ class SubstrateSnapshot:
     node_ram_capacity: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = self.node_count
+        """Check the rows' structure: each neighbour in range, no self-loop and
+        an equal value under the other end; then build from their edges."""
+        n, links = self.node_count, self.links
         if n < 1:
             raise ValueError("snapshot needs at least one node")
-        if len(self.links) != n:
+        if len(links) != n:
             raise ValueError(f"links must have {n} entries")
+        edges = {}
+        for u, row in enumerate(links):
+            for v, edge in row.items():
+                if not (type(v) is int and 0 <= v < n):
+                    raise ValueError(f"neighbour {v!r} of node {u} outside substrate")
+                if v == u:
+                    raise ValueError(f"self-loop at node {u}")
+                back = links[v].get(u)
+                if back is not edge and back != edge:
+                    raise ValueError(f"edge ({u},{v}) not symmetric")
+                if u < v:
+                    edges[u * n + v] = edge
+        self._build(n, edges, self.node_cpu_capacity, self.node_ram_capacity)
+
+    @classmethod
+    def _from_edges(cls, n: int, edges: dict, cpu: tuple, ram: tuple) -> "SubstrateSnapshot":
+        """Snapshot from the edge map ``{u * n + v: (latency_ms, band)}`` over
+        the edges u < v, built by :meth:`_build`."""
+        snap = object.__new__(cls)
+        snap._build(n, edges, cpu, ram)
+        return snap
+
+    def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple) -> None:
+        """Check the capacities and each edge of ``edges`` once, and set every field.
+
+        ``edges`` maps ``u * n + v`` to the edge's ``(latency_ms, band)`` for
+        u < v.  Keys are taken in ascending order, and each edge's one tuple is
+        written under both ends of fresh rows, so the rows are symmetric and
+        ascending by construction.  A fault shared by several edges is named
+        at the lowest one.
+        """
+        if n < 1:
+            raise ValueError("snapshot needs at least one node")
         # Generated snapshots share a few capacity and band objects, so each
         # distinct object is tested once, in order of first use.  The dicts
         # hold the objects, so no id is reused while this runs.
-        for name, vec in (("node_cpu_capacity", self.node_cpu_capacity),
-                          ("node_ram_capacity", self.node_ram_capacity)):
+        for name, vec in (("node_cpu_capacity", cpu), ("node_ram_capacity", ram)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
             distinct = dict(zip(map(id, vec), vec)).values()
@@ -208,62 +244,73 @@ class SubstrateSnapshot:
                     raise ValueError(f"{name} entry {x!r} is not an int or a Fraction")
                 if not _in_range(x):
                     raise ValueError(f"{name} has an entry {_OUT_OF_RANGE}")
+        if not set(map(type, edges)) <= {int}:
+            key = next(k for k in edges if type(k) is not int)
+            raise ValueError(f"edge key {key!r} is not an int")
+        keys = sorted(edges)
+        if keys and not (keys[0] >= 0 and keys[-1] < n * n):
+            key = keys[0] if keys[0] < 0 else keys[bisect_left(keys, n * n)]
+            raise ValueError(f"edge key {key} outside 0..{n * n - 1}")
+        rows = [{} for _ in range(n)]
         good_bands = {}  # id -> band object that passed
-        for u, row in enumerate(self.links):
-            for v, edge in row.items():
-                if not (type(v) is int and 0 <= v < n):
-                    raise ValueError(f"neighbour {v!r} of node {u} outside substrate")
-                if v == u:
-                    raise ValueError(f"self-loop at node {u}")
-                back = self.links[v].get(u)
-                if back is not edge and back != edge:
-                    raise ValueError(f"edge ({u},{v}) not symmetric")
-                if u < v:
-                    lat, band = edge
-                    if not (math.isfinite(lat) and lat >= 0):
-                        raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
-                    if id(band) not in good_bands:
-                        if _is_number(band) and not band >= 0:  # NaN included
-                            raise ValueError(f"negative bandwidth on edge ({u},{v})")
-                        if type(band) not in (int, Fraction):
-                            raise ValueError(f"bandwidth {band!r} on edge ({u},{v})"
-                                             " is not an int or a Fraction")
-                        if not _in_range(band):
-                            raise ValueError(f"bandwidth on edge ({u},{v}) is {_OUT_OF_RANGE}")
-                        good_bands[id(band)] = band
-        object.__setattr__(self, "links", tuple(MappingProxyType(dict(sorted(row.items())))
-                                                for row in self.links))
+        isfinite = math.isfinite
+        for key in keys:
+            u = key // n
+            v = key - u * n
+            if u >= v:
+                raise ValueError(f"edge key {key} is ({u},{v}), not u < v")
+            edge = edges[key]
+            lat, band = edge
+            if not (isfinite(lat) and lat >= 0):
+                raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
+            if id(band) not in good_bands:
+                if _is_number(band) and not band >= 0:  # NaN included
+                    raise ValueError(f"negative bandwidth on edge ({u},{v})")
+                if type(band) not in (int, Fraction):
+                    raise ValueError(f"bandwidth {band!r} on edge ({u},{v})"
+                                     " is not an int or a Fraction")
+                if not _in_range(band):
+                    raise ValueError(f"bandwidth on edge ({u},{v}) is {_OUT_OF_RANGE}")
+                good_bands[id(band)] = band
+            rows[u][v] = rows[v][u] = edge
+        for name, value in (("node_count", n), ("links", tuple(map(MappingProxyType, rows))),
+                            ("node_cpu_capacity", cpu), ("node_ram_capacity", ram)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_matrices(cls, adjacency, latency, link_band_capacity,
                       node_cpu_capacity, node_ram_capacity) -> "SubstrateSnapshot":
         """Snapshot from full symmetric n x n matrices, read only where ``adjacency``
-        is true; one pass over the i < j pairs raises the first fault."""
+        is true.  One pass over the i < j pairs checks the symmetry and hands the
+        edges to :meth:`_build`; a fault names the first pair that a check of
+        each pair in turn, symmetry then values, would name."""
         n = len(adjacency)
         for name, mat in (("adjacency", adjacency), ("latency", latency),
                           ("link_band_capacity", link_band_capacity)):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"{name} must be {n}x{n}")
-        links = [{} for _ in range(n)]
+        cpu, ram = tuple(node_cpu_capacity), tuple(node_ram_capacity)
+        edges = {}
+
+        def fault(message: str) -> ValueError:
+            cls._from_edges(n, edges, cpu, ram)  # a fault on an earlier pair goes first
+            return ValueError(message)
+
         for i, (adj_i, lat_i, band_i) in enumerate(zip(adjacency, latency, link_band_capacity)):
             if adj_i[i]:
-                raise ValueError(f"self-loop at node {i}")
+                raise fault(f"self-loop at node {i}")
             for j in range(i + 1, n):
                 if adj_i[j] != adjacency[j][i]:
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+                    raise fault(f"adjacency not symmetric at ({i},{j})")
                 if not adj_i[j]:
                     continue
                 lat, band = lat_i[j], band_i[j]
                 if lat != latency[j][i]:
-                    raise ValueError(f"latency not symmetric at ({i},{j})")
+                    raise fault(f"latency not symmetric at ({i},{j})")
                 if band != link_band_capacity[j][i]:
-                    raise ValueError(f"bandwidth not symmetric at ({i},{j})")
-                if not (math.isfinite(lat) and lat >= 0):
-                    raise ValueError(f"bad latency {lat!r} on edge ({i},{j})")
-                if _is_number(band) and band < 0:
-                    raise ValueError(f"negative bandwidth on edge ({i},{j})")
-                links[i][j] = links[j][i] = (lat, band)
-        return cls(n, links, tuple(node_cpu_capacity), tuple(node_ram_capacity))
+                    raise fault(f"bandwidth not symmetric at ({i},{j})")
+                edges[i * n + j] = (lat, band)
+        return cls._from_edges(n, edges, cpu, ram)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.links[u]
@@ -476,10 +523,15 @@ def _cells(where: str, convert, value) -> tuple[tuple, ...]:
         return tuple(read_items(f"{where}[{i}]", convert, row) for i, row in enumerate(rows))
 
 
+_FLOAT_SAFE = 2**1023  # an int of smaller magnitude passes the magnitude rule
+
+
 def _band_kind(value):
-    """A band cell as is, once it is a kind ``as_fraction`` reads: an int or a
-    finite float is one, anything else is tried."""
-    if type(value) is not int and not (type(value) is float and math.isfinite(value)):
+    """A band cell as is, once it is a kind ``as_fraction`` reads: a finite
+    float, or an int of magnitude below ``_FLOAT_SAFE``, is one; anything else,
+    a larger int included, is tried."""
+    if not (type(value) is int and -_FLOAT_SAFE < value < _FLOAT_SAFE
+            or type(value) is float and math.isfinite(value)):
         as_fraction(value)
     return value
 

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from sfcsim.scenario import SaginParams, generate_sagin
-from sfcsim.topology import topology_to_json
+from sfcsim.topology import SubstrateSnapshot, topology_to_json
 
 
 def desk_params(**overrides):
@@ -109,7 +109,24 @@ def check(name, generate=generate_sagin):
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, name
 
 
+def check_rows(name):
+    """Each generated snapshot is the one its rows give the row constructor,
+    which checks them again: the same rows in the same key order, one tuple
+    under both ends of each edge."""
+    topo = generate_sagin(desk_params(**PINNED[name][0]))
+    for t, snap in topo.snapshots.items():
+        again = SubstrateSnapshot(snap.node_count, [dict(row) for row in snap.links],
+                                  snap.node_cpu_capacity, snap.node_ram_capacity)
+        keys = [list(row) for row in snap.links]
+        assert again == snap and keys == [sorted(row) for row in snap.links], (name, t)
+        assert [list(row) for row in again.links] == keys, (name, t)
+        for u, v in snap.edges():
+            assert snap.links[u][v] is snap.links[v][u] is again.links[u][v] \
+                is again.links[v][u], (name, t, u, v)
+
+
 if __name__ == "__main__":
     for name in sorted(PINNED):
         check(name)
+        check_rows(name)
         print(f"{name}: ok")

@@ -165,6 +165,20 @@ class TestRunCommand:
         assert "snapshots[0].node_cpu[0]: quantity beyond float range" in capsys.readouterr().err
         assert not (tmp_path / "usage").exists()
 
+    @pytest.mark.parametrize("value", [10**400, "1e400"], ids=["int", "string"])
+    def test_off_edge_band_cell_beyond_float_range_exits_2(self, tmp_path, capsys, value):
+        # A non-edge cell is read as a quantity, so both spellings meet one rule.
+        doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
+        assert not doc["substrate"]["snapshots"][0]["adjacency"][0][0]
+        doc["substrate"]["snapshots"][0]["link_band_mbps"][0][0] = value
+        scene = tmp_path / "band.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli("run", scene, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == ("error: substrate: snapshots[0].link_band_mbps[0][0]:"
+                                           " quantity beyond float range or of over 4300"
+                                           " digits\n")
+        assert not (tmp_path / "out").exists()
+
     def test_largest_accepted_quantity_runs_and_is_written(self, tmp_path):
         # The premise of the one fixed-point writer: a capacity, and a usage
         # booked under it, of the largest finite float are written as floats.

@@ -85,6 +85,29 @@ class TestEventQueue:
                     if e.kind == EventKind.SFC_ARRIVAL]
         assert arrivals == [2, 9]
 
+    @staticmethod
+    def assert_dataclass_order(events):
+        """The queue is what sorting by SimEvent's own order gives, element by element."""
+        expected = sorted(events)
+        assert len(events) == len(expected)
+        assert all(a is b for a, b in zip(events, expected))
+
+    @pytest.mark.parametrize("name", ["example_a", "sagin_desk", "sagin_full"])
+    def test_bundled_queues_follow_the_dataclass_order(self, name):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        self.assert_dataclass_order(build_event_queue(sc.topo, sc.requests))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=30),
+           st.lists(st.integers(1, 8), max_size=4, unique=True))
+    def test_same_instant_queues_follow_the_dataclass_order(self, spans, changes):
+        # Few distinct instants, so arrivals, departures and topology changes collide.
+        snap = make_snapshot(2, [(0, 1)])
+        topo = make_topo({t: snap for t in [0.0, *map(float, changes)]})
+        reqs = [make_request(sfc_id=i, start=float(start), end=float(start + length))
+                for i, (start, length) in reversed(list(enumerate(spans)))]
+        self.assert_dataclass_order(build_event_queue(topo, reqs))
+
 
 class TestRun:
     def test_example_a_greedy_accepts_both_and_returns_to_initial(self):

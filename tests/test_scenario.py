@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, F, make_catalog, make_snapshot, make_topo
 from generator_digests import PINNED, desk_params
 from generator_digests import check as check_digest
+from generator_digests import check_rows
 from sagin_oracle import draw_params, reference_sagin, same_topology
 from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
                              ValidationError, _above_mask, _line_of_sight,
@@ -205,6 +206,10 @@ class TestSaginGenerator:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_reference_scans_match_pinned_digest(self, name):
         check_digest(name, reference_sagin)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_snapshots_are_what_their_rows_give(self, name):
+        check_rows(name)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)

@@ -693,6 +693,102 @@ class TestSharedObjectChecks:
         links[1][2] = (2.0, good)
         self.expect(links, (good,) * 3, (good,) * 3, "edge (1,2) not symmetric")
 
+    def test_capacity_fault_is_named_before_a_pair_fault(self):
+        # The matrices' pairs go to the one builder, which checks the
+        # capacities before any edge.
+        adj, lat, band = matrices(3, [(0, 1)])
+        adj[1][2] = True
+        with pytest.raises(ValueError, match=r"^node_cpu_capacity has a negative entry$"):
+            SubstrateSnapshot.from_matrices(adj, lat, band, (F(-1),) * 3, (F(1),) * 3)
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(1,2\)$"):
+            SubstrateSnapshot.from_matrices(adj, lat, band, (F(1),) * 3, (F(1),) * 3)
+
+
+class TestEdgeMapBuilder:
+    """The one builder over ``{u * n + v: (latency, band)}``: each fault it
+    raises, named at the lowest edge that has it."""
+
+    N = 4
+    GOOD = F(10)
+
+    def build(self, edges, n=N):
+        return SubstrateSnapshot._from_edges(n, edges, (self.GOOD,) * n, (self.GOOD,) * n)
+
+    def expect(self, edges, message, n=N):
+        with pytest.raises(ValueError) as exc:
+            self.build(edges, n)
+        assert str(exc.value) == message
+
+    def test_builds_the_snapshot_the_rows_give(self):
+        edges = {2 * 4 + 3: (1.0, F(3)), 0 * 4 + 3: (2.0, F(4)), 1 * 4 + 2: (0.0, 7)}
+        snap = self.build(edges)
+        assert [list(row) for row in snap.links] == [[3], [2], [1, 3], [0, 2]]
+        assert snap == SubstrateSnapshot(4, [dict(row) for row in snap.links],
+                                         (self.GOOD,) * 4, (self.GOOD,) * 4)
+        for u, v in snap.edges():
+            assert snap.links[u][v] is snap.links[v][u] is edges[u * 4 + v]
+
+    @pytest.mark.parametrize("keys, bad", [([16, 1, 20], 16), ([-3, 1, -1, 17], -3),
+                                           ([1, 99, 16], 16)])
+    def test_key_out_of_range(self, keys, bad):
+        self.expect(dict.fromkeys(keys, (1.0, self.GOOD)), f"edge key {bad} outside 0..15")
+
+    @pytest.mark.parametrize("key", [2.0, "1", True, (0, 1)], ids=repr)
+    def test_key_that_is_not_an_int(self, key):
+        self.expect({3: (1.0, self.GOOD), key: (1.0, self.GOOD)},
+                    f"edge key {key!r} is not an int")
+
+    @pytest.mark.parametrize("keys, message", [
+        ([1, 4, 2], "edge key 4 is (1,0), not u < v"),
+        ([6, 10, 5], "edge key 5 is (1,1), not u < v"),
+        ([15, 14], "edge key 14 is (3,2), not u < v"),
+    ])
+    def test_lower_end_first(self, keys, message):
+        self.expect(dict.fromkeys(keys, (1.0, self.GOOD)), message)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -0.5])
+    def test_bad_latency(self, value):
+        edges = {1: (1.0, self.GOOD), 11: (value, self.GOOD), 6: (value, self.GOOD),
+                 2: (1.0, self.GOOD)}
+        self.expect(edges, f"bad latency {value!r} on edge (1,2)")
+
+    @pytest.mark.parametrize("band", [F(-1), -1, math.nan], ids=["Fraction", "int", "nan"])
+    def test_negative_band(self, band):
+        edges = {11: (1.0, band), 1: (1.0, self.GOOD), 6: (1.0, band), 7: (1.0, F(-2))}
+        self.expect(edges, "negative bandwidth on edge (1,2)")
+
+    @pytest.mark.parametrize("band", [10.0, "3", None, True], ids=repr)
+    def test_band_that_is_not_exact(self, band):
+        edges = {11: (1.0, band), 1: (1.0, self.GOOD), 6: (1.0, band)}
+        self.expect(edges, f"bandwidth {band!r} on edge (1,2) is not an int or a Fraction")
+
+    @pytest.mark.parametrize("band", [F(2**1024), 2**1024, Fraction(1, 10**4300)],
+                             ids=["Fraction", "int", "digits"])
+    def test_band_out_of_range(self, band):
+        edges = {11: (1.0, band), 1: (1.0, self.GOOD), 6: (1.0, band)}
+        self.expect(edges, f"bandwidth on edge (1,2) is {OUT_OF_RANGE}")
+
+    def test_an_earlier_edge_names_the_fault_whatever_its_kind(self):
+        edges = {11: (-1.0, self.GOOD), 6: (1.0, F(-1)), 3: (math.nan, self.GOOD)}
+        self.expect(edges, "bad latency nan on edge (0,3)")
+        edges[3] = (1.0, self.GOOD)
+        self.expect(edges, "negative bandwidth on edge (1,2)")
+
+    def test_capacities_are_checked_before_the_edges(self):
+        with pytest.raises(ValueError, match=r"^node_ram_capacity has a negative entry$"):
+            SubstrateSnapshot._from_edges(2, {1: (-1.0, F(1))}, (F(1),) * 2, (F(-1),) * 2)
+        with pytest.raises(ValueError, match=r"^snapshot needs at least one node$"):
+            SubstrateSnapshot._from_edges(0, {}, (), ())
+
+    def test_rows_are_read_only_and_do_not_alias_the_input(self):
+        edges = {1: (1.0, self.GOOD)}
+        snap = self.build(edges)
+        edges.clear()
+        edges[2] = (1.0, self.GOOD)
+        assert list(snap.edges()) == [(0, 1)]
+        with pytest.raises(TypeError):
+            snap.links[0][2] = (1.0, self.GOOD)
+
 
 # The exact numbers around each bound of the magnitude rule: 4300 digits a
 # part, the largest float, the smallest subnormal, and the point from which
