@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .topology import (PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
+from .topology import (_EXACT, PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
                        path_latency)
 from .workload import SfcRequest, VnfCatalog
 
@@ -81,44 +81,32 @@ def leg_band_demands(request: SfcRequest, catalog: VnfCatalog) -> tuple[Fraction
     return (_ZERO, *inner, _ZERO)
 
 
-def _unit_sums(pairs) -> tuple[dict, int]:
-    """Exact per-key sums of ``(key, amount)`` pairs as ints of ``1/scale``,
-    ``scale`` being the LCM of the amounts' denominators."""
-    ratios = [(key, x.as_integer_ratio()) for key, x in pairs]
-    scale = lcm(*{den for _, (_, den) in ratios})
-    sums: dict = {}
-    for key, (num, den) in ratios:
-        sums[key] = sums.get(key, 0) + num * (scale // den)
-    return sums, scale
-
-
 def _plan_sums(request: SfcRequest, catalog: VnfCatalog, placement, paths) -> tuple:
-    """cpu and ram per node, bandwidth per edge key, each as ``_unit_sums`` gives them."""
-    hosted = [(node, catalog.templates[vnf_id])
-              for node, vnf_id in zip(placement, request.vnf_chain)]
-    band = []
+    """cpu and ram per node, bandwidth per edge key: each kind's demands in the
+    integer units ``to_units`` gives them, summed per key, and the kind's scale."""
+    hosted = [catalog.templates[vnf_id] for _, vnf_id in zip(placement, request.vnf_chain)]
+    edges, band = [], []
     for demand, path in zip(leg_band_demands(request, catalog), paths):
         if demand != 0:
-            band += [(edge_key(a, b), demand) for a, b in path.edges()]
-    return (_unit_sums((node, t.cpu_demand) for node, t in hosted),
-            _unit_sums((node, t.ram_demand) for node, t in hosted),
-            _unit_sums(band))
+            for a, b in path.edges():
+                edges.append(edge_key(a, b))
+                band.append(demand)
+    sums = []
+    for keys, amounts in ((placement, [t.cpu_demand for t in hosted]),
+                          (placement, [t.ram_demand for t in hosted]), (edges, band)):
+        units, scale = to_units(amounts, 1)
+        per_key: dict = {}
+        for key, x in zip(keys, units):
+            per_key[key] = per_key.get(key, 0) + x
+        sums.append((per_key, scale))
+    return tuple(sums)
 
 
 def _same_amounts(alloc: Mapping, sums: dict, scale: int) -> bool:
-    """``alloc`` holds ``sums`` over ``scale``, as dict equality would find it;
-    an exact amount is compared by cross-multiplication, not as a new Fraction."""
-    alloc = dict(alloc)
-    if alloc.keys() != sums.keys():
-        return False
-    for key, x in alloc.items():
-        if type(x) is int or type(x) is Fraction:
-            num, den = x.as_integer_ratio()
-            if num * scale != sums[key] * den:
-                return False
-        elif not x == Fraction(sums[key], scale):
-            return False
-    return True
+    """``alloc``, whose amounts are exact, holds ``sums`` over ``scale``: the
+    same keys, and each amount equal to its sum by cross-multiplication."""
+    return alloc.keys() == sums.keys() and all(
+        x.numerator * scale == sums[key] * x.denominator for key, x in alloc.items())
 
 
 def _total_latency(snap: SubstrateSnapshot, paths) -> float:
@@ -184,6 +172,9 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
         named += key if type(key) is tuple else (key,)
     if not {int}.issuperset(map(type, named)):
         return ["a node or an allocation key is not an int"]
+    amounts = [*plan.cpu_alloc.values(), *plan.ram_alloc.values(), *plan.band_alloc.values()]
+    if not _EXACT.issuperset(map(type, amounts)):  # 20.0 == 20, yet no unit count
+        return ["an allocated amount is not an int or a Fraction"]
 
     waypoints = (request.ingress, *plan.vnf_placement, request.egress)
     for i, path in enumerate(plan.virtual_link_paths):
@@ -203,9 +194,6 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
         problems.append("ram_alloc does not match placement demands")
     if not _same_amounts(plan.band_alloc, *band):
         problems.append("band_alloc does not match path demands")
-    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for alloc in
-           (plan.cpu_alloc, plan.ram_alloc, plan.band_alloc) for x in alloc.values()):
-        problems.append("an allocated amount is not an int or a Fraction")  # 20.0 == 20
     total = _total_latency(snap, plan.virtual_link_paths)
     if plan.total_latency != total:
         problems.append(f"total_latency {plan.total_latency} != {total}")
@@ -214,17 +202,22 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
 
 def _over_drawn(plan: EmbeddingPlan, units: "FreeUnits") -> FailureReason | None:
     """The first resource, cpu then ram then bandwidth, that ``plan`` asks
-    more of than ``units`` has free; a node or edge the view lacks has none free."""
+    more of than ``units`` has free; a node or edge the view lacks has none free.
+    A negative amount, or a key or an amount of the wrong kind, fits nowhere."""
     n = len(units.cpu)
     for alloc, free, scale, reason in (
             (plan.cpu_alloc, units.cpu, units.cpu_scale, FailureReason.NODE_CPU_INSUFFICIENT),
             (plan.ram_alloc, units.ram, units.ram_scale, FailureReason.NODE_RAM_INSUFFICIENT),
             (plan.band_alloc, units.band, units.band_scale,
              FailureReason.LINK_BANDWIDTH_INSUFFICIENT)):
-        for key, x in alloc.items():
-            room = free.get(key) if free is units.band else free[key] if 0 <= key < n else None
-            if room is None or x.numerator * scale > room * x.denominator:  # x > room/scale
-                return reason
+        try:
+            for key, x in alloc.items():
+                num = x.numerator
+                room = free.get(key) if free is units.band else free[key] if 0 <= key < n else None
+                if room is None or num < 0 or num * scale > room * x.denominator:  # x > room/scale
+                    return reason
+        except (AttributeError, TypeError):  # 1.0, "1" or None as a key or an amount
+            return reason
     return None
 
 

@@ -73,6 +73,9 @@ def _finite(x) -> bool:
         return False
 
 
+_EXACT = frozenset({int, Fraction})  # the one exactness rule, by type: no bool, float or subclass
+
+
 def _in_range(x: int | Fraction) -> bool:
     """The one magnitude rule of an exact quantity: at most ``MAX_EXPONENT``
     digits in its numerator and in its denominator, and a finite float."""
@@ -87,12 +90,10 @@ def as_fraction(value) -> Fraction:
     ``_FRACTION_LITERAL`` with an exponent of at most ``MAX_EXPONENT``, and
     every result must pass ``_in_range``.
     """
-    if isinstance(value, Fraction):
-        x = value
-    elif isinstance(value, bool):
+    if isinstance(value, bool):
         raise TypeError("expected a number, got a bool")
-    elif isinstance(value, numbers.Rational):  # an int, or another integer type
-        x = Fraction(value)
+    elif isinstance(value, numbers.Rational):  # a Fraction, an int or another rational
+        x = value if type(value) is Fraction else Fraction(value)
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite resource value: {value!r}")
@@ -240,7 +241,7 @@ class SubstrateSnapshot:
             if any(_is_number(x) and x < 0 for x in distinct):
                 raise ValueError(f"{name} has a negative entry")
             for x in distinct:
-                if type(x) not in (int, Fraction):
+                if type(x) not in _EXACT:
                     raise ValueError(f"{name} entry {x!r} is not an int or a Fraction")
                 if not _in_range(x):
                     raise ValueError(f"{name} has an entry {_OUT_OF_RANGE}")
@@ -266,7 +267,7 @@ class SubstrateSnapshot:
             if id(band) not in good_bands:
                 if _is_number(band) and not band >= 0:  # NaN included
                     raise ValueError(f"negative bandwidth on edge ({u},{v})")
-                if type(band) not in (int, Fraction):
+                if type(band) not in _EXACT:
                     raise ValueError(f"bandwidth {band!r} on edge ({u},{v})"
                                      " is not an int or a Fraction")
                 if not _in_range(band):

@@ -297,6 +297,51 @@ class TestKeysOutsideTheSubstrate:
             assert state() == before
 
 
+class TestAmountsTheGateRefuses:
+    """An amount or a key that the structure check refuses is refused by the
+    fit rule too: ``check_plan`` names the kind's reason, ``allocate`` raises
+    ``InsufficientResources``, and neither raises anything else or books it."""
+
+    @pytest.mark.parametrize("kind, key, reason", [
+        (0, 1, FailureReason.NODE_CPU_INSUFFICIENT),
+        (1, 1, FailureReason.NODE_RAM_INSUFFICIENT),
+        (2, (0, 1), FailureReason.LINK_BANDWIDTH_INSUFFICIENT),
+    ], ids=["cpu", "ram", "band"])
+    @pytest.mark.parametrize("bad", [("amount", F(-5)), ("amount", -5), ("amount", 1.0),
+                                     ("amount", "1"), ("amount", None), ("key", 1.0),
+                                     ("key", "1")],
+                             ids=["minus-5", "int-minus-5", "float-amount", "str-amount",
+                                  "none-amount", "float-key", "str-key"])
+    def test_refused_and_ledger_unchanged(self, kind, key, reason, bad):
+        snap = make_snapshot(2, [(0, 1, 1.0, 30)], cpu=[10, 10], ram=[512, 512])
+        cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, 5)])
+        ledger = ResourceLedger(snap, cat)
+        ledger.allocate(plan_across(snap, cat))
+        what, value = bad
+        alloc = {value: F(1)} if what == "key" else {key: value}
+        holding = tuple(alloc if i == kind else {} for i in range(3))
+
+        def state():
+            return (dict(ledger.allocations), ledger.cpu_free_all(), ledger.ram_free_all(),
+                    ledger.band_free_map(), copy.deepcopy(ledger.free_units()))
+        before = state()
+        plan = holding_plan(1, holding)
+        assert check_plan(plan, ledger, make_request(sfc_id=1)) is reason
+        with pytest.raises(InsufficientResources, match=reason.value):
+            ledger.allocate(plan)
+        assert state() == before
+
+    def test_a_negative_amount_frees_no_room(self):
+        ledger = ResourceLedger(make_snapshot(1, [], cpu=[10], ram=[512]))
+        for sfc_id, amount in ((0, F(-5)), (1, F(15))):  # 15 > 10, with or without the -5
+            plan = holding_plan(sfc_id, ({0: amount}, {}, {}))
+            assert check_plan(plan, ledger, make_request(sfc_id=sfc_id)) \
+                is FailureReason.NODE_CPU_INSUFFICIENT
+            with pytest.raises(InsufficientResources, match="NodeCpuInsufficient"):
+                ledger.allocate(plan)
+        assert ledger.allocations == {} and ledger.cpu_free(0) == 10
+
+
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -449,6 +494,10 @@ class TestFindAffected:
         assert find_affected_sfcs(ledger, shrunk) == [(5, FailureReason.NODE_CPU_INSUFFICIENT)]
 
 
+class Units(int):
+    """An int subclass: equal in value to an int, yet not an exact amount."""
+
+
 class TestStructure:
     def test_undeclared_pair_has_no_leg_demands(self):
         req = make_request(chain=(0, 2, 1))
@@ -487,6 +536,25 @@ class TestStructure:
         plan = build_plan(req, cat, snap, (0,), [PhysicalPath((0,))] * 2)
         bad = dataclasses.replace(plan, ram_alloc={0: amount})
         assert bad.ram_alloc == plan.ram_alloc
+        assert plan_structure_errors(bad, req, cat, snap) == [
+            "an allocated amount is not an int or a Fraction"]
+
+    @pytest.mark.parametrize("amount", [0.5, False, 2.0, Units(1)],
+                             ids=["half", "false", "float-two", "int-subclass"])
+    def test_amount_unequal_or_of_an_int_subclass_is_the_one_problem(self, amount):
+        snap = chain_snapshot()
+        cat = make_catalog([(0, 1, 1)], [])
+        req = make_request(chain=(0,))
+        plan = build_plan(req, cat, snap, (0,), [PhysicalPath((0,))] * 2)
+        bad = dataclasses.replace(plan, ram_alloc={0: amount})
+        assert plan_structure_errors(bad, req, cat, snap) == [
+            "an allocated amount is not an int or a Fraction"]
+
+    def test_amount_kind_is_named_before_a_bad_leg(self):
+        snap, cat = chain_snapshot(), catalog()
+        req, plan = plan_all_on(1, snap, cat)
+        bad = dataclasses.replace(plan, virtual_link_paths=(PhysicalPath((0,)),) * 4,
+                                  cpu_alloc={1: 0.6})
         assert plan_structure_errors(bad, req, cat, snap) == [
             "an allocated amount is not an int or a Fraction"]
 

@@ -94,6 +94,12 @@ class TestPathLatency:
             snap.edge_band(2, 0)
         assert str(err.value) == "(2,0) is not an edge"
 
+    def test_latency_of_a_non_edge_raises(self):
+        snap = make_snapshot(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidPath) as err:
+            snap.edge_latency(2, 0)
+        assert str(err.value) == "(2,0) is not an edge"
+
 
 def capacities(snap):
     """Every edge's bandwidth capacity: the free map of an empty network."""
