@@ -12,6 +12,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import sub
 
@@ -81,25 +82,32 @@ def leg_band_demands(request: SfcRequest, catalog: VnfCatalog) -> tuple[Fraction
     return (_ZERO, *inner, _ZERO)
 
 
-def _plan_sums(request: SfcRequest, catalog: VnfCatalog, placement, paths) -> tuple:
-    """cpu and ram per node, bandwidth per edge key: each kind's demands in the
-    integer units ``to_units`` gives them, summed per key, and the kind's scale."""
-    hosted = [catalog.templates[vnf_id] for _, vnf_id in zip(placement, request.vnf_chain)]
-    edges, band = [], []
-    for demand, path in zip(leg_band_demands(request, catalog), paths):
+def _sum_per_key(placement, cpu, ram, paths, band) -> tuple[dict, dict, dict]:
+    """Units per key: position i's ``cpu[i]`` and ``ram[i]`` on the node
+    ``placement[i]``, and leg j's ``band[j]``, where it is not 0, on every
+    edge of ``paths[j]`` under the edge's canonical key."""
+    cpu_sums, ram_sums, band_sums = {}, {}, {}
+    for node, c, r in zip(placement, cpu, ram):
+        cpu_sums[node] = cpu_sums.get(node, 0) + c
+        ram_sums[node] = ram_sums.get(node, 0) + r
+    for demand, path in zip(band, paths):
         if demand != 0:
             for a, b in path.edges():
-                edges.append(edge_key(a, b))
-                band.append(demand)
-    sums = []
-    for keys, amounts in ((placement, [t.cpu_demand for t in hosted]),
-                          (placement, [t.ram_demand for t in hosted]), (edges, band)):
-        units, scale = to_units(amounts, 1)
-        per_key: dict = {}
-        for key, x in zip(keys, units):
-            per_key[key] = per_key.get(key, 0) + x
-        sums.append((per_key, scale))
-    return tuple(sums)
+                key = edge_key(a, b)
+                band_sums[key] = band_sums.get(key, 0) + demand
+    return cpu_sums, ram_sums, band_sums
+
+
+def _plan_sums(request: SfcRequest, catalog: VnfCatalog, placement, paths) -> tuple:
+    """cpu and ram per node and bandwidth per edge key, in the integer units
+    ``to_units`` gives each kind's demands (one per position, one per leg), and
+    the three scales."""
+    hosted = [catalog.templates[vnf_id] for _, vnf_id in zip(placement, request.vnf_chain)]
+    (cpu, cpu_scale), (ram, ram_scale), (band, band_scale) = (
+        to_units(amounts, 1) for amounts in ([t.cpu_demand for t in hosted],
+                                             [t.ram_demand for t in hosted],
+                                             leg_band_demands(request, catalog)))
+    return _sum_per_key(placement, cpu, ram, paths, band), (cpu_scale, ram_scale, band_scale)
 
 
 def _same_amounts(alloc: Mapping, sums: dict, scale: int) -> bool:
@@ -116,6 +124,17 @@ def _total_latency(snap: SubstrateSnapshot, paths) -> float:
     return total
 
 
+def _assemble_plan(sfc_id: int, placement: tuple, paths: tuple, sums, scales,
+                   total_latency: float) -> EmbeddingPlan:
+    """The plan whose allocations are ``sums`` over ``scales``, one Fraction
+    per key in ascending key order."""
+    cpu, ram, band = ({key: Fraction(units, scale) for key, units in sorted(per_key.items())}
+                      for per_key, scale in zip(sums, scales))
+    return EmbeddingPlan(sfc_id=sfc_id, vnf_placement=placement, virtual_link_paths=paths,
+                         cpu_alloc=cpu, ram_alloc=ram, band_alloc=band,
+                         total_latency=total_latency)
+
+
 def build_plan(request: SfcRequest, catalog: VnfCatalog, snap: SubstrateSnapshot,
                placement, paths) -> EmbeddingPlan:
     """Assemble a plan from a placement and per-leg paths, deriving allocations.
@@ -123,11 +142,9 @@ def build_plan(request: SfcRequest, catalog: VnfCatalog, snap: SubstrateSnapshot
     Each allocation is summed in integer units and becomes one Fraction per key."""
     placement = tuple(placement)
     paths = tuple(paths)
-    cpu, ram, band = ({key: Fraction(units, scale) for key, units in sorted(sums.items())}
-                      for sums, scale in _plan_sums(request, catalog, placement, paths))
-    return EmbeddingPlan(sfc_id=request.sfc_id, vnf_placement=placement,
-                         virtual_link_paths=paths, cpu_alloc=cpu, ram_alloc=ram,
-                         band_alloc=band, total_latency=_total_latency(snap, paths))
+    return _assemble_plan(request.sfc_id, placement, paths,
+                          *_plan_sums(request, catalog, placement, paths),
+                          _total_latency(snap, paths))
 
 
 def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
@@ -187,12 +204,13 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
     if problems:
         return problems
 
-    cpu, ram, band = _plan_sums(request, catalog, plan.vnf_placement, plan.virtual_link_paths)
-    if not _same_amounts(plan.cpu_alloc, *cpu):
+    (cpu, ram, band), (cpu_scale, ram_scale, band_scale) = _plan_sums(
+        request, catalog, plan.vnf_placement, plan.virtual_link_paths)
+    if not _same_amounts(plan.cpu_alloc, cpu, cpu_scale):
         problems.append("cpu_alloc does not match placement demands")
-    if not _same_amounts(plan.ram_alloc, *ram):
+    if not _same_amounts(plan.ram_alloc, ram, ram_scale):
         problems.append("ram_alloc does not match placement demands")
-    if not _same_amounts(plan.band_alloc, *band):
+    if not _same_amounts(plan.band_alloc, band, band_scale):
         problems.append("band_alloc does not match path demands")
     total = _total_latency(snap, plan.virtual_link_paths)
     if plan.total_latency != total:
@@ -285,6 +303,8 @@ class ResourceLedger:
             [t.cpu_demand for t in templates], [t.ram_demand for t in templates],
             () if catalog is None else catalog.link_band_demand.values())]
         self._free: FreeUnits | None = None
+        # per node kind: the last capacity tuple, the scale it was converted at, its units
+        self._node_caps: list[tuple] = [(None, 0, None)] * 2
         self.allocations: dict[int, EmbeddingPlan] = {}
 
     @property
@@ -309,6 +329,18 @@ class ResourceLedger:
             self._scales[kind] = scale
             self._free = None
 
+    def _node_units(self, kind: int, caps: tuple) -> list[int]:
+        """Node capacities ``caps`` of ``kind`` (0 cpu, 1 ram) in units of its
+        scale, widened to cover them.  The units are reused while a snapshot
+        carries the same tuple (generated snapshots share theirs) and the
+        scale has not grown since they were made."""
+        last, scale, units = self._node_caps[kind]
+        if last is not caps or scale != self._scales[kind]:
+            units, scale = to_units(caps, self._scales[kind])
+            self._rescale(kind, scale)
+            self._node_caps[kind] = (caps, scale, units)
+        return units
+
     def _view(self) -> FreeUnits:
         """The free view the gate, ``allocate`` and :meth:`free_units` read: built
         at the first read after a snapshot change or a scale growth, then moved
@@ -316,13 +348,10 @@ class ResourceLedger:
         if self._free is None:
             snap = self._snapshot
             keys = list(snap.edges())
-            caps = []
-            for kind, amounts in enumerate((snap.node_cpu_capacity, snap.node_ram_capacity,
-                                            [snap.links[u][v][1] for u, v in keys])):
-                units, scale = to_units(amounts, self._scales[kind])
-                self._rescale(kind, scale)
-                caps.append(units)
-            cpu, ram, band = caps
+            cpu, ram = map(self._node_units, (0, 1),
+                           (snap.node_cpu_capacity, snap.node_ram_capacity))
+            band, scale = to_units([snap.links[u][v][1] for u, v in keys], self._scales[2])
+            self._rescale(2, scale)
             used = self._band_used  # usage on an edge the snapshot dropped has no view
             self._free = FreeUnits(list(map(sub, cpu, self._cpu_used)),
                                    list(map(sub, ram, self._ram_used)),
@@ -373,10 +402,15 @@ class ResourceLedger:
     # -- mutation
 
     def allocate(self, plan: EmbeddingPlan) -> None:
-        """Book ``plan`` if the gate's cpu -> ram -> bandwidth rule passes on this ledger."""
+        """Book ``plan`` if the gate's cpu -> ram -> bandwidth rule passes on this
+        ledger.  A band key with a member other than an int is refused too: it
+        can equal an edge's key, (0.0, 1.0) == (0, 1), yet index no node."""
         if plan.sfc_id in self.allocations:
             raise DuplicateSfc(f"sfc {plan.sfc_id} already embedded")
         reason = _over_drawn(plan, self._view())
+        members = chain.from_iterable(plan.band_alloc)
+        if reason is None and not {int}.issuperset(map(type, members)):
+            reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT
         if reason is not None:
             raise InsufficientResources(f"sfc {plan.sfc_id}: {reason.value}")
         for kind, alloc in enumerate((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc)):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-# check_plan_against stays importable from here: the README offers it, bench/layers.py reads it
-from .mano import (EmbeddingPlan, FailureReason, FreeUnits, build_plan, check_plan_against,
-                   leg_band_demands)
+# build_plan and check_plan_against stay importable from here: the README offers
+# check_plan_against, and bench/layers.py pins both for its solver.plan_build layer
+from .mano import (EmbeddingPlan, FailureReason, FreeUnits, _assemble_plan, _sum_per_key,
+                   build_plan, check_plan_against, leg_band_demands)
 from .topology import (OVER_BUDGET, SubstrateSnapshot, edge_key, path_latency,
                        shortest_feasible_path)
 from .workload import SfcRequest, VnfCatalog
@@ -90,22 +91,27 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     The walk runs on copies of the input's integer units, which keeps every
     comparison and deduction exact.  ``choose(candidates, cpu, ram, max_cpu,
     max_ram)`` sees the free amounts and the snapshot's largest node
-    capacities in those units.
+    capacities in those units.  An Accept's plan is made from the units the
+    walk deducted, at the input's scales, by the summing routine that
+    ``build_plan`` and the gate's rebuild use, and its ``total_latency`` is
+    the walk's running latency: the plan ``build_plan`` would make from the
+    same placement and paths, without the catalog being read again.
 
     The plan is not run through ``check_plan_against``: the walk makes every
     Accept pass it, and the engine's gate vets the plan anyway.
       - cpu / ram: each position takes a node with at least the demand free,
-        in the input's own units, and deducts it there; ``build_plan`` sums
-        the same demands per node, so no node is over-drawn.
+        in the input's own units, and deducts it there; the plan sums the
+        same units per node, so no node is over-drawn.
       - Bandwidth: each leg with demand > 0 deducts it from every edge of its
         path, and the search admits only edges with that much still free.  A
         ``PhysicalPath`` never repeats a node, so no leg crosses an edge
-        twice, and ``build_plan`` sums the same amounts per edge.
+        twice, and the plan sums the same units per edge.
       - Paths: every hop comes from ``snap.links``.
       - QoS: the search refuses ``base + c > limit`` with ``base`` the walk's
-        running latency; the walk and ``build_plan`` both add
-        ``path_latency`` left to right from zero, so the plan's total cannot
-        exceed ``qos_max_latency``.
+        running latency, which is the plan's total, so the total cannot
+        exceed ``qos_max_latency``.  The walk adds ``path_latency`` left to
+        right from ``0.0``, ``build_plan`` and the gate from ``0``: the same
+        sum, as latencies are floats >= 0.
     """
     req, cat, snap, units = inp.request, inp.catalog, inp.snapshot, inp.units
     cpu_demand = [_demand_units(cat.templates[vnf_id].cpu_demand, units.cpu_scale)
@@ -151,7 +157,10 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
         paths.append(path)
         prev = node
 
-    return SolverDecision.accept(build_plan(req, cat, snap, placement, paths))
+    sums = _sum_per_key(placement, cpu_demand, ram_demand, paths, demands)
+    return SolverDecision.accept(_assemble_plan(
+        req.sfc_id, tuple(placement), tuple(paths), sums,
+        (units.cpu_scale, units.ram_scale, units.band_scale), latency))
 
 
 class RandomSolver(Solver):

@@ -13,7 +13,7 @@ from sfcsim.mano import (DuplicateSfc, EmbeddingPlan, FailureReason, Insufficien
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
                          find_affected_sfcs, leg_band_demands, plan_structure_errors)
 from sfcsim.solver import SOLVERS, SolverInput, make_solver
-from sfcsim.topology import PhysicalPath
+from sfcsim.topology import PhysicalPath, SubstrateSnapshot
 from sfcsim.workload import VnfCatalog, VnfTemplate
 
 
@@ -245,6 +245,30 @@ class TestFreeUnits:
         ledger.release(0)
         assert_units_match(ledger)
 
+    @pytest.mark.parametrize("one_tuple", [True, False], ids=["one-tuple", "equal-tuples"])
+    def test_capacity_tuple_kept_across_a_scale_growth(self, one_tuple):
+        # the first view converts the capacities at scale 2; a booking in thirds
+        # and sevenths then grows the scales before the next snapshot is read
+        cpu, ram = (F(3) / 2, F(5) / 2), (F(512), F(256))
+        first = SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, cpu, ram)
+        if not one_tuple:
+            cpu, ram = tuple(list(cpu)), tuple(list(ram))
+        second = SubstrateSnapshot._from_edges(2, {1: (2.0, F(20))}, cpu, ram)
+        assert (second.node_cpu_capacity is first.node_cpu_capacity) is one_tuple
+        plans = [holding_plan(0, ({0: F(1) / 2}, {1: F(64)}, {})),
+                 holding_plan(1, ({1: F(1) / 3}, {0: F(64) / 7}, {(0, 1): F(5) / 11}))]
+        ledger = ResourceLedger(first)
+        ledger.allocate(plans[0])
+        ledger.free_units()
+        ledger.allocate(plans[1])
+        ledger.set_snapshot(second)
+        fresh = ResourceLedger(second)
+        for plan in plans:
+            fresh.allocate(plan)
+        assert ledger.free_units() == fresh.free_units()
+        assert ledger.free_units().cpu_scale == 6
+        assert_units_match(ledger)
+
     def test_scales_cover_the_catalog_demands(self):
         # integer capacities and no usage: only the catalog brings thirds
         snap, cat = chain_snapshot(), thirds_catalog()
@@ -340,6 +364,22 @@ class TestAmountsTheGateRefuses:
             with pytest.raises(InsufficientResources, match="NodeCpuInsufficient"):
                 ledger.allocate(plan)
         assert ledger.allocations == {} and ledger.cpu_free(0) == 10
+
+    @pytest.mark.parametrize("key", [(0.0, 1.0), (F(0), 1), (False, True)],
+                             ids=["floats", "fraction", "bools"])
+    def test_a_band_key_equal_to_an_edge_but_not_of_ints(self, key):
+        # (0.0, 1.0) == (0, 1) finds the edge's free band; once booked, the key
+        # made the next find_affected_sfcs raise TypeError on new_snap.edge_band(*key)
+        snap = SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, (F(10), F(10)),
+                                             (F(512), F(512)))
+        ledger = ResourceLedger(snap)
+        ledger.allocate(holding_plan(0, ({0: F(1)}, {}, {(0, 1): F(5)})))
+        before = (dict(ledger.allocations), copy.deepcopy(ledger.free_units()))
+        with pytest.raises(InsufficientResources, match="LinkBandwidthInsufficient"):
+            ledger.allocate(holding_plan(1, ({}, {}, {key: 5})))
+        assert (dict(ledger.allocations), ledger.free_units()) == before
+        assert ledger.band_free(0, 1) == 25
+        assert find_affected_sfcs(ledger, snap) == []
 
 
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import F, held_ledger, make_catalog, make_request, make_snapshot, unit_fractions
 from oracle import (exhaustive_embedding, greedy_pick, placement_feasible, random_pick,
                     sequential_decision)
-from sfcsim.mano import FailureReason, FreeUnits, ResourceLedger, check_plan, check_plan_against
+from sfcsim.mano import (FailureReason, FreeUnits, ResourceLedger, build_plan, check_plan,
+                         check_plan_against)
 from sfcsim.solver import (SOLVERS, GreedySolver, RandomSolver, SolverDecision,
                            SolverInput, make_solver)
 
@@ -226,6 +227,17 @@ def solver_inputs(draw):
     return SolverInput(req, cat, snap, units)
 
 
+def assert_same_plan_as_build_plan(plan, inp):
+    """``plan`` is the one ``build_plan`` makes from its placement and paths,
+    field by field, with the allocation keys in the same order."""
+    want = build_plan(inp.request, inp.catalog, inp.snapshot, plan.vnf_placement,
+                      plan.virtual_link_paths)
+    assert plan == want
+    for name in ("cpu_alloc", "ram_alloc", "band_alloc"):
+        assert list(getattr(plan, name).items()) == list(getattr(want, name).items())
+        assert {type(x) for x in getattr(plan, name).values()} <= {Fraction}
+
+
 class TestIntegerUnitsMatchReference:
     """The baselines decide in integer units exactly as the Fraction rule does."""
 
@@ -239,11 +251,23 @@ class TestIntegerUnitsMatchReference:
                 # the walk alone makes the plan fit: the baselines no longer check it
                 assert check_plan_against(dec.plan, inp.request, inp.snapshot,
                                           inp.units) is None
+                assert_same_plan_as_build_plan(dec.plan, inp)
             got = ((dec.plan.vnf_placement,
                     tuple(p.nodes for p in dec.plan.virtual_link_paths), None)
                    if dec.accepted else (None, None, dec.reason.value))
             assert got == sequential_decision(inp.snapshot, inp.request, inp.catalog,
                                               *unit_fractions(inp.units), pick)
+
+    def test_single_node_legs_same_plan_as_build_plan(self):
+        # every leg is a one-node path, so the walk's latency stays 0.0 where
+        # build_plan's sum stays the int 0
+        snap = make_snapshot(1, [], cpu=[F(10) / 7], ram=[4096])
+        cat = make_catalog([(0, F(2) / 7, 64), (1, F(3) / 11, 64)], [(0, 1, F(20) / 3)])
+        inp = fresh_input(snap, cat, make_request(chain=(0, 1, 0), ingress=0, egress=0))
+        for name in SOLVERS:
+            dec = make_solver(name).solve(inp, random.Random(0))
+            assert dec.plan.total_latency == 0
+            assert_same_plan_as_build_plan(dec.plan, inp)
 
     def test_capacity_only_denominator(self):
         # only the cpu capacities have sevenths; node 0 wins on cpu
