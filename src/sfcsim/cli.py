@@ -147,10 +147,9 @@ def cmd_generate(args) -> int:
     out = Path(args.out) if args.out else _default_out_root() / "generated"
     out.mkdir(parents=True, exist_ok=True)
     substrate = out / "substrate.json"
-    substrate.write_text(json.dumps(topology_to_json(scenario.topo), indent=1) + "\n")
+    substrate.write_text(json.dumps(topology_to_json(scenario.topo)) + "\n")
     workload = out / "workload.json"
-    workload.write_text(json.dumps(
-        workload_to_json(scenario.requests, scenario.catalog), indent=1) + "\n")
+    workload.write_text(json.dumps(workload_to_json(scenario.requests, scenario.catalog)) + "\n")
     print(f"wrote {substrate} ({scenario.topo.node_count} nodes, "
           f"{len(scenario.topo.time_points)} time points)")
     print(f"wrote {workload} ({len(scenario.requests)} sfcs)")

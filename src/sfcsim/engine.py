@@ -154,7 +154,7 @@ def run(topo: SubstrateTopology, requests: list[SfcRequest], catalog: VnfCatalog
                          plan_nodes=plan.vnf_placement if isinstance(plan, EmbeddingPlan)
                          else None)
         else:
-            ledger.allocate(plan)
+            ledger._book(plan)  # the gate's check_plan has just run the fit rule
             trace.record(time, kind, request.sfc_id, committed,
                          plan_nodes=plan.vnf_placement)
 

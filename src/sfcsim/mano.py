@@ -16,8 +16,8 @@ from itertools import chain
 from math import lcm
 from operator import sub
 
-from .topology import (_EXACT, PhysicalPath, SubstrateSnapshot, edge_key, path_is_valid,
-                       path_latency)
+from .topology import (_EXACT, InvalidPath, PhysicalPath, SubstrateSnapshot, edge_key,
+                       path_is_valid, path_latency)
 from .workload import SfcRequest, VnfCatalog
 
 
@@ -30,7 +30,7 @@ class UnknownSfc(KeyError):
 
 
 class InsufficientResources(ValueError):
-    """Defensive re-check failed: the plan no longer fits the free resources."""
+    """``allocate``'s fit rule failed: the plan does not fit the free resources."""
 
 
 class FailureReason(Enum):
@@ -117,13 +117,6 @@ def _same_amounts(alloc: Mapping, sums: dict, scale: int) -> bool:
         x.numerator * scale == sums[key] * x.denominator for key, x in alloc.items())
 
 
-def _total_latency(snap: SubstrateSnapshot, paths) -> float:
-    total = 0  # left to right, as in path_latency
-    for path in paths:
-        total += path_latency(snap, path)
-    return total
-
-
 def _assemble_plan(sfc_id: int, placement: tuple, paths: tuple, sums, scales,
                    total_latency: float) -> EmbeddingPlan:
     """The plan whose allocations are ``sums`` over ``scales``, one Fraction
@@ -142,9 +135,11 @@ def build_plan(request: SfcRequest, catalog: VnfCatalog, snap: SubstrateSnapshot
     Each allocation is summed in integer units and becomes one Fraction per key."""
     placement = tuple(placement)
     paths = tuple(paths)
+    total = 0  # left to right, as in path_latency
+    for path in paths:
+        total += path_latency(snap, path)
     return _assemble_plan(request.sfc_id, placement, paths,
-                          *_plan_sums(request, catalog, placement, paths),
-                          _total_latency(snap, paths))
+                          *_plan_sums(request, catalog, placement, paths), total)
 
 
 def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
@@ -194,12 +189,15 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
         return ["an allocated amount is not an int or a Fraction"]
 
     waypoints = (request.ingress, *plan.vnf_placement, request.egress)
+    total = 0  # left to right, as in path_latency; read only when every leg is valid
     for i, path in enumerate(plan.virtual_link_paths):
         if path.nodes[0] != waypoints[i] or path.nodes[-1] != waypoints[i + 1]:
-            problems.append(
-                f"leg {i} runs {path.nodes[0]}->{path.nodes[-1]}, "
-                f"expected {waypoints[i]}->{waypoints[i + 1]}")
-        elif not path_is_valid(snap, path):
+            problems.append(f"leg {i} runs {path.nodes[0]}->{path.nodes[-1]}, "
+                            f"expected {waypoints[i]}->{waypoints[i + 1]}")
+            continue
+        try:
+            total += path_latency(snap, path)
+        except InvalidPath:
             problems.append(f"leg {i} {path.nodes} leaves the substrate's nodes or edges")
     if problems:
         return problems
@@ -212,7 +210,6 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
         problems.append("ram_alloc does not match placement demands")
     if not _same_amounts(plan.band_alloc, band, band_scale):
         problems.append("band_alloc does not match path demands")
-    total = _total_latency(snap, plan.virtual_link_paths)
     if plan.total_latency != total:
         problems.append(f"total_latency {plan.total_latency} != {total}")
     return problems
@@ -221,7 +218,8 @@ def plan_structure_errors(plan: EmbeddingPlan, request: SfcRequest,
 def _over_drawn(plan: EmbeddingPlan, units: "FreeUnits") -> FailureReason | None:
     """The first resource, cpu then ram then bandwidth, that ``plan`` asks
     more of than ``units`` has free; a node or edge the view lacks has none free.
-    A negative amount, or a key or an amount of the wrong kind, fits nowhere."""
+    A negative amount, a key or an amount of the wrong kind, or a band key with a
+    member other than an int (it can equal an edge's: (0.0, 1.0) == (0, 1)) fits nowhere."""
     n = len(units.cpu)
     for alloc, free, scale, reason in (
             (plan.cpu_alloc, units.cpu, units.cpu_scale, FailureReason.NODE_CPU_INSUFFICIENT),
@@ -234,6 +232,8 @@ def _over_drawn(plan: EmbeddingPlan, units: "FreeUnits") -> FailureReason | None
                 room = free.get(key) if free is units.band else free[key] if 0 <= key < n else None
                 if room is None or num < 0 or num * scale > room * x.denominator:  # x > room/scale
                     return reason
+            if free is units.band and not {int}.issuperset(map(type, chain.from_iterable(alloc))):
+                return reason
         except (AttributeError, TypeError):  # 1.0, "1" or None as a key or an amount
             return reason
     return None
@@ -344,7 +344,7 @@ class ResourceLedger:
     def _view(self) -> FreeUnits:
         """The free view the gate, ``allocate`` and :meth:`free_units` read: built
         at the first read after a snapshot change or a scale growth, then moved
-        in step by ``allocate`` / ``release``, and never handed out."""
+        in step by each booking and release, and never handed out."""
         if self._free is None:
             snap = self._snapshot
             keys = list(snap.edges())
@@ -402,17 +402,16 @@ class ResourceLedger:
     # -- mutation
 
     def allocate(self, plan: EmbeddingPlan) -> None:
-        """Book ``plan`` if the gate's cpu -> ram -> bandwidth rule passes on this
-        ledger.  A band key with a member other than an int is refused too: it
-        can equal an edge's key, (0.0, 1.0) == (0, 1), yet index no node."""
-        if plan.sfc_id in self.allocations:
-            raise DuplicateSfc(f"sfc {plan.sfc_id} already embedded")
+        """Book ``plan`` if the fit rule passes on this ledger; else it is refused."""
         reason = _over_drawn(plan, self._view())
-        members = chain.from_iterable(plan.band_alloc)
-        if reason is None and not {int}.issuperset(map(type, members)):
-            reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT
         if reason is not None:
             raise InsufficientResources(f"sfc {plan.sfc_id}: {reason.value}")
+        self._book(plan)
+
+    def _book(self, plan: EmbeddingPlan) -> None:
+        """Book ``plan``, which the fit rule has just passed on this ledger."""
+        if plan.sfc_id in self.allocations:
+            raise DuplicateSfc(f"sfc {plan.sfc_id} already embedded")
         for kind, alloc in enumerate((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc)):
             self._rescale(kind, lcm(self._scales[kind], *{x.denominator for x in alloc.values()}))
         self.allocations[plan.sfc_id] = plan

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (SCENARIO_DIR, F, make_catalog, make_request, make_snapshot, make_topo,
                       single_topo, unit_fractions)
-from sfcsim import engine
+from sfcsim import engine, mano
 from sfcsim.engine import EventKind, MalformedScenario, build_event_queue, run
 from sfcsim.mano import FailureReason, ResourceLedger, build_plan
 from sfcsim.scenario import SaginParams, generate_poisson_workload, generate_sagin, load_scenario
@@ -530,8 +531,8 @@ class TestAdversarialSolver:
 
 
 def test_writes_into_the_input_do_not_reach_the_gate():
-    """A solver may write into its ``inp.units``; the gate and ``allocate``
-    read the ledger's own amounts, so an Accept that over-draws is demoted."""
+    """A solver may write into its ``inp.units``; the gate reads the ledger's
+    own amounts, so an Accept that over-draws is demoted."""
     snap = make_snapshot(2, [(0, 1)], cpu=[1, 1])
     cat = make_catalog([(0, 1, 32)], [])
     reqs = [make_request(sfc_id=i, start=1 + i, end=10, chain=(0,)) for i in range(2)]
@@ -581,6 +582,28 @@ def test_solvers_read_the_ledgers_free_amounts(monkeypatch):
     assert len(ledgers) == 1
     assert solver.modes.count(SolveMode.EMBED) == len(sc.requests)
     assert SolveMode.MIGRATE in solver.modes
+
+
+@pytest.mark.parametrize("name", ["sagin_desk", "sagin_full"])
+def test_the_fit_rule_runs_once_per_vetted_accept(monkeypatch, name):
+    """The gate's ``check_plan`` is the fit rule's one run per decision: the
+    engine books a plan that passed it without running the rule again."""
+    calls = Counter()
+
+    def counted(what, fn):
+        def wrapper(*args):
+            calls[what] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mano, "_over_drawn", counted("rule", mano._over_drawn))
+    monkeypatch.setattr(engine, "check_plan", counted("gate", engine.check_plan))
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    trace = TraceLog()
+    run(sc.topo, sc.requests, sc.catalog, GreedySolver(), trace, seed=sc.seed)
+    outcomes = Counter(r.outcome for r in trace.records)
+    assert outcomes["migrated"] > 0
+    assert calls["rule"] == calls["gate"] >= outcomes["accepted"] + outcomes["migrated"]
 
 
 def csv_digest(topo, requests, catalog, solver_name, seed, out_dir):

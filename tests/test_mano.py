@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import F, make_catalog, make_request, make_snapshot, unit_fractions
+from sfcsim import mano
 from sfcsim.mano import (DuplicateSfc, EmbeddingPlan, FailureReason, InsufficientResources,
                          ResourceLedger, UnknownSfc, build_plan, check_plan,
-                         find_affected_sfcs, leg_band_demands, plan_structure_errors)
+                         check_plan_against, find_affected_sfcs, leg_band_demands,
+                         plan_structure_errors)
 from sfcsim.solver import SOLVERS, SolverInput, make_solver
-from sfcsim.topology import PhysicalPath, SubstrateSnapshot
+from sfcsim.topology import PhysicalPath, SubstrateSnapshot, path_is_valid, path_latency
 from sfcsim.workload import VnfCatalog, VnfTemplate
 
 
@@ -369,14 +371,19 @@ class TestAmountsTheGateRefuses:
                              ids=["floats", "fraction", "bools"])
     def test_a_band_key_equal_to_an_edge_but_not_of_ints(self, key):
         # (0.0, 1.0) == (0, 1) finds the edge's free band; once booked, the key
-        # made the next find_affected_sfcs raise TypeError on new_snap.edge_band(*key)
+        # made the next find_affected_sfcs raise TypeError on new_snap.edge_band(*key).
+        # All three entry points of the fit rule refuse it for the same reason.
         snap = SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, (F(10), F(10)),
                                              (F(512), F(512)))
         ledger = ResourceLedger(snap)
         ledger.allocate(holding_plan(0, ({0: F(1)}, {}, {(0, 1): F(5)})))
         before = (dict(ledger.allocations), copy.deepcopy(ledger.free_units()))
-        with pytest.raises(InsufficientResources, match="LinkBandwidthInsufficient"):
-            ledger.allocate(holding_plan(1, ({}, {}, {key: 5})))
+        plan, req = holding_plan(1, ({}, {}, {key: 5})), make_request(sfc_id=1)
+        reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT
+        assert check_plan(plan, ledger, req) is reason
+        assert check_plan_against(plan, req, snap, ledger.free_units()) is reason
+        with pytest.raises(InsufficientResources, match=reason.value):
+            ledger.allocate(plan)
         assert (dict(ledger.allocations), ledger.free_units()) == before
         assert ledger.band_free(0, 1) == 25
         assert find_affected_sfcs(ledger, snap) == []
@@ -549,6 +556,27 @@ class TestStructure:
         snap, cat = chain_snapshot(), catalog()
         req, plan = plan_all_on(1, snap, cat)
         assert plan_structure_errors(plan, req, cat, snap) == []
+
+    def test_each_leg_is_walked_once(self, monkeypatch):
+        # one walk per leg both tests the leg against the substrate and adds its latency
+        snap, cat = chain_snapshot(), catalog()
+        req, plan = plan_all_on(0, snap, cat)
+        walked = []
+        for name, walk in (("path_latency", path_latency), ("path_is_valid", path_is_valid)):
+            monkeypatch.setattr(mano, name, lambda s, path, walk=walk:
+                                walked.append(path) or walk(s, path))
+        assert plan_structure_errors(plan, req, cat, snap) == []
+        assert walked == list(plan.virtual_link_paths)
+
+    @pytest.mark.parametrize("last", [(1, 0, 2), (1, 7, 2)], ids=["no-edge", "no-node"])
+    def test_leg_problems_are_named_in_leg_order(self, last):
+        snap, cat = chain_snapshot(), catalog()
+        req, plan = plan_all_on(1, snap, cat)
+        legs = (PhysicalPath((0, 2)), PhysicalPath((1,)), PhysicalPath((1,)), PhysicalPath(last))
+        bad = dataclasses.replace(plan, virtual_link_paths=legs)
+        assert plan_structure_errors(bad, req, cat, snap) == [
+            "leg 0 runs 0->2, expected 0->1",
+            f"leg 3 {last} leaves the substrate's nodes or edges"]
 
     def test_wrong_leg_wiring_detected(self):
         snap, cat = chain_snapshot(), catalog()
