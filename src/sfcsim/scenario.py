@@ -161,6 +161,23 @@ def _line_of_sight(p, q, earth_radius: float) -> bool:
     return math.sqrt(cx * cx + cy * cy + cz * cz) >= earth_radius
 
 
+def _clear_chord2(radius: float, earth_radius: float) -> float:
+    """A squared distance below which two points on the shell of ``radius``
+    see each other: ``_line_of_sight`` is True for any such pair.
+
+    The segment between two points at radius a and distance d comes closest to
+    the centre at its midpoint, at √(a² − d²/4), which clears the Earth when
+    d² ≤ 4(a² − R²).  The bound keeps 1e-6 of that back, so a pair below it
+    has every point of its segment at r² > R² + 1e-6·(a² − R²).  From a shell
+    with a² − R² ≥ 1e-4·a² that margin is ≥ 1e-10·a².  Positions within a few
+    ulps of the shell move r² by under 1e-14·a², and so does the rounding of
+    the point ``_line_of_sight`` computes (an error in its t only slides the
+    point along the segment).  A thinner shell gets 0: the exact test decides.
+    """
+    a2, r2 = radius * radius, earth_radius * earth_radius
+    return 4 * (a2 - r2) * (1 - 1e-6) if a2 - r2 >= 1e-4 * a2 else 0.0
+
+
 def generate_sagin(params: SaginParams) -> SubstrateTopology:
     """Materialize the dynamic substrate described by ``params``.
 
@@ -279,23 +296,38 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     # computed d² are off by under 1e-13·a², far below both margins: each
     # distance in a skipped plane is above best, and the smallest-distance,
     # smallest-index rule picks the same nearest.  At B ≥ 2a² the bound says
-    # nothing, and no plane is skipped.  Planes are visited by cyclic
-    # distance, o ± 1 first, so a tight best comes early.
+    # nothing, and no plane is skipped.
+    #
+    # Planes are visited nearest first, so a tight best comes early and the
+    # bound skips more of the rest.  h depends only on the satellite's angle
+    # in its own plane, so the angles are cut into 32 equal arcs (buckets),
+    # and each lists the other planes by |h| at its centre.  The order
+    # changes no result: the nearest is the minimum by (distance, index) in
+    # any order, and a plane is skipped only when every distance in it is
+    # above a best so far, never below the final one.  So a rounded bucket
+    # index costs time at most.  The table has 32·O·(O − 1) entries,
+    # whatever m is.
     slot_gap = math.cos(math.pi / m) - math.cos(2 * math.pi / m)
     a2 = a * a
-    orbits = p.orbit_count
     cross = []  # per orbit: (other orbit, projection or None, e1·n_o2, e2·n_o2)
     for o, (_, _, e1, e2) in enumerate(planes):
         row = []
-        for o2 in sorted(range(orbits), key=lambda o2: min((o2 - o) % orbits,
-                                                           (o - o2) % orbits))[1:]:
-            _, _, f1, f2 = planes[o2]
+        for o2, (_, _, f1, f2) in enumerate(planes):
+            if o2 == o:
+                continue
             gap = 2 * abs(_dot(normals[o], normals[o2])) * slot_gap
             # (x, y) in plane o maps to (x·xx + y·xy, x·yx + y·yy) in plane o2.
             proj = (_dot(e1, f1), _dot(e2, f1), _dot(e1, f2), _dot(e2, f2))
             row.append((o2, proj if m > 3 and gap > 1.6e7 * angle_err else None,
                         _dot(e1, normals[o2]), _dot(e2, normals[o2])))
         cross.append(row)
+    buckets = 32
+    centres = [(math.cos(c), math.sin(c))
+               for c in (2 * math.pi * (b + 0.5) / buckets for b in range(buckets))]
+    nearest_first = [[sorted(row, key=lambda r: abs(cx * r[2] + cy * r[3])) for cx, cy in centres]
+                     for row in cross]  # per orbit, per bucket: cross rows by |h| at its centre
+    buckets_per_rad, buckets_per_slot = buckets / (2 * math.pi), buckets / m
+    chord2 = _clear_chord2(a, p.earth_radius_km)
 
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
                 + [p.ground_cpu] * p.ground_count)
@@ -384,13 +416,18 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         # first minimum of an ascending scan would find.  Only these writes
         # link two planes, so a nearest already linked to u chose u and has
         # written the pair: an edge exists when either end sees the other.
+        # A pair closer than the clear chord (_clear_chord2) is linked without
+        # the segment test.
         if p.orbit_count >= 2:
             offsets = [phase + wt for _, phase, _, _ in planes]
             for u in range(sat_n):
+                if u % m == 0:  # satellite j of orbit o is at angle offsets[o] + 2π·j/m
+                    by_bucket = nearest_first[u // m]
+                    start = offsets[u // m] * buckets_per_rad
                 pu = pos[u]
                 x, y = in_plane[u]
                 best, nearest, h2_skip = math.inf, -1, math.inf
-                for o2, proj, hx, hy in cross[u // m]:
+                for o2, proj, hx, hy in by_bucket[int(start + u % m * buckets_per_slot) % buckets]:
                     h = x * hx + y * hy
                     if h * h > h2_skip:
                         continue
@@ -409,8 +446,9 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                     bound = best * best * (1 + 1e-6)
                     if bound < 2 * a2:
                         h2_skip = bound - bound * bound / (4 * a2) + 1e-9 * a2
-                if (u * n + nearest if u < nearest else nearest * n + u) not in edges and \
-                        _line_of_sight(pu, pos[nearest], p.earth_radius_km):
+                if (u * n + nearest if u < nearest else nearest * n + u) not in edges and (
+                        best * best < chord2
+                        or _line_of_sight(pu, pos[nearest], p.earth_radius_km)):
                     add_edge(u, nearest, best, p.isl_band_mbps)
 
         # Surface/air to satellite, by elevation mask: the angle of the

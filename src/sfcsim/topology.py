@@ -481,16 +481,19 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
                     push(heap, (c, nodes + (nxt,)))
 
     # Every node the filter lets src reach is settled or reachable from an
-    # unpushed head through unsettled nodes.
+    # unpushed head through unsettled nodes.  Only whether dst is reachable
+    # matters, so the pass ends where it first meets dst.
+    if dst in over:
+        return OVER_BUDGET
     stack = [v for v in over if v not in settled]
     settled.update(stack)
     while stack:
         head = stack.pop()
-        if head == dst:
-            return OVER_BUDGET
         for nxt in links[head]:
             if nxt not in settled and (open_filter or residual_band.get(
                     (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
+                if nxt == dst:
+                    return OVER_BUDGET
                 settled.add(nxt)
                 stack.append(nxt)
     return None
@@ -570,16 +573,22 @@ def topology_from_json(doc: dict) -> SubstrateTopology:
 
 def topology_to_json(topo: SubstrateTopology) -> dict:
     """Dense matrices, one set per snapshot; a non-edge cell is 0 / false."""
-    def dense(snap: SubstrateSnapshot, cell) -> list[list]:
-        return [[cell(row[v]) if v in row else 0 for v in range(snap.node_count)]
-                for row in snap.links]
+    def dense(snap: SubstrateSnapshot, zero, cell) -> list[list]:
+        """Rows of ``zero`` with ``cell(edge)`` written at each edge."""
+        rows = []
+        for links in snap.links:
+            row = [zero] * snap.node_count
+            for v, edge in links.items():
+                row[v] = cell(edge)
+            rows.append(row)
+        return rows
     return {
         "time_points": [_num(t) for t in topo.time_points],
         "snapshots": [{
-            "adjacency": [[v in row for v in range(snap.node_count)] for row in snap.links],
-            "latency_ms": dense(snap, lambda edge: _num(edge[0])),
+            "adjacency": dense(snap, False, lambda edge: True),
+            "latency_ms": dense(snap, 0, lambda edge: _num(edge[0])),
             "node_cpu": [_num(x) for x in snap.node_cpu_capacity],
             "node_ram_mb": [_num(x) for x in snap.node_ram_capacity],
-            "link_band_mbps": dense(snap, lambda edge: _num(edge[1])),
+            "link_band_mbps": dense(snap, 0, lambda edge: _num(edge[1])),
         } for snap in map(topo.snapshots.get, topo.time_points)],
     }

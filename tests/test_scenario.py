@@ -15,8 +15,9 @@ from generator_digests import check as check_digest
 from generator_digests import check_rows
 from sagin_oracle import draw_params, reference_sagin, same_topology
 from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
-                             ValidationError, _above_mask, _line_of_sight,
-                             generate_poisson_workload, generate_sagin, load_scenario,
+                             ValidationError, _above_mask, _clear_chord2, _latlon_to_cart,
+                             _line_of_sight, generate_poisson_workload, generate_sagin,
+                             load_scenario,
                              scenario_from_json)
 from sfcsim.topology import topology_from_json, topology_to_json
 from sfcsim.workload import VnfCatalog, validate_workload
@@ -255,6 +256,61 @@ class TestLineOfSight:
 
     def test_segment_grazing_above_the_earth_is_clear(self):
         assert _line_of_sight((7000.0, -7000.0, 0.0), (7000.0, 7000.0, 0.0), self.R) is True
+
+
+def shell_pair(radius, d2):
+    """Two points on the shell of ``radius`` at squared distance about ``d2``."""
+    angle = 2 * math.asin(math.sqrt(d2) / (2 * radius))
+    return (radius, 0.0, 0.0), (radius * math.cos(angle), radius * math.sin(angle), 0.0)
+
+
+class TestClearChord:
+    """Below ``_clear_chord2`` two satellites see each other without the exact test."""
+
+    R, a = 6371.0, 6371.0 + 550.0
+    tangent2 = 4 * (a * a - R * R)  # the chord that touches the Earth
+
+    def test_just_inside_the_chord_is_clear(self):
+        p, q = shell_pair(self.a, _clear_chord2(self.a, self.R) * (1 - 1e-7))
+        assert math.dist(p, q) ** 2 < _clear_chord2(self.a, self.R)
+        assert _line_of_sight(p, q, self.R) is True
+
+    def test_just_outside_the_chord_the_exact_test_decides(self):
+        p, q = shell_pair(self.a, self.tangent2 * (1 - 5e-7))  # in the margin: clear
+        assert math.dist(p, q) ** 2 > _clear_chord2(self.a, self.R)
+        assert _line_of_sight(p, q, self.R) is True
+        p, q = shell_pair(self.a, self.tangent2 * (1 + 1e-7))  # past the tangent: blocked
+        assert math.dist(p, q) ** 2 > _clear_chord2(self.a, self.R)
+        assert _line_of_sight(p, q, self.R) is False
+
+    def test_a_thin_shell_leaves_every_pair_to_the_exact_test(self):
+        assert _clear_chord2(self.R * (1 + 1e-6), self.R) == 0.0
+        assert _clear_chord2(self.R, self.R) == 0.0
+
+    @given(earth=st.floats(1e-3, 1e6), height=st.floats(1e-9, 10),
+           lat=st.floats(-90, 90), lon=st.floats(-180, 180),
+           lat2=st.floats(-90, 90), lon2=st.floats(-180, 180),
+           share=st.one_of(st.floats(0, 1.01), st.floats(1 - 1e-5, 1 + 1e-5)))
+    @settings(max_examples=400, deadline=None)
+    def test_pairs_below_the_chord_see_each_other(self, earth, height, lat, lon,
+                                                  lat2, lon2, share):
+        """Any two points on any shell, at a central angle ``share`` of the
+        tangent chord's: squared distances on both sides of the bound, and
+        often within its margin."""
+        radius = earth * (1 + height)
+        p = _latlon_to_cart(lat, lon, 1.0)
+        e = _latlon_to_cart(lat2, lon2, 1.0)
+        along = e[0] * p[0] + e[1] * p[1] + e[2] * p[2]
+        w = [ei - along * pi for ei, pi in zip(e, p)]
+        norm = math.hypot(*w)
+        if norm < 1e-3:  # no bearing: e lies along p
+            return
+        angle = 2 * math.acos(min(1.0, earth / radius)) * share
+        q = [radius * (math.cos(angle) * pi + math.sin(angle) * wi / norm)
+             for pi, wi in zip(p, w)]
+        p = [radius * pi for pi in p]
+        if math.dist(p, q) ** 2 < _clear_chord2(radius, earth):
+            assert _line_of_sight(p, q, earth) is True
 
 
 def exact_mask(sin_el, elevation_min_deg):

@@ -255,6 +255,38 @@ class TestBudgetedSearch:
             assert unbounded.nodes == want[1]
             assert got == (OVER_BUDGET if base + want[0] > limit else unbounded)
 
+    @given(n=st.integers(2, 24), density=st.floats(0.05, 0.5), seed=st.integers(0, 2**32),
+           min_band=st.integers(0, 2), base=st.floats(0, 5),
+           limit=st.one_of(st.floats(0, 30), st.just(math.inf)))
+    @settings(max_examples=300, deadline=None)
+    def test_over_budget_exactly_when_dst_is_reachable_and_the_path_is_late(
+            self, n, density, seed, min_band, base, limit):
+        """On sparse random graphs, where the reachability pass has ground to
+        cover: OVER_BUDGET exactly when the unbudgeted path exists and
+        ``base + latency > limit``, and None exactly when no node sequence
+        through the band filter joins the endpoints (a plain graph search)."""
+        rng = random.Random(seed)
+        edges = [(u, v, rng.uniform(0, 4), rng.randrange(1, 4))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        snap = make_snapshot(n, edges)
+        residual = {key: rng.randrange(-1, 4) for key in snap.edges()}
+        src, dst = rng.randrange(n), rng.randrange(n)
+        reached, stack = {src}, [src]
+        while stack:
+            u = stack.pop()
+            for v in snap.links[u]:
+                if v not in reached and residual[min(u, v), max(u, v)] >= min_band:
+                    reached.add(v)
+                    stack.append(v)
+        unbounded = shortest_feasible_path(snap, src, dst, min_band, residual)
+        got = shortest_feasible_path(snap, src, dst, min_band, residual, base, limit)
+        if dst not in reached:
+            assert unbounded is None and got is None
+        elif base + path_latency(snap, unbounded) > limit:
+            assert got is OVER_BUDGET
+        else:
+            assert got == unbounded
+
     def test_over_budget_is_not_no_path(self):
         # 0 - 1 - 2 at 5 ms a hop; the band filter cuts 2 - 3
         snap = make_snapshot(4, [(0, 1, 5.0), (1, 2, 5.0), (2, 3, 1.0, 10)])
