@@ -332,6 +332,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     cpu = tuple([p.sat_cpu] * sat_n + [p.uav_cpu] * p.uav_count
                 + [p.ground_cpu] * p.ground_count)
     ram = tuple([p.node_ram_mb] * n)
+    vetted = ({}, {})  # every snapshot's memo: each shared capacity tuple and band is checked once
     sin_min = math.sin(math.radians(p.elevation_min_deg))
 
     # Elevation mask by arcs.  For a node at radius r < a the elevation of a
@@ -475,7 +476,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 if d <= p.air_range_km:
                     add_edge(u, v, d, p.sg_band_mbps)
 
-        return SubstrateSnapshot._from_edges(n, edges, cpu, ram)
+        return SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted)
 
     return SubstrateTopology(time_points=times,
                              snapshots={t: snapshot_at(t) for t in times})

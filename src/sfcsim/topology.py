@@ -210,17 +210,20 @@ class SubstrateSnapshot:
                     raise ValueError(f"edge ({u},{v}) not symmetric")
                 if u < v:
                     edges[u * n + v] = edge
-        self._build(n, edges, self.node_cpu_capacity, self.node_ram_capacity)
+        self._build(n, edges, self.node_cpu_capacity, self.node_ram_capacity, ({}, {}))
 
     @classmethod
-    def _from_edges(cls, n: int, edges: dict, cpu: tuple, ram: tuple) -> "SubstrateSnapshot":
+    def _from_edges(cls, n: int, edges: dict, cpu: tuple, ram: tuple,
+                    vetted: tuple[dict, dict] | None = None) -> "SubstrateSnapshot":
         """Snapshot from the edge map ``{u * n + v: (latency_ms, band)}`` over
-        the edges u < v, built by :meth:`_build`."""
+        the edges u < v, built by :meth:`_build` with the caller's memo
+        ``vetted``, or a fresh one."""
         snap = object.__new__(cls)
-        snap._build(n, edges, cpu, ram)
+        snap._build(n, edges, cpu, ram, ({}, {}) if vetted is None else vetted)
         return snap
 
-    def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple) -> None:
+    def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple,
+               vetted: tuple[dict, dict]) -> None:
         """Check the capacities and each edge of ``edges`` once, and set every field.
 
         ``edges`` maps ``u * n + v`` to the edge's ``(latency_ms, band)`` for
@@ -228,15 +231,27 @@ class SubstrateSnapshot:
         written under both ends of fresh rows, so the rows are symmetric and
         ascending by construction.  A fault shared by several edges is named
         at the lowest one.
+
+        ``vetted`` is the caller's memo: two dicts, ``id -> object``, of the
+        capacity tuples and of the bands that passed their checks.  An object
+        found there is not tested again, so a generator that hands every
+        snapshot of a run one memo tests each shared object once per run.
+        The memo holds its objects, so no id is reused while it lives; a
+        tuple of ints and Fractions cannot change, a list can, so only a
+        tuple enters.  The two roles keep apart: a tuple that passed as a
+        capacity vector is still tested as a band.  A faulty object never
+        enters, so every build that meets it raises the same message.
         """
         if n < 1:
             raise ValueError("snapshot needs at least one node")
+        good_vectors, good_bands = vetted
         # Generated snapshots share a few capacity and band objects, so each
-        # distinct object is tested once, in order of first use.  The dicts
-        # hold the objects, so no id is reused while this runs.
+        # distinct object is tested once, in order of first use.
         for name, vec in (("node_cpu_capacity", cpu), ("node_ram_capacity", ram)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries")
+            if id(vec) in good_vectors:
+                continue
             distinct = dict(zip(map(id, vec), vec)).values()
             if any(_is_number(x) and x < 0 for x in distinct):
                 raise ValueError(f"{name} has a negative entry")
@@ -245,6 +260,8 @@ class SubstrateSnapshot:
                     raise ValueError(f"{name} entry {x!r} is not an int or a Fraction")
                 if not _in_range(x):
                     raise ValueError(f"{name} has an entry {_OUT_OF_RANGE}")
+            if type(vec) is tuple:
+                good_vectors[id(vec)] = vec
         if not set(map(type, edges)) <= {int}:
             key = next(k for k in edges if type(k) is not int)
             raise ValueError(f"edge key {key!r} is not an int")
@@ -253,7 +270,6 @@ class SubstrateSnapshot:
             key = keys[0] if keys[0] < 0 else keys[bisect_left(keys, n * n)]
             raise ValueError(f"edge key {key} outside 0..{n * n - 1}")
         rows = [{} for _ in range(n)]
-        good_bands = {}  # id -> band object that passed
         isfinite = math.isfinite
         for key in keys:
             u = key // n

@@ -77,6 +77,20 @@ class TestSaginGenerator:
                 baseline = lat
             assert abs(lat - baseline) <= 1e-6 * baseline
 
+    def test_shared_objects_are_tested_once_per_run(self, monkeypatch):
+        # The magnitude test runs per distinct capacity and band object, so
+        # twice the snapshots make no more calls.
+        import sfcsim.topology as topology
+        calls, in_range = [], topology._in_range
+        monkeypatch.setattr(topology, "_in_range", lambda x: calls.append(x) or in_range(x))
+        counts = []
+        for interval in (600, 288):  # 13 and 26 snapshots
+            doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+            doc["substrate"]["generator"]["sagin"]["snapshot_interval_s"] = interval
+            calls.clear()
+            counts.append((len(scenario_from_json(doc).topo.time_points), len(calls)))
+        assert counts[0][0] * 2 == counts[1][0] and counts[0][1] == counts[1][1]
+
     def test_fuzzed_params_satisfy_topology_invariants(self):
         # SubstrateSnapshot/SubstrateTopology constructors enforce symmetry,
         # non-negative capacities, and the stable node count; building is the test.

@@ -741,6 +741,56 @@ class TestSharedObjectChecks:
         with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(1,2\)$"):
             SubstrateSnapshot.from_matrices(adj, lat, band, (F(1),) * 3, (F(1),) * 3)
 
+    # A generator hands every snapshot of a run one memo of the objects that
+    # passed, so each is tested once per run.  Two builds with one memo must
+    # raise what a fresh memo raises.
+    def expect_shared(self, memo, n, edges, cpu, ram, message):
+        for vetted in (memo, None):
+            with pytest.raises(ValueError) as exc:
+                SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted)
+            assert str(exc.value) == message
+
+    def test_a_vetted_capacity_tuple_is_still_tested_as_a_band(self):
+        memo, cpu = ({}, {}), (F(10), F(10))
+        SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, cpu, cpu, memo)
+        self.expect_shared(memo, 2, {1: (1.0, cpu)}, cpu, cpu,
+                           f"bandwidth {cpu!r} on edge (0,1) is not an int or a Fraction")
+
+    def test_a_list_capacity_vector_is_tested_again(self):
+        memo, cpu, ram = ({}, {}), [F(10), F(10)], (F(10), F(10))
+        SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, cpu, ram, memo)
+        cpu[1] = F(-1)
+        self.expect_shared(memo, 2, {1: (1.0, F(30))}, cpu, ram,
+                           "node_cpu_capacity has a negative entry")
+
+    def test_a_vetted_capacity_tuple_of_another_length_is_refused(self):
+        memo, cap = ({}, {}), (F(10), F(10))
+        SubstrateSnapshot._from_edges(2, {1: (1.0, F(30))}, cap, cap, memo)
+        self.expect_shared(memo, 3, {1: (1.0, F(30))}, cap, cap,
+                           "node_cpu_capacity must have 3 entries")
+
+    @pytest.mark.parametrize("band, message", [
+        (F(-1), "negative bandwidth on edge (1,2)"),
+        (math.nan, "negative bandwidth on edge (1,2)"),
+        (10.0, "bandwidth 10.0 on edge (1,2) is not an int or a Fraction"),
+        (F(10**400), f"bandwidth on edge (1,2) is {OUT_OF_RANGE}"),
+    ], ids=["negative", "nan", "float", "out-of-range"])
+    def test_a_bad_band_first_met_in_a_later_build(self, band, message):
+        memo, good, cap = ({}, {}), F(10), (F(10),) * 4
+        SubstrateSnapshot._from_edges(4, {1: (1.0, good), 2: (1.0, good)}, cap, cap, memo)
+        edges = {1: (1.0, good), 6: (1.0, band), 7: (1.0, good), 11: (1.0, band)}
+        self.expect_shared(memo, 4, edges, cap, cap, message)
+
+    def test_a_refused_object_is_refused_again(self):
+        memo, good = ({}, {}), F(10)
+        bad_cap, cap, bad_band = (good, F(-1)), (good, good), F(-1)
+        for _ in range(2):
+            self.expect_shared(memo, 2, {1: (1.0, good)}, bad_cap, cap,
+                               "node_cpu_capacity has a negative entry")
+            self.expect_shared(memo, 2, {1: (1.0, bad_band)}, cap, cap,
+                               "negative bandwidth on edge (0,1)")
+        assert memo == ({id(cap): cap}, {})  # only the good tuple entered
+
 
 class TestEdgeMapBuilder:
     """The one builder over ``{u * n + v: (latency, band)}``: each fault it
