@@ -303,6 +303,7 @@ class ResourceLedger:
             [t.cpu_demand for t in templates], [t.ram_demand for t in templates],
             () if catalog is None else catalog.link_band_demand.values())]
         self._free: FreeUnits | None = None
+        self._usage: tuple | None = None  # node_usage()'s answer until the usage changes
         # per node kind: the last capacity tuple, the scale it was converted at, its units
         self._node_caps: list[tuple] = [(None, 0, None)] * 2
         self.allocations: dict[int, EmbeddingPlan] = {}
@@ -327,7 +328,7 @@ class ResourceLedger:
             for key in (list(used) if kind == 2 else range(len(used))):
                 used[key] *= factor
             self._scales[kind] = scale
-            self._free = None
+            self._free = self._usage = None
 
     def _node_units(self, kind: int, caps: tuple) -> list[int]:
         """Node capacities ``caps`` of ``kind`` (0 cpu, 1 ram) in units of its
@@ -344,18 +345,26 @@ class ResourceLedger:
     def _view(self) -> FreeUnits:
         """The free view the gate, ``allocate`` and :meth:`free_units` read: built
         at the first read after a snapshot change or a scale growth, then moved
-        in step by each booking and release, and never handed out."""
+        in step by each booking and release, and never handed out.  Each
+        distinct band object of the snapshot is converted once (a generated
+        snapshot shares two), and the usage is subtracted afterwards."""
         if self._free is None:
             snap = self._snapshot
-            keys = list(snap.edges())
             cpu, ram = map(self._node_units, (0, 1),
                            (snap.node_cpu_capacity, snap.node_ram_capacity))
-            band, scale = to_units([snap.links[u][v][1] for u, v in keys], self._scales[2])
+            band = {(u, v): edge[1] for u, row in enumerate(snap.links)
+                    for v, edge in row.items() if u < v}
+            distinct = {id(x): x for x in band.values()}
+            scale = lcm(self._scales[2], *{x.denominator for x in distinct.values()})
             self._rescale(2, scale)
-            used = self._band_used  # usage on an edge the snapshot dropped has no view
+            units = {key: x.numerator * (scale // x.denominator) for key, x in distinct.items()}
+            for key, x in band.items():
+                band[key] = units[id(x)]
+            for key, used in self._band_used.items():
+                if key in band:  # usage on an edge the snapshot dropped has no view
+                    band[key] -= used
             self._free = FreeUnits(list(map(sub, cpu, self._cpu_used)),
-                                   list(map(sub, ram, self._ram_used)),
-                                   {key: cap - used.get(key, 0) for key, cap in zip(keys, band)},
+                                   list(map(sub, ram, self._ram_used)), band,
                                    *self._scales, max(cpu, default=0), max(ram, default=0))
         return self._free
 
@@ -374,8 +383,12 @@ class ResourceLedger:
         return Fraction(self._ram_used[node], self._scales[1])
 
     def node_usage(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        """Per-node cpu and ram usage in units, as copies, then the two scales."""
-        return tuple(self._cpu_used), tuple(self._ram_used), self._scales[0], self._scales[1]
+        """Per-node cpu and ram usage in units, as copies, then the two scales;
+        the same tuples until a booking, a release or a scale growth."""
+        if self._usage is None:
+            self._usage = (tuple(self._cpu_used), tuple(self._ram_used),
+                           self._scales[0], self._scales[1])
+        return self._usage
 
     def band_used(self, u: int, v: int) -> Fraction:
         return Fraction(self._band_used[edge_key(u, v)], self._scales[2])
@@ -428,6 +441,7 @@ class ResourceLedger:
         """Move ``plan`` into the usage (sign 1) or out of it (-1), and the free
         view, where built, the other way; the scales cover every amount."""
         view = self._free
+        self._usage = None
         for kind, alloc in enumerate((plan.cpu_alloc, plan.ram_alloc, plan.band_alloc)):
             used, scale = self._used[kind], self._scales[kind]
             free = None if view is None else (view.cpu, view.ram, view.band)[kind]

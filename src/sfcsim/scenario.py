@@ -13,19 +13,21 @@ parameter with a default.
 import json
 import math
 import random
+import struct
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .solver import SOLVERS
-from .topology import (INPUT_ERRORS, SubstrateSnapshot, SubstrateTopology, _finite, _is_number,
-                       as_float, as_fraction, as_integer, as_object, topology_from_json)
+from .topology import (INPUT_ERRORS, LIGHT_KM_PER_MS, SubstrateSnapshot, SubstrateTopology,
+                       _finite, _is_number, as_float, as_fraction, as_integer, as_object,
+                       topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
 
 EARTH_MU_KM3_S2 = 398600.4418     # gravitational parameter
-LIGHT_KM_PER_MS = 299.792458
 # Most nodes x snapshots, UAVs x waypoints or SFCs x chain length one generator may draw.
 MAX_GENERATED = 10**7
 
@@ -359,12 +361,15 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     arcs = 2 * math.pi / m > 1e6 * angle_err
     all_sats = (range(sat_n),)
 
-    def mask_candidates(gx: float, gy: float, gz: float, gr: float, wt: float):
-        """Runs of satellites that may clear the mask for the node at (gx, gy, gz)."""
+    def mask_arcs(gx: float, gy: float, gz: float, gr: float):
+        """Per plane, the arc of slots that may clear the mask for the node at
+        (gx, gy, gz): (first satellite, half-width in slots or None for the
+        whole plane, projection angle less the plane's phase); None to scan
+        every satellite.  A ground station's arcs hold for the whole run."""
         if not arcs or gr >= a * (1 - 1e-3):
-            return all_sats
+            return None
         c_lo = math.cos(math.acos(gr * cos_lo / a) - eps_lo)
-        runs = []
+        found = []
         for base, phase, f1, f2 in planes:
             px = gx * f1[0] + gy * f1[1]
             py = gx * f2[0] + gy * f2[1] + gz * f2[2]
@@ -372,10 +377,22 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             if rho < c_lo:
                 continue
             if rho < 1e-3:  # near the plane's pole
+                found.append((base, None, 0.0))
+                continue
+            found.append((base, math.acos(c_lo / rho) * slots_per_rad,
+                          math.atan2(py, px) - phase))
+        return found
+
+    def mask_candidates(plane_arcs, wt: float):
+        """Runs of satellites that may clear the mask at ``wt``, from ``mask_arcs``."""
+        if plane_arcs is None:
+            return all_sats
+        runs = []
+        for base, half, angle in plane_arcs:
+            if half is None:
                 runs.append(range(base, base + m))
                 continue
-            half = math.acos(c_lo / rho) * slots_per_rad
-            centre = (math.atan2(py, px) - phase - wt) * slots_per_rad
+            centre = (angle - wt) * slots_per_rad
             lo = math.ceil(centre - half) - 1
             count = math.floor(centre + half) + 2 - lo
             if count >= m:
@@ -388,12 +405,22 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
             runs.append(range(base + k, base + k + count))
         return runs
 
+    def surface_node(gx: float, gy: float, gz: float):
+        """(x, y, z, |x, y, z|, mask arcs) of a UAV or ground station."""
+        gr = math.sqrt(gx * gx + gy * gy + gz * gz)
+        return gx, gy, gz, gr, mask_arcs(gx, gy, gz, gr)
+
     ground_pos = [_latlon_to_cart(la, lo, p.earth_radius_km) for la, lo in ground_sites]
+    ground_nodes = [surface_node(*gp) for gp in ground_pos]  # ground stations do not move
+    # Each snapshot carries its nodes' positions for the path search's lower
+    # bound; add_edge receives every edge's math.dist of two of them.
+    pack_positions = struct.Struct(f"{3 * n}d").pack
 
     def snapshot_at(t: float) -> SubstrateSnapshot:
         wt = omega * t
         pos, in_plane = sat_positions(t)
-        pos += [uav_position(u, t) for u in range(p.uav_count)]
+        uav_pos = [uav_position(u, t) for u in range(p.uav_count)]
+        pos += uav_pos
         pos += ground_pos
 
         edges = {}  # u * n + v -> (latency, band), u < v
@@ -456,10 +483,9 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         # satellite above the node's local horizon.  The three-term sums are
         # written out left to right, so the result does not depend on how
         # the Python version's sum() rounds.
-        for g in range(sat_n, n):
-            gx, gy, gz = pos[g]
-            gr = math.sqrt(gx * gx + gy * gy + gz * gz)
-            for run in mask_candidates(gx, gy, gz, gr, wt):
+        surface = [surface_node(*xyz) for xyz in uav_pos] + ground_nodes
+        for g, (gx, gy, gz, gr, plane_arcs) in enumerate(surface, sat_n):
+            for run in mask_candidates(plane_arcs, wt):
                 for s in run:
                     sx, sy, sz = pos[s]
                     dx, dy, dz = sx - gx, sy - gy, sz - gz
@@ -476,7 +502,8 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 if d <= p.air_range_km:
                     add_edge(u, v, d, p.sg_band_mbps)
 
-        return SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted)
+        return SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted,
+                                             pack_positions(*chain.from_iterable(pos)))
 
     return SubstrateTopology(time_points=times,
                              snapshots={t: snapshot_at(t) for t in times})

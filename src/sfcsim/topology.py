@@ -14,6 +14,7 @@ import heapq
 import math
 import numbers
 import re
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,16 +215,17 @@ class SubstrateSnapshot:
 
     @classmethod
     def _from_edges(cls, n: int, edges: dict, cpu: tuple, ram: tuple,
-                    vetted: tuple[dict, dict] | None = None) -> "SubstrateSnapshot":
+                    vetted: tuple[dict, dict] | None = None,
+                    positions: bytes | None = None) -> "SubstrateSnapshot":
         """Snapshot from the edge map ``{u * n + v: (latency_ms, band)}`` over
         the edges u < v, built by :meth:`_build` with the caller's memo
-        ``vetted``, or a fresh one."""
+        ``vetted``, or a fresh one, and the node ``positions``, if given."""
         snap = object.__new__(cls)
-        snap._build(n, edges, cpu, ram, ({}, {}) if vetted is None else vetted)
+        snap._build(n, edges, cpu, ram, ({}, {}) if vetted is None else vetted, positions)
         return snap
 
     def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple,
-               vetted: tuple[dict, dict]) -> None:
+               vetted: tuple[dict, dict], positions: bytes | None = None) -> None:
         """Check the capacities and each edge of ``edges`` once, and set every field.
 
         ``edges`` maps ``u * n + v`` to the edge's ``(latency_ms, band)`` for
@@ -241,6 +243,14 @@ class SubstrateSnapshot:
         tuple enters.  The two roles keep apart: a tuple that passed as a
         capacity vector is still tested as a band.  A faulty object never
         enters, so every build that meets it raises the same message.
+
+        ``positions`` is private to the SAGIN generator: each node's (x, y, z)
+        in km, packed as ``3n`` doubles, such that every edge's latency is
+        ``math.dist`` of its ends' positions divided by ``LIGHT_KM_PER_MS``.
+        The path search draws its lower bound from them
+        (:func:`shortest_feasible_path`).  They are set as attributes, not
+        fields, so equality, ``repr`` and the JSON writer never see them;
+        every other way in leaves them None.
         """
         if n < 1:
             raise ValueError("snapshot needs at least one node")
@@ -271,6 +281,7 @@ class SubstrateSnapshot:
             raise ValueError(f"edge key {key} outside 0..{n * n - 1}")
         rows = [{} for _ in range(n)]
         isfinite = math.isfinite
+        passed = None  # the last band to pass: the next edge often shares it
         for key in keys:
             u = key // n
             v = key - u * n
@@ -280,7 +291,7 @@ class SubstrateSnapshot:
             lat, band = edge
             if not (isfinite(lat) and lat >= 0):
                 raise ValueError(f"bad latency {lat!r} on edge ({u},{v})")
-            if id(band) not in good_bands:
+            if band is not passed and id(band) not in good_bands:
                 if _is_number(band) and not band >= 0:  # NaN included
                     raise ValueError(f"negative bandwidth on edge ({u},{v})")
                 if type(band) not in _EXACT:
@@ -289,9 +300,11 @@ class SubstrateSnapshot:
                 if not _in_range(band):
                     raise ValueError(f"bandwidth on edge ({u},{v}) is {_OUT_OF_RANGE}")
                 good_bands[id(band)] = band
+            passed = band
             rows[u][v] = rows[v][u] = edge
         for name, value in (("node_count", n), ("links", tuple(map(MappingProxyType, rows))),
-                            ("node_cpu_capacity", cpu), ("node_ram_capacity", ram)):
+                            ("node_cpu_capacity", cpu), ("node_ram_capacity", ram),
+                            ("_positions", positions), ("_bound_scale", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -422,6 +435,30 @@ class _OverBudget:
 
 OVER_BUDGET = _OverBudget()  # a path passes the filter, but not within the budget
 
+LIGHT_KM_PER_MS = 299.792458  # a generated edge's latency is its length over this
+_XYZ = struct.Struct("3d")  # one node's (x, y, z) in km, in a snapshot's position buffer
+_SHRINK = 2.0 ** -10  # ε of the search's lower bound; 1 - ε is exact
+_BOUND_PER_KM = (1 - _SHRINK) / LIGHT_KM_PER_MS
+_GUARD = 2.0 ** -44  # the bound is used when ε·l_min > _GUARD·(|limit| + |base| + r/c)
+
+
+def _lower_bounds(snap: SubstrateSnapshot, dst: int, base: float, limit: float) -> dict:
+    """The memo of ``h`` for a search toward ``dst``: empty when the bound is
+    used, filled with 0.0 for every node when it is not (see
+    :func:`shortest_feasible_path` for the guard).  The snapshot's shortest
+    edge latency and largest coordinate are found at its first search."""
+    positions = snap._positions
+    if positions is not None:
+        scale = snap._bound_scale
+        if scale is None:
+            scale = (min((lat for row in snap.links for lat, _ in row.values()), default=math.inf),
+                     max(map(abs, memoryview(positions).cast("d"))) / LIGHT_KM_PER_MS)
+            object.__setattr__(snap, "_bound_scale", scale)
+        l_min, r_ms = scale
+        if _SHRINK * l_min > _GUARD * (abs(limit) + abs(base) + r_ms):
+            return {}
+    return dict.fromkeys(range(snap.node_count), 0.0)
+
 
 def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band: Fraction | int,
                            residual_band: Mapping[tuple[int, int], Fraction | int],
@@ -453,6 +490,64 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     decided by one reachability pass over the same band filter, from the
     heads of the labels left unpushed.
 
+    The search is A* (Hart, Nilsson and Raphael, 1968) and returns what
+    that Dijkstra search returns.  A label of cost ``g`` heading at ``v`` is
+    keyed ``(f, g, nodes)`` with ``f = fl(g + h(v))``, and the budget test
+    reads ``base + f > limit``.  On a generated snapshot ``h(v) =
+    fl(dist(p_v, p_dst)·k)``, ``k = fl((1 − ε)/c)``, from the positions the
+    generator stored (``_build``), for which every edge latency is
+    ``l_uv = fl(dist(p_u, p_v)/c)``, ``c = LIGHT_KM_PER_MS``.  Elsewhere, or
+    where the guard below fails, ``h ≡ 0``: the key is ``(g, g, nodes)`` and
+    the test ``base + g > limit``, the Dijkstra search itself.  Write D(v)
+    for the label that Dijkstra settles ``v`` with; its prefixes are the
+    D-labels of their heads.  Dijkstra pops in ascending ``(g, nodes)``
+    order and an extension sorts after its parent, so D(v) is no greater
+    than any extension of a D-label to ``v``.
+
+    (a) ``h >= 0``, and ``h(dst) = 0`` since ``dist(p, p) = 0``.  So ``f >=
+    g``, and a label that fails the old test fails the new one.
+
+    (b) Consistency in floats: ``fl(g + h(u)) <= fl(fl(g + l_uv) + h(v))``
+    for every edge and every ``g`` in ``[0, G]``, ``G = 2(|limit| +
+    |base|)``, which bounds the cost of any label whose ``f`` passes.  Let
+    ``δ = 2^-53`` and D the exact distances of the stored points.  A
+    coordinate difference rounds once and ``math.dist`` is within 1 ulp
+    (Python 3.10 on), so ``dist`` is within ``4δ`` of D, ``l`` within
+    ``6δ`` of ``D/c`` and ``h`` within ``7δ`` of ``(1 − ε)D/c``, relatively.
+    Rounding is monotone, so it is enough that ``g + h(u) <= fl(g + l) +
+    h(v)``.  With ``fl(g + l) >= (g + l)(1 − δ)`` and the triangle
+    inequality ``D_u <= D_uv + D_v`` that holds once ``δ·g + 14δ·D_v/c <=
+    (ε − 14δ)·D_uv/c``.  ``D_v <= 2√3·r`` for ``r`` the largest coordinate,
+    and ``ε = 2^-10``, so ``δ·G + 2^-47·r/c <= ε·l_min/4`` suffices,
+    ``l_min`` the snapshot's shortest edge latency.  The guard asks
+    ``ε·l_min > 2^-44·(|limit| + |base| + r/c)``, at least twice that even
+    after its own rounding.  It fails for an infinite or NaN budget, for
+    edges of a few millimetres or less (at a 100 ms budget on an orbit's
+    scale) and for astronomically large coordinates; then ``h ≡ 0``.
+
+    (c) The first label popped for each node is its D-label.  By induction
+    on pops, let L pop first for ``v``; its parent is a settled node's
+    D-label, so ``D(v) <= L`` by ``(g, nodes)``.  Let ``x`` be the first
+    unsettled node on D(v)'s path.  Its D-label was pushed when its
+    predecessor settled: by (b) along the path (each ``g`` on it is at most
+    ``g(L) <= f(L)``), ``f(D(x)) <= f(D(v)) <= f(L)``, and L passed the
+    test.  L popped before it, so ``f(L) <= f(D(x))``: the three ``f``
+    tie, and the key falls back to ``g``: ``g(L) <= g(D(x)) <= g(D(v)) <=
+    g(L)``.  Those tie too, and then
+    ``nodes(L) <= nodes(D(x)) <= nodes(D(v)) <= nodes(L)``, since a prefix
+    sorts before its sequence.  So ``x = v`` and L = D(v).
+
+    (d) When Dijkstra's D(dst) passes the budget, no label on its path is
+    pruned: each has ``f <= f(D(dst)) = g(D(dst))`` by (b) and (a).  Were
+    ``dst`` never popped, the first unsettled node of that path would have
+    had its D-label pushed and popped, a contradiction; by (c) it pops with
+    D(dst).  A popped ``dst`` passed ``base + g <= limit``.  When ``dst`` is
+    not popped, every node the filter lets ``src`` reach is settled or
+    reachable from an unpushed head through unsettled nodes, as before, so
+    the reachability pass gives the same ``None`` or OVER_BUDGET.
+
+    ``h`` is computed once per search for each node relaxed, not for all.
+
     An open filter is not tested.  Proof: let ``min_band <= 0`` and
     ``value >= min_band`` hold for every value of ``residual_band``.  (1) An
     edge in the map passes: that is its test.  (2) An edge the map lacks reads
@@ -469,18 +564,21 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     if src == dst:
         return OVER_BUDGET if base > limit else PhysicalPath((src,))
 
-    # Lazy Dijkstra keyed on (latency, node sequence): the tuple comparison
-    # settles latency ties lexicographically, and extending two simple paths
-    # that end at the same node cannot flip their relative order.  Costs add
-    # up left to right from 0.0, as path_latency's do from 0 (the float start
+    # Lazy A* keyed on (f, latency, node sequence): the tuple comparison
+    # settles ties lexicographically, and extending two simple paths that
+    # end at the same node cannot flip their relative order.  Costs add up
+    # left to right from 0.0, as path_latency's do from 0 (the float start
     # keeps the addition specialized for floats).
     links, push, pop = snap.links, heapq.heappush, heapq.heappop
+    positions, dist, unpack = snap._positions, math.dist, _XYZ.unpack_from
+    h = _lower_bounds(snap, dst, base, limit)
+    target = None if positions is None else unpack(positions, _XYZ.size * dst)
     open_filter = min_band <= 0 and all(map(ge, residual_band.values(), repeat(min_band)))
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    heap: list[tuple[float, float, tuple[int, ...]]] = [(0.0, 0.0, (src,))]
     settled: set[int] = set()
     over: list[int] = []  # heads of the labels not pushed: over the budget
     while heap:
-        cost, nodes = pop(heap)
+        _, cost, nodes = pop(heap)
         head = nodes[-1]
         if head in settled:
             continue
@@ -491,10 +589,15 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
             if nxt not in settled and (open_filter or residual_band.get(
                     (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
                 c = cost + latency
-                if base + c > limit:
+                bound = h.get(nxt)
+                if bound is None:
+                    bound = h[nxt] = (dist(unpack(positions, _XYZ.size * nxt), target)
+                                      * _BOUND_PER_KM)
+                f = c + bound
+                if base + f > limit:
                     over.append(nxt)
                 else:
-                    push(heap, (c, nodes + (nxt,)))
+                    push(heap, (f, c, nodes + (nxt,)))
 
     # Every node the filter lets src reach is settled or reachable from an
     # unpushed head through unsettled nodes.  Only whether dst is reachable

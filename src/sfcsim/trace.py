@@ -180,20 +180,27 @@ class TraceLog:
             # A node's text after the time column depends only on its four
             # values and the block's scales, so it is formatted again only when
             # one of them differs from the previous block's; a block on another
-            # substrate or on other scales is formatted afresh.  No cell needs
-            # csv quoting: they are ints and fixed-point decimals.
+            # substrate or on other scales is formatted afresh.  A block whose
+            # usage, capacity tuples and scales all equal the previous block's
+            # (the ledger hands out the same usage tuples until they change)
+            # takes its texts whole.  No cell needs csv quoting: they are ints
+            # and fixed-point decimals.
             keys = texts = scales = []
+            last = None
             for b in self._blocks:
-                new_keys = list(zip(b.cpu_used, b.snapshot.node_cpu_capacity,
-                                    b.ram_used, b.snapshot.node_ram_capacity))
-                if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
-                    keys = texts = [None] * len(new_keys)
-                    scales = b.cpu_scale, b.ram_scale
-                texts = [text if key == old else
-                         f"{node},{_fmt(key[0], b.cpu_scale)},{_fmt(key[1])},"
-                         f"{_fmt(key[2], b.ram_scale)},{_fmt(key[3])}"
-                         for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
-                keys = new_keys
+                cpu_caps, ram_caps = b.snapshot.node_cpu_capacity, b.snapshot.node_ram_capacity
+                values = (b.cpu_used, b.ram_used, cpu_caps, ram_caps, b.cpu_scale, b.ram_scale)
+                if last is None or not all(x is y or x == y for x, y in zip(values, last)):
+                    new_keys = list(zip(b.cpu_used, cpu_caps, b.ram_used, ram_caps))
+                    if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
+                        keys = texts = [None] * len(new_keys)
+                        scales = b.cpu_scale, b.ram_scale
+                    texts = [text if key == old else
+                             f"{node},{_fmt(key[0], b.cpu_scale)},{_fmt(key[1])},"
+                             f"{_fmt(key[2], b.ram_scale)},{_fmt(key[3])}"
+                             for node, (key, old, text) in enumerate(zip(new_keys, keys, texts))]
+                    keys = new_keys
+                    last = values
                 prefix = _fmt(b.time) + ","
                 f.write(prefix + ("\n" + prefix).join(texts) + "\n")
 

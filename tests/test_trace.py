@@ -227,6 +227,27 @@ class TestUtilizationAgainstReference:
         assert values[4:] == values[:2] != values[2:4]
         assert_matches_reference(rec.trace, rec.expected, tmp_path)
 
+    def test_equal_blocks_then_a_change_then_the_earlier_usage(self, tmp_path):
+        ledger = ResourceLedger(make_snapshot(3, [(0, 1), (1, 2)]))
+        ledger.allocate(node_plan(0, cpu=[(1, "1/2")], ram=[(1, 64)]))
+        rec = Recorder()
+        for t in (0.0, 1.0, 2.0):  # a run of blocks on the same usage tuples
+            rec.sample(t, ledger)
+        usage = ledger.node_usage()
+        assert ledger.node_usage() is usage
+        ledger.allocate(node_plan(1, cpu=[(2, 1)], ram=[(0, 8)]))
+        assert ledger.node_usage() is not usage
+        rec.sample(3.0, ledger)
+        ledger.release(1)  # back to the earlier usage, in new tuples
+        assert ledger.node_usage() == usage and ledger.node_usage()[0] is not usage[0]
+        rec.sample(4.0, ledger)
+        rec.sample(5.0, ledger)
+        ledger.set_snapshot(make_snapshot(3, [(0, 1)]))  # equal capacities, new tuples
+        rec.sample(6.0, ledger)
+        ledger.set_snapshot(make_snapshot(3, [(0, 1)], cpu=[10, 10, 5]))
+        rec.sample(7.0, ledger)
+        assert_matches_reference(rec.trace, rec.expected, tmp_path)
+
     def test_one_node_substrate(self, tmp_path):
         expected = []
         _, trace = saturated_run(
