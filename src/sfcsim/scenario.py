@@ -14,6 +14,7 @@ import json
 import math
 import random
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -189,6 +190,17 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     Surface/air nodes link to satellites above the minimum elevation and to
     each other within ``air_range_km``.  Capacities are constant across
     snapshots; only edges and latencies vary.
+
+    Each edge that repeats is built once per run and shared, exactly:
+    - ring links, through a memo keyed by the measured ``math.dist``.  A ring
+      link always spans the same chord, so the distance takes a few values
+      per run; equal nonzero floats have equal bits, so the division gives
+      the same latency.  A NaN matches no key, and ``_build`` refuses it;
+    - the UAV side (positions, mask arcs, UAV-UAV and UAV-ground range
+      links) per phase ``t % uav_loop_period_s``, the only way a UAV's
+      position reads ``t``.  Each phase's entry is dropped at its last
+      snapshot, so a run whose phases never repeat keeps none.
+    Mask and cross-plane links move with the satellites and stay per snapshot.
     """
     p = params
     rng = random.Random(p.seed)
@@ -220,10 +232,11 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     uav_loops = [[region_point() for _ in range(p.uav_waypoints)]
                  for _ in range(p.uav_count)]
 
-    def uav_position(uav: int, t: float):
+    def uav_position(uav: int, phase: float):
+        """Position at ``phase``, a time modulo ``uav_loop_period_s``."""
         loop = uav_loops[uav]
         k = len(loop)
-        u = (t % p.uav_loop_period_s) / p.uav_loop_period_s * k
+        u = phase / p.uav_loop_period_s * k
         i = int(u) % k
         f = u - int(u)
         (la1, lo1), (la2, lo2) = loop[i], loop[(i + 1) % k]
@@ -416,12 +429,39 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     # bound; add_edge receives every edge's math.dist of two of them.
     pack_positions = struct.Struct(f"{3 * n}d").pack
 
+    # Edges shared across the run (the docstring says why they are exact).
+    ring_edges = {}  # a ring link's measured math.dist -> its one (latency, band) tuple
+    phase_uses = Counter(t % p.uav_loop_period_s for t in times)
+    uav_sides = {}  # phase -> uav_side's result, dropped at the phase's last snapshot
+
+    def uav_side(phase: float):
+        """At ``phase``: the UAV then ground positions, their ``surface_node``
+        tuples, and the UAV-UAV and UAV-ground range links as ``(key, edge)``."""
+        side = uav_sides.pop(phase, None)
+        if side is None:
+            air = [uav_position(u, phase) for u in range(p.uav_count)]
+            surface = [surface_node(*xyz) for xyz in air] + ground_nodes
+            air += ground_pos
+            # By range.  Ground stations do not interconnect directly (the
+            # terrestrial backhaul is assumed gone).
+            links = []
+            for i in range(p.uav_count):
+                for j in range(i + 1, n - sat_n):
+                    d = math.dist(air[i], air[j])
+                    if 0 < d <= p.air_range_km:
+                        links.append(((sat_n + i) * n + sat_n + j,
+                                      (d / LIGHT_KM_PER_MS, p.sg_band_mbps)))
+            side = air, surface, links
+        phase_uses[phase] -= 1
+        if phase_uses[phase]:
+            uav_sides[phase] = side
+        return side
+
     def snapshot_at(t: float) -> SubstrateSnapshot:
         wt = omega * t
         pos, in_plane = sat_positions(t)
-        uav_pos = [uav_position(u, t) for u in range(p.uav_count)]
-        pos += uav_pos
-        pos += ground_pos
+        air, surface, range_links = uav_side(t % p.uav_loop_period_s)
+        pos += air
 
         edges = {}  # u * n + v -> (latency, band), u < v
 
@@ -431,13 +471,19 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                 return
             edges[u * n + v if u < v else v * n + u] = (d / LIGHT_KM_PER_MS, band_mbps)
 
-        # Intra-orbit rings.
+        # Intra-orbit rings, by add_edge's rule, each length's tuple shared.
         for orbit in range(p.orbit_count):
             base = orbit * m
             if m >= 2:
                 for j in range(m if m > 2 else 1):
                     u, v = base + j, base + (j + 1) % m
-                    add_edge(u, v, math.dist(pos[u], pos[v]), p.isl_band_mbps)
+                    d = math.dist(pos[u], pos[v])
+                    if d <= 0:
+                        continue
+                    edge = ring_edges.get(d)
+                    if edge is None:  # a NaN never matches; _build refuses its latency
+                        edge = ring_edges[d] = (d / LIGHT_KM_PER_MS, p.isl_band_mbps)
+                    edges[u * n + v if u < v else v * n + u] = edge
 
         # Nearest cross-plane neighbor, line-of-sight permitting: the
         # smallest distance, and of equal ones the smallest index, as the
@@ -483,7 +529,6 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
         # satellite above the node's local horizon.  The three-term sums are
         # written out left to right, so the result does not depend on how
         # the Python version's sum() rounds.
-        surface = [surface_node(*xyz) for xyz in uav_pos] + ground_nodes
         for g, (gx, gy, gz, gr, plane_arcs) in enumerate(surface, sat_n):
             for run in mask_candidates(plane_arcs, wt):
                 for s in run:
@@ -494,14 +539,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
                     if _above_mask(sin_el, sin_min, p.elevation_min_deg):
                         add_edge(g, s, math.dist(pos[g], pos[s]), p.sg_band_mbps)
 
-        # UAV-UAV and UAV-ground, by range.  Ground stations do not
-        # interconnect directly (the terrestrial backhaul is assumed gone).
-        for u in range(sat_n, sat_n + p.uav_count):
-            for v in range(u + 1, n):
-                d = math.dist(pos[u], pos[v])
-                if d <= p.air_range_km:
-                    add_edge(u, v, d, p.sg_band_mbps)
-
+        edges.update(range_links)
         return SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted,
                                              pack_positions(*chain.from_iterable(pos)))
 

@@ -691,23 +691,35 @@ def topology_from_json(doc: dict) -> SubstrateTopology:
 
 
 def topology_to_json(topo: SubstrateTopology) -> dict:
-    """Dense matrices, one set per snapshot; a non-edge cell is 0 / false."""
-    def dense(snap: SubstrateSnapshot, zero, cell) -> list[list]:
-        """Rows of ``zero`` with ``cell(edge)`` written at each edge."""
-        rows = []
+    """Dense matrices, one set per snapshot; a non-edge cell is 0 / false.
+
+    Generated snapshots share edge and capacity tuples, so each tuple's
+    cells are converted once per call, in a memo keyed by ``id()``: the
+    topology holds every key object until the call returns.  Every row and
+    vector is a fresh list, so the document shares no mutable object.
+    """
+    converted = {}  # id(edge or capacity tuple) -> its cells through _num
+
+    def cells(obj: tuple) -> tuple:
+        got = converted.get(id(obj))
+        if got is None:
+            got = converted[id(obj)] = tuple(map(_num, obj))
+        return got
+
+    def matrices(snap: SubstrateSnapshot) -> dict:
+        n = snap.node_count
+        adjacency, latency, band = [], [], []
         for links in snap.links:
-            row = [zero] * snap.node_count
+            adj_row, lat_row, band_row = [False] * n, [0] * n, [0] * n
             for v, edge in links.items():
-                row[v] = cell(edge)
-            rows.append(row)
-        return rows
-    return {
-        "time_points": [_num(t) for t in topo.time_points],
-        "snapshots": [{
-            "adjacency": dense(snap, False, lambda edge: True),
-            "latency_ms": dense(snap, 0, lambda edge: _num(edge[0])),
-            "node_cpu": [_num(x) for x in snap.node_cpu_capacity],
-            "node_ram_mb": [_num(x) for x in snap.node_ram_capacity],
-            "link_band_mbps": dense(snap, 0, lambda edge: _num(edge[1])),
-        } for snap in map(topo.snapshots.get, topo.time_points)],
-    }
+                adj_row[v] = True
+                lat_row[v], band_row[v] = cells(edge)
+            adjacency.append(adj_row)
+            latency.append(lat_row)
+            band.append(band_row)
+        return {"adjacency": adjacency, "latency_ms": latency,
+                "node_cpu": list(cells(snap.node_cpu_capacity)),
+                "node_ram_mb": list(cells(snap.node_ram_capacity)),
+                "link_band_mbps": band}
+    return {"time_points": [_num(t) for t in topo.time_points],
+            "snapshots": [matrices(snap) for snap in map(topo.snapshots.get, topo.time_points)]}

@@ -179,6 +179,13 @@ REGIMES = {
     # often so far apart (best² ≥ 2a²) that the bound says nothing
     "far_planes": lambda alt, pick: dict(orbit_count=pick(range(3, 17)),
                                          sats_per_orbit=pick([1, 2]), altitude_km=20200.0),
+    # The generator computes the UAV side once per loop phase
+    # t % uav_loop_period_s.  Over the 7200 s run a loop of 1, 2 or 4
+    # intervals repeats every phase, one of 7 or 8 repeats some, and one
+    # 0.5 s short of whole intervals repeats none.
+    "uav_phases": lambda alt, pick: dict(
+        uav_count=pick([1, 3]), snapshot_interval_s=(step := pick([600.0, 900.0])),
+        uav_loop_period_s=step * pick([1, 2, 4, 7, 8]) - pick([0.0, 0.0, 0.5])),
 }
 
 

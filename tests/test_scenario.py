@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -243,6 +245,51 @@ class TestSaginGenerator:
             assert not [e for e in topo.snapshots[t].edges() if e[0] >= sat_n], t
         assert any(u < sat_n <= v for t in topo.time_points
                    for u, v in topo.snapshots[t].edges())  # the satellites still see them
+
+    def test_ring_links_share_one_tuple_per_length(self):
+        # A ring link spans the same chord at every snapshot, so the run
+        # holds one (latency, band) tuple per measured length.
+        params = desk_params(orbit_count=4, sats_per_orbit=10, duration_s=36000.0)
+        m, sat_n = params.sats_per_orbit, params.orbit_count * params.sats_per_orbit
+        topo = generate_sagin(params)
+        ring = [topo.snapshots[t].links[u][u - u % m + (u + 1) % m]
+                for t in topo.time_points for u in range(sat_n)]
+        assert len({id(edge) for edge in ring}) == len(set(ring)) < len(ring) / 10
+
+    def test_snapshots_one_uav_loop_apart_share_the_range_links(self):
+        params = desk_params(uav_count=3)  # a 3600 s loop, a snapshot every 600 s
+        sat_n, n = params.orbit_count * params.sats_per_orbit, params.node_count
+        topo = generate_sagin(params)
+        t = 600.0
+        a, b = topo.snapshots[t], topo.snapshots[t + params.uav_loop_period_s]
+        air = [(u, v) for u in range(sat_n, sat_n + params.uav_count)
+               for v in range(u + 1, n) if v in a.links[u]]
+        assert air and all(a.links[u][v] is b.links[u][v] for u, v in air)
+
+    def test_uav_phases_that_never_repeat_match_the_reference(self):
+        # A 3599.5 s loop against 60 s snapshots: each loop shifts every phase by 0.5 s.
+        assert same_topology(desk_params(uav_count=3, snapshot_interval_s=60.0,
+                                         uav_loop_period_s=3599.5))
+
+    def test_a_phase_is_forgotten_after_its_last_snapshot(self):
+        # The memory the generator holds beyond its result: where no phase
+        # repeats, every snapshot computes its own UAV side and keeps none,
+        # so it stays near that of a run whose snapshots share one phase.
+        def working_bytes(params):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                topo = generate_sagin(params)
+                gc.collect()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert topo.node_count == params.node_count
+            return peak - current
+        scene = dict(uav_count=3, snapshot_interval_s=60.0)
+        never = working_bytes(desk_params(uav_loop_period_s=3599.5, **scene))
+        always = working_bytes(desk_params(uav_loop_period_s=60.0, **scene))
+        assert never < 2 * always, (never, always)
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_matrix_round_trip_rebuilds_the_same_snapshots(self, name):
