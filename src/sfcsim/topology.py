@@ -442,11 +442,11 @@ _BOUND_PER_KM = (1 - _SHRINK) / LIGHT_KM_PER_MS
 _GUARD = 2.0 ** -44  # the bound is used when ε·l_min > _GUARD·(|limit| + |base| + r/c)
 
 
-def _lower_bounds(snap: SubstrateSnapshot, dst: int, base: float, limit: float) -> dict:
-    """The memo of ``h`` for a search toward ``dst``: empty when the bound is
-    used, filled with 0.0 for every node when it is not (see
-    :func:`shortest_feasible_path` for the guard).  The snapshot's shortest
-    edge latency and largest coordinate are found at its first search."""
+def _bound_holds(snap: SubstrateSnapshot, base: float, limit: float) -> bool:
+    """Whether a search under this budget uses the lower bound: the snapshot
+    has positions and passes the guard (see :func:`shortest_feasible_path`).
+    The snapshot's shortest edge latency and largest coordinate are found at
+    its first search."""
     positions = snap._positions
     if positions is not None:
         scale = snap._bound_scale
@@ -455,9 +455,8 @@ def _lower_bounds(snap: SubstrateSnapshot, dst: int, base: float, limit: float) 
                      max(map(abs, memoryview(positions).cast("d"))) / LIGHT_KM_PER_MS)
             object.__setattr__(snap, "_bound_scale", scale)
         l_min, r_ms = scale
-        if _SHRINK * l_min > _GUARD * (abs(limit) + abs(base) + r_ms):
-            return {}
-    return dict.fromkeys(range(snap.node_count), 0.0)
+        return _SHRINK * l_min > _GUARD * (abs(limit) + abs(base) + r_ms)
+    return False
 
 
 def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band: Fraction | int,
@@ -546,7 +545,8 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     reachable from an unpushed head through unsettled nodes, as before, so
     the reachability pass gives the same ``None`` or OVER_BUDGET.
 
-    ``h`` is computed once per search for each node relaxed, not for all.
+    ``h`` is computed once per search for each node relaxed, not for all;
+    where it is 0 nothing is computed or stored.
 
     An open filter is not tested.  Proof: let ``min_band <= 0`` and
     ``value >= min_band`` hold for every value of ``residual_band``.  (1) An
@@ -571,7 +571,7 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     # keeps the addition specialized for floats).
     links, push, pop = snap.links, heapq.heappush, heapq.heappop
     positions, dist, unpack = snap._positions, math.dist, _XYZ.unpack_from
-    h = _lower_bounds(snap, dst, base, limit)
+    h, unknown = {}, None if _bound_holds(snap, base, limit) else 0.0
     target = None if positions is None else unpack(positions, _XYZ.size * dst)
     open_filter = min_band <= 0 and all(map(ge, residual_band.values(), repeat(min_band)))
     heap: list[tuple[float, float, tuple[int, ...]]] = [(0.0, 0.0, (src,))]
@@ -589,7 +589,7 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
             if nxt not in settled and (open_filter or residual_band.get(
                     (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
                 c = cost + latency
-                bound = h.get(nxt)
+                bound = h.get(nxt, unknown)
                 if bound is None:
                     bound = h[nxt] = (dist(unpack(positions, _XYZ.size * nxt), target)
                                       * _BOUND_PER_KM)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .mano import FailureReason, ResourceLedger
-from .topology import SubstrateSnapshot
 
 # Record kinds: the three engine events plus per-SFC sub-records emitted while
 # a topology change is being resolved, and solver-contract discrepancy notes.
@@ -55,10 +54,11 @@ class UtilizationSample:
 
 
 class _UtilizationBlock(NamedTuple):
-    """Node usage at one event boundary in integer units; capacities come from ``snapshot``."""
+    """Node usage at one event boundary in integer units, with the snapshot's capacity tuples."""
 
     time: float
-    snapshot: SubstrateSnapshot
+    cpu_capacity: tuple[Fraction, ...]
+    ram_capacity: tuple[Fraction, ...]
     cpu_used: tuple[int, ...]
     ram_used: tuple[int, ...]
     cpu_scale: int
@@ -99,7 +99,9 @@ class TraceLog:
                                         plan_nodes=plan_nodes))
 
     def sample_utilization(self, time: float, ledger: ResourceLedger) -> None:
-        self._blocks.append(_UtilizationBlock(time, ledger.snapshot, *ledger.node_usage()))
+        snap = ledger.snapshot
+        self._blocks.append(_UtilizationBlock(time, snap.node_cpu_capacity,
+                                              snap.node_ram_capacity, *ledger.node_usage()))
 
     @property
     def utilization(self) -> list[UtilizationSample]:
@@ -108,8 +110,7 @@ class TraceLog:
                                   Fraction(ram, b.ram_scale), ram_cap)
                 for b in self._blocks
                 for node, (cpu, cpu_cap, ram, ram_cap) in enumerate(zip(
-                    b.cpu_used, b.snapshot.node_cpu_capacity,
-                    b.ram_used, b.snapshot.node_ram_capacity))]
+                    b.cpu_used, b.cpu_capacity, b.ram_used, b.ram_capacity))]
 
     # -- derived metrics
 
@@ -180,18 +181,17 @@ class TraceLog:
             # A node's text after the time column depends only on its four
             # values and the block's scales, so it is formatted again only when
             # one of them differs from the previous block's; a block on another
-            # substrate or on other scales is formatted afresh.  A block whose
-            # usage, capacity tuples and scales all equal the previous block's
-            # (the ledger hands out the same usage tuples until they change)
-            # takes its texts whole.  No cell needs csv quoting: they are ints
-            # and fixed-point decimals.
+            # substrate or on other scales is formatted afresh.  A block equal
+            # to the previous one past its time takes its texts whole; the
+            # tuple compare tests each item for identity before equality, and
+            # the ledger hands out the same usage tuples until they change.
+            # No cell needs csv quoting: they are ints and fixed-point decimals.
             keys = texts = scales = []
             last = None
             for b in self._blocks:
-                cpu_caps, ram_caps = b.snapshot.node_cpu_capacity, b.snapshot.node_ram_capacity
-                values = (b.cpu_used, b.ram_used, cpu_caps, ram_caps, b.cpu_scale, b.ram_scale)
-                if last is None or not all(x is y or x == y for x, y in zip(values, last)):
-                    new_keys = list(zip(b.cpu_used, cpu_caps, b.ram_used, ram_caps))
+                values = b[1:]
+                if values != last:
+                    new_keys = list(zip(b.cpu_used, b.cpu_capacity, b.ram_used, b.ram_capacity))
                     if len(new_keys) != len(keys) or scales != (b.cpu_scale, b.ram_scale):
                         keys = texts = [None] * len(new_keys)
                         scales = b.cpu_scale, b.ram_scale

@@ -336,6 +336,24 @@ class TestGenerateCommand:
         assert generated.catalog.templates == original.catalog.templates
         assert generated.catalog.link_band_demand == original.catalog.link_band_demand
 
+    def test_a_scene_read_back_from_generated_files_runs_to_the_same_csvs(self, tmp_path):
+        # The read-back snapshots carry no positions and their own equal
+        # capacity tuples, so their path searches run without the lower bound
+        # and the trace compares capacities by value, not identity.
+        params = SCENARIO_DIR / "sagin_desk.json"
+        assert run_cli("generate", params, "--out", tmp_path / "gen") == 0
+        doc = json.loads(params.read_text())
+        workload = json.loads((tmp_path / "gen" / "workload.json").read_text())
+        spliced = tmp_path / "spliced.json"
+        spliced.write_text(json.dumps(dict(
+            doc, substrate=json.loads((tmp_path / "gen" / "substrate.json").read_text()),
+            workload={"sfcs": workload["sfcs"]}, catalog=workload["catalog"])))
+        for name, scene in (("generated", params), ("read_back", spliced)):
+            assert run_cli("run", scene, "--out", tmp_path / name) == 0
+        for csv_name in CSV_NAMES:
+            assert ((tmp_path / "read_back" / "greedy" / csv_name).read_bytes()
+                    == (tmp_path / "generated" / "greedy" / csv_name).read_bytes()), csv_name
+
 
     def test_quantity_of_over_4300_digits(self, tmp_path, capsys):
         # validate and run took such a scene, and generate wrote it as a

@@ -21,7 +21,7 @@ from generator_digests import PINNED, desk_params
 from sfcsim import engine, scenario, solver as solvers
 from sfcsim.scenario import generate_sagin
 from sfcsim.topology import (LIGHT_KM_PER_MS, OVER_BUDGET, SubstrateSnapshot, SubstrateTopology,
-                             _lower_bounds, path_latency, shortest_feasible_path,
+                             _bound_holds, path_latency, shortest_feasible_path,
                              topology_from_json, topology_to_json)
 from sfcsim.trace import TraceLog
 
@@ -153,7 +153,7 @@ def test_every_search_of_the_bench_scenes_is_unchanged():
         plain = {}
         for snap, query, found in calls:
             src, dst, _, _, base, limit = query
-            assert _lower_bounds(snap, dst, base, limit) == {}, "the bound is in use"
+            assert _bound_holds(snap, base, limit), "the bound is in use"
             copy = plain.setdefault(id(snap), bare(snap))
             assert answer(shortest_feasible_path(copy, *query)) == found, (name, query)
 
@@ -182,7 +182,7 @@ def test_the_guard_falls_back_on_a_sub_millimetre_edge():
         points = [(7000.0, 0.0, 0.0), (7000.0 + gap_km, 0.0, 0.0), (7000.0, 90.0, 0.0),
                   (7000.0, 400.0, 30.0)]
         snap = placed(points, pairs)
-        assert (_lower_bounds(snap, 3, 0.0, 100.0) == {}) is used, gap_km
+        assert _bound_holds(snap, 0.0, 100.0) is used, gap_km
         plain = bare(snap)
         for src in range(4):
             for limit in (math.inf, 100.0, 1.0, 0.3):
@@ -192,9 +192,9 @@ def test_the_guard_falls_back_on_a_sub_millimetre_edge():
 def test_the_guard_falls_back_on_an_unbounded_budget():
     snap = generate_sagin(desk_params()).snapshots[0.0]
     n = snap.node_count
-    assert _lower_bounds(snap, 5, 0.0, 100.0) == {}
+    assert _bound_holds(snap, 0.0, 100.0)
     for base, limit in ((0.0, math.inf), (0.0, math.nan), (0.0, 1e300), (-math.inf, 100.0)):
-        assert _lower_bounds(snap, 5, base, limit) == dict.fromkeys(range(n), 0.0), limit
+        assert not _bound_holds(snap, base, limit), limit
         plain = bare(snap)
         for src in range(n):
             assert_same_search(snap, plain, src, 5, 0, {}, base, limit)
@@ -206,7 +206,7 @@ def test_a_rounding_tie_in_f_falls_back_to_the_cost():
     snap = placed([(8.0, 0.0, 0.0), (5.0, 0.0, 0.0), (1.0, 0.0, 0.0), (6.0, 0.0, 0.0),
                    (3000.0, 0.0, 0.0)],
                   [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
-    assert _lower_bounds(snap, 4, 0.0, 1000.0) == {}
+    assert _bound_holds(snap, 0.0, 1000.0)
     assert assert_same_search(snap, bare(snap), 2, 4, 0, {}, 0.0, 1000.0) == (2, 1, 4)
 
 
@@ -217,7 +217,7 @@ def test_the_shrink_covers_the_rounding_of_collinear_hops():
     snap = placed([(1.1, 0.0, 0.0), (0.8, 0.0, 0.0), (0.3, 0.0, 0.0), (0.9, 0.0, 0.0),
                    (0.6, 0.0, 0.0), (3000.0, 0.0, 0.0)],
                   [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 5)])
-    assert _lower_bounds(snap, 5, 0.0, 60.0) == {}
+    assert _bound_holds(snap, 0.0, 60.0)
     assert assert_same_search(snap, bare(snap), 2, 5, 0, {}, 0.0, 60.0) == (2, 4, 5)
 
 

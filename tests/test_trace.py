@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import oracle
-from conftest import F, make_catalog, make_request, make_snapshot, single_topo
+from conftest import F, make_catalog, make_request, make_snapshot, make_topo, single_topo
 from sfcsim.engine import run
 from sfcsim.mano import EmbeddingPlan, FailureReason, ResourceLedger
 from sfcsim.solver import GreedySolver, make_solver
@@ -296,6 +298,20 @@ class TestUtilizationAgainstReference:
         assert trace.utilization == expected
         ledger.release(0)
         assert trace.utilization == expected
+
+    def test_a_finished_run_keeps_no_snapshot_alive(self):
+        topo = make_topo({0: make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 4, 2]),
+                          10: make_snapshot(3, [(0, 1)], cpu=[1, 4, 2])})
+        reqs = [make_request(sfc_id=i, start=2 + 5 * i, end=30, chain=(0,)) for i in range(3)]
+        trace = TraceLog()
+        run(topo, reqs, make_catalog([(0, 0.5, 64)], []), GreedySolver(), trace, seed=0)
+        refs = [weakref.ref(snap) for snap in topo.snapshots.values()]
+        samples = trace.utilization
+        assert {s.cpu_capacity for s in samples if s.node == 0} == {2, 1}
+        del topo
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert trace.utilization == samples
 
 
 class TestCsvEmission:
