@@ -24,7 +24,7 @@ from pathlib import Path
 from .solver import SOLVERS
 from .topology import (INPUT_ERRORS, LIGHT_KM_PER_MS, SubstrateSnapshot, SubstrateTopology,
                        _finite, _is_number, as_float, as_fraction, as_integer, as_object,
-                       topology_from_json)
+                       as_record, topology_from_json)
 from .workload import (SfcRequest, VnfCatalog, catalog_from_json,
                        requests_from_json, validate_workload)
 
@@ -700,10 +700,7 @@ def _poisson_from_config(topo, catalog, cfg: dict, seed: int = 0) -> list[SfcReq
 def scenario_from_json(doc: dict) -> Scenario:
     """Build and validate a scenario from its parsed JSON document."""
     with _section("scenario"):
-        as_object(doc)
-    for key in ("substrate", "workload", "catalog", "solver"):
-        if key not in doc:
-            raise ValidationError(f"scenario: missing top-level field {key!r}")
+        as_record(doc, ("substrate", "workload", "catalog", "solver"))
     with _section("seed"):
         seed = as_integer(doc.get("seed", 0))
     with _section("catalog"):
@@ -721,7 +718,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         requests = _poisson_from_config(topo, catalog, workload_generator, seed)
     else:
         with _section("workload.sfcs"):
-            requests = requests_from_json(wl["sfcs"])
+            requests = requests_from_json(as_record(wl, ("sfcs",))["sfcs"])
 
     solver_name = doc["solver"]
     if not isinstance(solver_name, str):

@@ -85,8 +85,8 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     Walks the chain in order keeping tentative residuals: ``choose`` picks a
     node among those with enough free cpu and ram, each virtual link is routed
     with the minimum-latency bandwidth-feasible path, and the first empty
-    candidate set / missing path / QoS excess aborts with that reason.
-    No backtracking.
+    candidate set (no node with the cpu free names cpu, else ram) / missing
+    path / QoS excess aborts with that reason.  No backtracking.
 
     The walk runs on copies of the input's integer units, which keeps every
     comparison and deduction exact.  ``choose(candidates, cpu, ram, max_cpu,
@@ -114,10 +114,9 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
         sum, as latencies are floats >= 0.
     """
     req, cat, snap, units = inp.request, inp.catalog, inp.snapshot, inp.units
-    cpu_demand = [_demand_units(cat.templates[vnf_id].cpu_demand, units.cpu_scale)
-                  for vnf_id in req.vnf_chain]
-    ram_demand = [_demand_units(cat.templates[vnf_id].ram_demand, units.ram_scale)
-                  for vnf_id in req.vnf_chain]
+    templates = [cat.templates[vnf_id] for vnf_id in req.vnf_chain]
+    cpu_demand = [_demand_units(t.cpu_demand, units.cpu_scale) for t in templates]
+    ram_demand = [_demand_units(t.ram_demand, units.ram_scale) for t in templates]
     demands = [_demand_units(x, units.band_scale) for x in leg_band_demands(req, cat)]
     cpu, ram, band = list(units.cpu), list(units.ram), dict(units.band)
     max_cpu, max_ram = units.max_cpu, units.max_ram
@@ -129,12 +128,12 @@ def _solve_sequential(inp: SolverInput, choose) -> SolverDecision:
     for pos, demand in enumerate(demands):  # one leg into each VNF, then one to egress
         if pos < len(cpu_demand):
             cpu_need, ram_need = cpu_demand[pos], ram_demand[pos]
-            cpu_ok = [n for n, free in enumerate(cpu) if free >= cpu_need]
-            if not cpu_ok:
-                return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT)
-            candidates = [n for n in cpu_ok if ram[n] >= ram_need]
+            candidates = [n for n, free in enumerate(cpu)
+                          if free >= cpu_need and ram[n] >= ram_need]
             if not candidates:
-                return SolverDecision.reject(FailureReason.NODE_RAM_INSUFFICIENT)
+                return SolverDecision.reject(FailureReason.NODE_CPU_INSUFFICIENT
+                                             if max(cpu) < cpu_need
+                                             else FailureReason.NODE_RAM_INSUFFICIENT)
             node = choose(candidates, cpu, ram, max_cpu, max_ram)
             cpu[node] -= cpu_need
             ram[node] -= ram_need

@@ -18,8 +18,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import ge
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -45,9 +44,17 @@ def read_at(where: str, convert, *args):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def read_items(where: str, convert, value) -> tuple:
-    """Each item of the JSON array ``value`` read by ``convert``; a bad item is named."""
-    return tuple(read_at(f"{where}[{j}]", convert, x)
+def as_record(value, keys) -> dict:
+    """A JSON object holding each of ``keys``, and maybe more; a missing one is named."""
+    missing = sorted(set(keys) - as_object(value).keys())
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    return value
+
+
+def read_items(where: str, convert, value, *args) -> tuple:
+    """``convert(item, *args)`` for each item of the JSON array ``value``; a bad item is named."""
+    return tuple(read_at(f"{where}[{j}]", convert, x, *args)
                  for j, x in enumerate(read_at(where, as_list, value)))
 
 
@@ -466,10 +473,11 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     """Minimum-latency simple path using only edges with enough free bandwidth.
 
     ``residual_band`` maps canonical edge keys to free bandwidth (an edge it
-    lacks has none free).  ``min_band`` and the residuals may be any exact
-    numbers, ints or Fractions, as long as they share one unit.  Among
-    equal-latency paths the lexicographically smallest node sequence wins, which
-    keeps traces reproducible.  Returns ``None`` when no path passes the filter.
+    lacks has none free), and an edge passes at ``>= min_band``: a negative
+    amount blocks even a zero-demand leg.  ``min_band`` and the residuals are
+    exact numbers, ints or Fractions, in one unit.  Among equal-latency paths
+    the lexicographically smallest node sequence wins, which keeps traces
+    reproducible.  Returns ``None`` when no path passes the filter.
 
     ``base`` and ``limit`` are a latency budget: a path whose latency ``c``
     (its ``path_latency``; latencies are floats) gives ``base + c > limit``
@@ -547,16 +555,6 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
 
     ``h`` is computed once per search for each node relaxed, not for all;
     where it is 0 nothing is computed or stored.
-
-    An open filter is not tested.  Proof: let ``min_band <= 0`` and
-    ``value >= min_band`` hold for every value of ``residual_band``.  (1) An
-    edge in the map passes: that is its test.  (2) An edge the map lacks reads
-    0, and ``0 >= min_band``.  (3) So every edge passes, and the test changes
-    nothing.  The openness check runs the per-edge test on each value, so a
-    NaN, which blocks its edge, keeps the filter closed.  This is not skipping
-    the test on every zero-demand leg: a capacity shrink can leave an edge's
-    free amount below 0, and that edge must stay excluded; the unconditional
-    skip changed decisions (``test_random_scenes_match_reference``, scene 22).
     """
     n = snap.node_count
     if not (0 <= src < n and 0 <= dst < n):
@@ -573,7 +571,6 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     positions, dist, unpack = snap._positions, math.dist, _XYZ.unpack_from
     h, unknown = {}, None if _bound_holds(snap, base, limit) else 0.0
     target = None if positions is None else unpack(positions, _XYZ.size * dst)
-    open_filter = min_band <= 0 and all(map(ge, residual_band.values(), repeat(min_band)))
     heap: list[tuple[float, float, tuple[int, ...]]] = [(0.0, 0.0, (src,))]
     settled: set[int] = set()
     over: list[int] = []  # heads of the labels not pushed: over the budget
@@ -586,8 +583,8 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
         if head == dst:
             return PhysicalPath(nodes)
         for nxt, (latency, _) in links[head].items():
-            if nxt not in settled and (open_filter or residual_band.get(
-                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
+            if nxt not in settled and residual_band.get(
+                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
                 c = cost + latency
                 bound = h.get(nxt, unknown)
                 if bound is None:
@@ -609,8 +606,8 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     while stack:
         head = stack.pop()
         for nxt in links[head]:
-            if nxt not in settled and (open_filter or residual_band.get(
-                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band):
+            if nxt not in settled and residual_band.get(
+                    (head, nxt) if head < nxt else (nxt, head), 0) >= min_band:
                 if nxt == dst:
                     return OVER_BUDGET
                 settled.add(nxt)
@@ -670,15 +667,16 @@ def _edge_fractions(adjacency, band) -> list:
 
 
 def topology_from_json(doc: dict) -> SubstrateTopology:
+    as_record(doc, ("time_points", "snapshots"))
     times = read_items("time_points", as_float, doc["time_points"])
-    raw_snaps = read_at("snapshots", as_list, doc["snapshots"])
+    raw_snaps = read_items("snapshots", as_record, doc["snapshots"], (
+        "adjacency", "latency_ms", "link_band_mbps", "node_cpu", "node_ram_mb"))
     if len(raw_snaps) != len(times):
         raise ValueError(
             f"snapshots length {len(raw_snaps)} != time_points length {len(times)}")
     snaps = {}
     for k, (t, raw) in enumerate(zip(times, raw_snaps)):
         where = f"snapshots[{k}]"
-        raw = read_at(where, as_object, raw)
         adjacency, latency, band = [
             _cells(f"{where}.{key}", convert, raw[key])
             for key, convert in (("adjacency", _flag), ("latency_ms", as_float),

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .topology import (SubstrateTopology, _is_number, _num, as_float, as_fraction, as_integer,
-                       as_list, edge_key, read_at, read_items)
+                       as_list, as_record, edge_key, read_at, read_items)
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,15 @@ def validate_workload(requests, catalog: VnfCatalog,
 # --- JSON (de)serialization -------------------------------------------------
 
 def catalog_from_json(doc: dict) -> VnfCatalog:
+    as_record(doc, ("templates",))
     templates = [VnfTemplate(vnf_id=read_at(f"templates[{i}].id", as_integer, t["id"]),
                              cpu_demand=read_at(f"templates[{i}].cpu", as_fraction, t["cpu"]),
                              ram_demand=read_at(f"templates[{i}].ram_mb", as_fraction, t["ram_mb"]))
-                 for i, t in enumerate(read_at("templates", as_list, doc["templates"]))]
+                 for i, t in enumerate(read_items("templates", as_record, doc["templates"],
+                                                  ("id", "cpu", "ram_mb")))]
     catalog = VnfCatalog(templates)
-    for i, link in enumerate(read_at("links", as_list, doc.get("links", []))):
+    for i, link in enumerate(read_items("links", as_record, doc.get("links", []),
+                                        ("a", "b", "band_mbps"))):
         catalog.add_link_demand(read_at(f"links[{i}].a", as_integer, link["a"]),
                                 read_at(f"links[{i}].b", as_integer, link["b"]),
                                 read_at(f"links[{i}].band_mbps", as_fraction, link["band_mbps"]))
@@ -178,7 +181,8 @@ def requests_from_json(docs: list[dict]) -> list[SfcRequest]:
                           egress=read("egress", as_integer),
                           vnf_chain=read_items(f"sfcs[{i}].chain", as_integer, d["chain"]),
                           qos_max_latency=read("qos_latency_ms", as_float))
-    return [request(i, d) for i, d in enumerate(read_at("sfcs", as_list, docs))]
+    return [request(i, d) for i, d in enumerate(read_items("sfcs", as_record, docs, (
+        "id", "start", "end", "ingress", "egress", "chain", "qos_latency_ms")))]
 
 
 def requests_to_json(requests) -> list[dict]:

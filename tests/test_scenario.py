@@ -795,6 +795,39 @@ class TestLoadScenario:
                         faults.append(f"{path} = {value!r:.20}: loaded")
         assert not faults, "\n".join(faults)
 
+    @pytest.mark.parametrize("name", ["example_a", "sagin_desk"])
+    def test_missing_key_anywhere_is_a_located_validation_error(self, name):
+        # a key of an array's record names the record; any other may have a default
+        doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        sections = {"scenario", "seed", "catalog", "substrate", "workload", "solver"}
+        faults, records = [], set()
+        for path, node in self.document_nodes(doc):
+            if type(node) is not dict:
+                continue
+            record = f"{path[-2]}[{path[-1]}]" if path and type(path[-1]) is int else None
+            records.add(path[-2] if record else None)
+            for key in node:
+                mutated = copy.deepcopy(doc)
+                parent = mutated
+                for step in path:
+                    parent = parent[step]
+                del parent[key]
+                try:
+                    scenario_from_json(mutated)
+                except ValidationError as exc:
+                    if record and f"{record}: missing fields [{key!r}]" not in str(exc):
+                        faults.append(f"{path} - {key!r}: does not name {record}: {exc}")
+                    elif re.split("[.:]", str(exc))[0] not in sections:
+                        faults.append(f"{path} - {key!r}: unlocated: {exc}")
+                except Exception as exc:
+                    faults.append(f"{path} - {key!r}: {type(exc).__name__}: {exc}")
+                else:
+                    if record:
+                        faults.append(f"{path} - {key!r}: loaded")
+        assert records == {None, "templates", "links"} | (
+            {"snapshots", "sfcs"} if name == "example_a" else set())
+        assert not faults, "\n".join(faults)
+
     @pytest.mark.parametrize("text", [b"[" + b"1" * 5000 + b"]", b"\xff",
                                       b"[" * 100_000 + b"]" * 100_000],
                              ids=["integer-literal-too-long", "not-utf-8", "nested-too-deep"])

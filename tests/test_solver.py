@@ -44,6 +44,18 @@ class TestContract:
             dec = make_solver(name).solve(inp, random.Random(1))
             assert dec.reason is FailureReason.NODE_RAM_INSUFFICIENT
 
+    @pytest.mark.parametrize("cpu, ram, chain", [
+        ([1, 0], [0, 128], (0,)),   # first position: cpu on node 0, ram on node 1
+        ([1, 0], [128, 64], (0, 1)),  # node 0 has both until VNF 0 takes its ram
+    ], ids=["first", "after-deduction"])
+    def test_cpu_and_ram_free_on_different_nodes_is_ram_insufficient(self, cpu, ram, chain):
+        snap = make_snapshot(2, [(0, 1)], cpu=cpu, ram=ram)
+        cat = make_catalog([(0, 0.5, 128), (1, 0.5, 64)], [(0, 1, 1)])
+        inp = fresh_input(snap, cat, make_request(chain=chain, egress=1))
+        for name in SOLVERS:
+            dec = make_solver(name).solve(inp, random.Random(1))
+            assert dec.reason is FailureReason.NODE_RAM_INSUFFICIENT
+
     def test_single_node_everything_colocated(self):
         snap = make_snapshot(1, [], cpu=[10], ram=[4096])
         cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, 20)])
