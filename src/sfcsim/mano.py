@@ -306,6 +306,8 @@ class ResourceLedger:
         self._usage: tuple | None = None  # node_usage()'s answer until the usage changes
         # per node kind: the last capacity tuple, the scale it was converted at, its units
         self._node_caps: list[tuple] = [(None, 0, None)] * 2
+        # the band scale, and id -> (band object, its units) over the snapshot's bands
+        self._band_memo: tuple[int, dict] = (0, {})
         self.allocations: dict[int, EmbeddingPlan] = {}
 
     @property
@@ -342,24 +344,52 @@ class ResourceLedger:
             self._node_caps[kind] = (caps, scale, units)
         return units
 
+    def _band_units(self) -> dict[tuple[int, int], int]:
+        """Each edge's band capacity in units of the band scale, from one pass
+        over the snapshot's rows.  Each band object is converted through
+        ``_band_memo``, kept across rebuilds while the scale holds (a generated
+        run shares two objects); it holds only the current snapshot's objects,
+        which keeps their ids from reuse and a file scene's Fraction per cell
+        from growing it.  A denominator the scale lacks widens it once, by one
+        ``lcm`` over the snapshot's denominators, and the pass runs again."""
+        memo_scale, memo = self._band_memo
+        while True:
+            scale = self._scales[2]
+            if scale != memo_scale:
+                memo = {}
+            band, kept, whole, last = {}, {}, True, None
+            for u, row in enumerate(self._snapshot.links):
+                for v, (_, x) in row.items():
+                    if u < v:
+                        if x is not last:  # neighbouring edges often share one object
+                            last = x
+                            entry = kept.get(id(x))
+                            if entry is None:
+                                entry = memo.get(id(x))
+                                if entry is None:
+                                    den = x.denominator
+                                    entry = (x, None if scale % den
+                                             else x.numerator * (scale // den))
+                                    whole = whole and entry[1] is not None
+                                kept[id(x)] = entry
+                            units = entry[1]
+                        band[u, v] = units
+            if whole:
+                self._band_memo = (scale, kept)
+                return band
+            self._rescale(2, lcm(scale, *{x.denominator for x, _ in kept.values()}))
+
     def _view(self) -> FreeUnits:
         """The free view the gate, ``allocate`` and :meth:`free_units` read: built
         at the first read after a snapshot change or a scale growth, then moved
-        in step by each booking and release, and never handed out.  Each
-        distinct band object of the snapshot is converted once (a generated
-        snapshot shares two), and the usage is subtracted afterwards."""
+        in step by each booking and release, and never handed out.  The
+        capacities come in units (``_node_units``, ``_band_units``), and the
+        usage is subtracted afterwards."""
         if self._free is None:
             snap = self._snapshot
             cpu, ram = map(self._node_units, (0, 1),
                            (snap.node_cpu_capacity, snap.node_ram_capacity))
-            band = {(u, v): edge[1] for u, row in enumerate(snap.links)
-                    for v, edge in row.items() if u < v}
-            distinct = {id(x): x for x in band.values()}
-            scale = lcm(self._scales[2], *{x.denominator for x in distinct.values()})
-            self._rescale(2, scale)
-            units = {key: x.numerator * (scale // x.denominator) for key, x in distinct.items()}
-            for key, x in band.items():
-                band[key] = units[id(x)]
+            band = self._band_units()
             for key, used in self._band_used.items():
                 if key in band:  # usage on an edge the snapshot dropped has no view
                     band[key] -= used
@@ -466,32 +496,63 @@ def check_plan(plan: EmbeddingPlan, ledger: ResourceLedger,
 
 def find_affected_sfcs(ledger: ResourceLedger,
                        new_snap: SubstrateSnapshot) -> list[tuple[int, FailureReason]]:
-    """Active SFCs whose embedding is invalid under a new snapshot.
+    """Active SFCs whose embedding is invalid under a new snapshot, each with
+    its first cause: a path, then cpu, then ram, then bandwidth.
 
-    An SFC is affected when a path edge vanished, or when it holds resources
-    on a node/edge whose shrunk capacity is now over-subscribed by the
-    cumulative active allocations.  Ordered by ascending sfc_id so migrations
-    run in a deterministic sequence.  Only each chain's own nodes and edges are
-    read, so the work grows with what the chains hold, not with the substrate.
+    A path fails ``path_is_valid``'s rule (a node outside ``0..n-1``, then a
+    hop that is no edge), and a chain's held resource fails when its node's
+    or edge's new capacity is over-subscribed by the cumulative active
+    allocations, compared exactly in the ledger's units.  Ordered by
+    ascending sfc_id so migrations run in a deterministic sequence.  Only
+    each chain's own nodes and edges are read, so the work grows with what
+    the chains hold, not with the substrate; it runs at every snapshot
+    swap, so the loops are written out over locals.
     """
-    affected: list[tuple[int, FailureReason]] = []
+    n, links = new_snap.node_count, new_snap.links
+    cpu_cap, ram_cap = new_snap.node_cpu_capacity, new_snap.node_ram_capacity
+    cpu_used, ram_used, band_used = ledger._used
     cpu_scale, ram_scale, band_scale = ledger._scales
-
-    def over(used, scale, cap):  # used / scale > cap, exactly
-        return used * cap.denominator > cap.numerator * scale
-
-    for sfc_id in sorted(ledger.allocations):
-        plan = ledger.allocations[sfc_id]
-        if any(not path_is_valid(new_snap, p) for p in plan.virtual_link_paths):
-            affected.append((sfc_id, FailureReason.NO_PATH))
-        elif any(over(ledger._cpu_used[node], cpu_scale, new_snap.node_cpu_capacity[node])
-                 for node in plan.cpu_alloc):
-            affected.append((sfc_id, FailureReason.NODE_CPU_INSUFFICIENT))
-        elif any(over(ledger._ram_used[node], ram_scale, new_snap.node_ram_capacity[node])
-                 for node in plan.ram_alloc):
-            affected.append((sfc_id, FailureReason.NODE_RAM_INSUFFICIENT))
-        # every path edge is in new_snap here, so each held edge has a capacity
-        elif any(over(ledger._band_used[key], band_scale, new_snap.edge_band(*key))
-                 for key in plan.band_alloc):
-            affected.append((sfc_id, FailureReason.LINK_BANDWIDTH_INSUFFICIENT))
+    allocations = ledger.allocations
+    affected: list[tuple[int, FailureReason]] = []
+    for sfc_id in sorted(allocations):
+        plan = allocations[sfc_id]
+        reason = None
+        for path in plan.virtual_link_paths:
+            nodes = path.nodes
+            for node in nodes:
+                if not 0 <= node < n:
+                    break
+            else:
+                for a, b in zip(nodes, nodes[1:]):
+                    if b not in links[a]:
+                        break
+                else:
+                    continue  # a valid path
+            reason = FailureReason.NO_PATH
+            break
+        # Each held amount: used / scale > capacity, cross-multiplied.
+        if reason is None:
+            for node in plan.cpu_alloc:
+                cap = cpu_cap[node]
+                if cpu_used[node] * cap.denominator > cap.numerator * cpu_scale:
+                    reason = FailureReason.NODE_CPU_INSUFFICIENT
+                    break
+        if reason is None:
+            for node in plan.ram_alloc:
+                cap = ram_cap[node]
+                if ram_used[node] * cap.denominator > cap.numerator * ram_scale:
+                    reason = FailureReason.NODE_RAM_INSUFFICIENT
+                    break
+        if reason is None:
+            for key in plan.band_alloc:
+                u, v = key
+                edge = links[u].get(v)
+                if edge is None:  # a held edge off the plan's paths
+                    raise InvalidPath(f"({u},{v}) is not an edge")
+                cap = edge[1]
+                if band_used[key] * cap.denominator > cap.numerator * band_scale:
+                    reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT
+                    break
+        if reason is not None:
+            affected.append((sfc_id, reason))
     return affected

@@ -201,6 +201,13 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
       position reads ``t``.  Each phase's entry is dropped at its last
       snapshot, so a run whose phases never repeat keeps none.
     Mask and cross-plane links move with the satellites and stay per snapshot.
+
+    Each snapshot carries its nodes' positions, packed, and one radius per
+    run that bounds every coordinate: each is a radius (the orbit's, the
+    UAVs' or the Earth's) times cosines and sines, so the largest of the
+    three, widened by 2^-40 to cover a few ulps of rounding, will do.  The
+    path search draws its lower bound from the positions and scales its
+    guard by the radius (``topology.shortest_feasible_path``).
     """
     p = params
     rng = random.Random(p.seed)
@@ -428,6 +435,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
     # Each snapshot carries its nodes' positions for the path search's lower
     # bound; add_edge receives every edge's math.dist of two of them.
     pack_positions = struct.Struct(f"{3 * n}d").pack
+    radius = max(a, p.earth_radius_km + p.uav_altitude_km, p.earth_radius_km) * (1 + 2.0 ** -40)
 
     # Edges shared across the run (the docstring says why they are exact).
     ring_edges = {}  # a ring link's measured math.dist -> its one (latency, band) tuple
@@ -541,7 +549,7 @@ def generate_sagin(params: SaginParams) -> SubstrateTopology:
 
         edges.update(range_links)
         return SubstrateSnapshot._from_edges(n, edges, cpu, ram, vetted,
-                                             pack_positions(*chain.from_iterable(pos)))
+                                             pack_positions(*chain.from_iterable(pos)), radius)
 
     return SubstrateTopology(time_points=times,
                              snapshots={t: snapshot_at(t) for t in times})

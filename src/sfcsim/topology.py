@@ -223,16 +223,19 @@ class SubstrateSnapshot:
     @classmethod
     def _from_edges(cls, n: int, edges: dict, cpu: tuple, ram: tuple,
                     vetted: tuple[dict, dict] | None = None,
-                    positions: bytes | None = None) -> "SubstrateSnapshot":
+                    positions: bytes | None = None,
+                    radius: float | None = None) -> "SubstrateSnapshot":
         """Snapshot from the edge map ``{u * n + v: (latency_ms, band)}`` over
         the edges u < v, built by :meth:`_build` with the caller's memo
-        ``vetted``, or a fresh one, and the node ``positions``, if given."""
+        ``vetted``, or a fresh one, and the node ``positions`` with their
+        ``radius``, if given."""
         snap = object.__new__(cls)
-        snap._build(n, edges, cpu, ram, ({}, {}) if vetted is None else vetted, positions)
+        snap._build(n, edges, cpu, ram, ({}, {}) if vetted is None else vetted,
+                    positions, radius)
         return snap
 
-    def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple,
-               vetted: tuple[dict, dict], positions: bytes | None = None) -> None:
+    def _build(self, n: int, edges: dict, cpu: tuple, ram: tuple, vetted: tuple[dict, dict],
+               positions: bytes | None = None, radius: float | None = None) -> None:
         """Check the capacities and each edge of ``edges`` once, and set every field.
 
         ``edges`` maps ``u * n + v`` to the edge's ``(latency_ms, band)`` for
@@ -254,13 +257,18 @@ class SubstrateSnapshot:
         ``positions`` is private to the SAGIN generator: each node's (x, y, z)
         in km, packed as ``3n`` doubles, such that every edge's latency is
         ``math.dist`` of its ends' positions divided by ``LIGHT_KM_PER_MS``.
-        The path search draws its lower bound from them
-        (:func:`shortest_feasible_path`).  They are set as attributes, not
+        They come with ``radius``, at least every coordinate's magnitude in
+        km (the generator computes one per run), and positions without it
+        are refused.  The path search draws its lower bound from the
+        positions and scales its guard by the radius
+        (:func:`shortest_feasible_path`).  Both are set as attributes, not
         fields, so equality, ``repr`` and the JSON writer never see them;
         every other way in leaves them None.
         """
         if n < 1:
             raise ValueError("snapshot needs at least one node")
+        if positions is not None and radius is None:
+            raise ValueError("node positions need a radius")
         good_vectors, good_bands = vetted
         # Generated snapshots share a few capacity and band objects, so each
         # distinct object is tested once, in order of first use.
@@ -311,7 +319,8 @@ class SubstrateSnapshot:
             rows[u][v] = rows[v][u] = edge
         for name, value in (("node_count", n), ("links", tuple(map(MappingProxyType, rows))),
                             ("node_cpu_capacity", cpu), ("node_ram_capacity", ram),
-                            ("_positions", positions), ("_bound_scale", None)):
+                            ("_positions", positions), ("_radius", radius),
+                            ("_bound_scale", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -452,14 +461,17 @@ _GUARD = 2.0 ** -44  # the bound is used when ε·l_min > _GUARD·(|limit| + |ba
 def _bound_holds(snap: SubstrateSnapshot, base: float, limit: float) -> bool:
     """Whether a search under this budget uses the lower bound: the snapshot
     has positions and passes the guard (see :func:`shortest_feasible_path`).
-    The snapshot's shortest edge latency and largest coordinate are found at
-    its first search."""
-    positions = snap._positions
-    if positions is not None:
+    ``r`` is the radius handed over with the positions; the snapshot's
+    shortest edge latency is found at its first search."""
+    if snap._positions is not None:
         scale = snap._bound_scale
         if scale is None:
-            scale = (min((lat for row in snap.links for lat, _ in row.values()), default=math.inf),
-                     max(map(abs, memoryview(positions).cast("d"))) / LIGHT_KM_PER_MS)
+            l_min = math.inf
+            for row in snap.links:
+                for lat, _ in row.values():
+                    if lat < l_min:
+                        l_min = lat
+            scale = l_min, snap._radius / LIGHT_KM_PER_MS
             object.__setattr__(snap, "_bound_scale", scale)
         l_min, r_ms = scale
         return _SHRINK * l_min > _GUARD * (abs(limit) + abs(base) + r_ms)
@@ -524,9 +536,12 @@ def shortest_feasible_path(snap: SubstrateSnapshot, src: int, dst: int, min_band
     Rounding is monotone, so it is enough that ``g + h(u) <= fl(g + l) +
     h(v)``.  With ``fl(g + l) >= (g + l)(1 − δ)`` and the triangle
     inequality ``D_u <= D_uv + D_v`` that holds once ``δ·g + 14δ·D_v/c <=
-    (ε − 14δ)·D_uv/c``.  ``D_v <= 2√3·r`` for ``r`` the largest coordinate,
-    and ``ε = 2^-10``, so ``δ·G + 2^-47·r/c <= ε·l_min/4`` suffices,
-    ``l_min`` the snapshot's shortest edge latency.  The guard asks
+    (ε − 14δ)·D_uv/c``.  ``D_v <= 2√3·r`` for any ``r`` at least every
+    coordinate's magnitude, the radius the generator hands over once per
+    run, and ``ε = 2^-10``, so ``δ·G + 2^-47·r/c <= ε·l_min/4`` suffices,
+    ``l_min`` the snapshot's shortest edge latency.  A larger ``r`` only
+    makes the guard stricter, and where it fails the search is Dijkstra's,
+    which is exact.  The guard asks
     ``ε·l_min > 2^-44·(|limit| + |base| + r/c)``, at least twice that even
     after its own rounding.  It fails for an infinite or NaN budget, for
     edges of a few millimetres or less (at a 100 ms budget on an orbit's

@@ -64,6 +64,14 @@ class TestEventQueue:
         assert [e.time for e in events] == [600.0, 1200.0]
         assert all(e.kind == EventKind.TOPOLOGY_CHANGE for e in events)
 
+    def test_topology_change_before_departure(self):
+        # a chain that leaves as the substrate changes is still scanned first
+        snap = make_snapshot(2, [(0, 1)])
+        topo = make_topo({0.0: snap, 25.0: snap})
+        events = build_event_queue(topo, [make_request(sfc_id=0, start=5, end=25)])
+        assert [e.kind for e in events if e.time == 25.0] == [
+            EventKind.TOPOLOGY_CHANGE, EventKind.SFC_DEPARTURE]
+
     def test_departure_before_arrival_at_same_instant(self):
         topo = single_topo(make_snapshot(2, [(0, 1)]))
         reqs = [make_request(sfc_id=0, start=5, end=25),

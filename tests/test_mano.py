@@ -48,6 +48,16 @@ class TestCheckPlan:
         ledger.allocate(plan)
         assert ledger.ram_free(1) == F(512) - 3 * F(64) == F(320)
 
+    def test_a_plan_that_takes_every_free_unit_fits(self):
+        cat = catalog()
+        snap = make_snapshot(2, [(0, 1, 1.0, 20)], cpu=[0.2, 0.2], ram=[64, 64])
+        req, plan = make_request(ingress=0, egress=1, chain=(0, 1), qos=50.0), plan_across(snap, cat)
+        ledger = ResourceLedger(snap, cat)
+        assert check_plan(plan, ledger, req) is None
+        ledger.allocate(plan)
+        units = ledger.free_units()
+        assert (units.cpu, units.ram, units.band) == ([0, 0], [0, 0], {(0, 1): 0})
+
     def test_cpu_deficit_reason(self):
         # plan needs 0.2 cpu per VNF but every node only has 0.1
         snap = make_snapshot(3, [(0, 1), (1, 2)], cpu=[0.1, 0.1, 0.1],
@@ -193,6 +203,15 @@ def assert_units_match(ledger):
         (ledger.cpu_free_all(), ledger.ram_free_all(), ledger.band_free_map())
 
 
+def assert_per_entry_readers_match(ledger):
+    """The integer view, divided by its scales, is what the per-entry readers give."""
+    snap = ledger.snapshot
+    nodes = range(snap.node_count)
+    assert unit_fractions(ledger.free_units()) == (
+        tuple(map(ledger.cpu_free, nodes)), tuple(map(ledger.ram_free, nodes)),
+        {(u, v): ledger.band_free(u, v) for u, v in snap.edges()})
+
+
 class TestFreeUnits:
     def test_allocate_release_round_trip(self):
         snap, cat = chain_snapshot(), catalog()
@@ -280,6 +299,48 @@ class TestFreeUnits:
         for name in SOLVERS:
             assert make_solver(name).solve(inp, random.Random(0)).accepted
 
+
+    def test_the_band_memo_keeps_only_the_current_snapshots_bands(self):
+        # make_snapshot goes through from_matrices, so every snapshot has band
+        # objects of its own; each view converts them and forgets the last ones
+        cat = catalog()
+        ledger = ResourceLedger(chain_snapshot(), cat)
+        ledger.allocate(plan_across(ledger.snapshot, cat))
+        for k in range(30):
+            snap = make_snapshot(3, [(0, 1, 1.0, 100 + k % 3), (1, 2, 1.0, Fraction(50 + k, 3))])
+            ledger.set_snapshot(snap)
+            assert_per_entry_readers_match(ledger)
+            bands = {id(edge[1]) for row in snap.links for edge in row.values()}
+            assert ledger._band_memo[1].keys() <= bands and len(bands) == 2
+
+    def test_a_booking_that_grows_the_band_scale_voids_the_memo(self):
+        snap, cat = chain_snapshot(), catalog()
+        ledger = ResourceLedger(snap, cat)
+        ledger.free_units()  # the memo holds the snapshot's bands at the catalog's scale
+        ledger.allocate(holding_plan(0, ({}, {}, {(0, 1): Fraction(20, 7)})))
+        assert ledger.free_units().band_scale % 7 == 0
+        assert_per_entry_readers_match(ledger)
+
+    def test_a_shrink_to_coprime_denominators_widens_the_band_scale_once(self, monkeypatch):
+        cat = catalog()
+        first = make_snapshot(4, [(0, 1, 1.0, 100), (1, 2), (2, 3)])
+        ledger = ResourceLedger(first, cat)
+        ledger.allocate(plan_across(first, cat))  # 20 Mbps on (0, 1)
+        scale = ledger.free_units().band_scale
+        kept = first.links[0][1]  # one band object stays in the new snapshot
+        shrunk = SubstrateSnapshot._from_edges(
+            4, {1: kept, 6: (1.0, Fraction(650, 7)), 11: (1.0, Fraction(300, 11)), 3: (1.0, Fraction(100, 13))},
+            first.node_cpu_capacity, first.node_ram_capacity)
+        ledger.set_snapshot(shrunk)
+        grown = []
+        rescale = ledger._rescale
+        monkeypatch.setattr(ledger, "_rescale", lambda kind, to: (
+            grown.append(to) if kind == 2 and to != ledger._scales[2] else None,
+            rescale(kind, to)))
+        units = ledger.free_units()
+        assert grown == [scale * 7 * 11 * 13] and units.band_scale == grown[0]
+        assert units.band[(0, 1)] == (100 - 20) * units.band_scale
+        assert_per_entry_readers_match(ledger)
 
     def test_int_demands_convert_like_fractions(self):
         snap = make_snapshot(2, [(0, 1, 1.0, 30)], cpu=[4, 2], ram=[64, 64])
@@ -539,6 +600,49 @@ class TestFindAffected:
         ledger.allocate(plan_all_on(1, snap, cat, sfc_id=5, ingress=1, egress=1)[1])
         shrunk = make_snapshot(3, [(0, 1), (1, 2)], cpu=[2, 0.5, 2], ram=[256, 512, 256])
         assert find_affected_sfcs(ledger, shrunk) == [(5, FailureReason.NODE_CPU_INSUFFICIENT)]
+
+    @pytest.mark.parametrize("edges, cpu, ram, band, reason", [
+        ([(0, 1, 1.0, 100)], [4, 0.1], [512, 512], 100, FailureReason.NO_PATH),  # + (1, 2) gone
+        ([(0, 1, 1.0, 100), (1, 2)], [4, 0.1], [512, 32], 100,
+         FailureReason.NODE_CPU_INSUFFICIENT),
+        ([(0, 1, 1.0, 5), (1, 2)], [4, 4], [512, 32], 5, FailureReason.NODE_RAM_INSUFFICIENT),
+    ], ids=["path-and-cpu", "cpu-and-ram", "ram-and-band"])
+    def test_the_first_cause_wins_when_a_chain_breaks_several_ways(self, edges, cpu, ram,
+                                                                    band, reason):
+        # VNF 0 on node 0, VNF 1 on node 1 (0.2 cpu, 64 MB each), 60 Mbps on
+        # (0, 1), egress over (1, 2)
+        snap = make_snapshot(3, [(0, 1, 1.0, 100), (1, 2)], cpu=[4, 4, 4], ram=[512] * 3)
+        cat = make_catalog([(0, 0.2, 64), (1, 0.2, 64)], [(0, 1, 60)])
+        req = make_request(ingress=0, egress=2, chain=(0, 1), qos=50.0)
+        ledger = ResourceLedger(snap)
+        ledger.allocate(build_plan(req, cat, snap, (0, 1), [
+            PhysicalPath((0,)), PhysicalPath((0, 1)), PhysicalPath((1, 2))]))
+        shrunk = make_snapshot(3, edges, cpu=[*cpu, 4], ram=[*ram, 512])
+        assert shrunk.edge_band(0, 1) == band
+        assert find_affected_sfcs(ledger, shrunk) == [(0, reason)]
+
+    def test_a_vanished_edge_on_a_zero_demand_leg_is_no_path(self):
+        snap, cat = chain_snapshot(), catalog()
+        req = make_request(ingress=0, egress=2, chain=(0, 1), qos=50.0)
+        plan = build_plan(req, cat, snap, (1, 2), [
+            PhysicalPath((0, 1)), PhysicalPath((1, 2)), PhysicalPath((2,))])
+        assert set(plan.band_alloc) == {(1, 2)}  # the ingress leg over (0, 1) holds nothing
+        ledger = ResourceLedger(snap)
+        ledger.allocate(plan)
+        shrunk = make_snapshot(3, [(1, 2)], cpu=[2, 4, 2], ram=[256, 512, 256])
+        assert find_affected_sfcs(ledger, shrunk) == [(0, FailureReason.NO_PATH)]
+
+    @pytest.mark.parametrize("nodes", [(3,), (-1, 1)], ids=["node-n", "node-minus-1"])
+    def test_a_path_node_outside_the_substrate_is_no_path(self, nodes):
+        # allocate runs the fit rule only, so it books a path it never walks;
+        # -1 would index the last row, where (2, 1) is an edge
+        snap = chain_snapshot()
+        ledger = ResourceLedger(snap)
+        ledger.allocate(EmbeddingPlan(sfc_id=4, vnf_placement=(1,),
+                                      virtual_link_paths=(PhysicalPath((1,)), PhysicalPath(nodes)),
+                                      cpu_alloc={1: F(1)}, ram_alloc={1: F(1)}, band_alloc={},
+                                      total_latency=0.0))
+        assert find_affected_sfcs(ledger, snap) == [(4, FailureReason.NO_PATH)]
 
 
 class Units(int):

@@ -52,13 +52,16 @@ def bare(snap):
 
 def placed(points, pairs):
     """A snapshot over ``points`` (km) whose edges ``pairs`` have the latency
-    the generator writes, with the points as its positions."""
+    the generator writes, with the points as its positions and their largest
+    coordinate as the radius."""
     n = len(points)
     edges = {min(u, v) * n + max(u, v): (math.dist(points[u], points[v]) / LIGHT_KM_PER_MS, 100)
              for u, v in pairs}
     caps = (1,) * n
+    coordinates = list(chain.from_iterable(points))
     return SubstrateSnapshot._from_edges(n, edges, caps, caps, None,
-                                         struct.pack(f"{3 * n}d", *chain.from_iterable(points)))
+                                         struct.pack(f"{3 * n}d", *coordinates),
+                                         max(map(abs, coordinates)))
 
 
 def answer(found):
@@ -166,6 +169,27 @@ def test_every_generated_latency_is_the_distance_of_two_stored_positions():
             for u, v in snap.edges():
                 assert snap.edge_latency(u, v) == math.dist(pos[u], pos[v]) / LIGHT_KM_PER_MS, \
                     (name, u, v)
+
+
+def test_the_generators_radius_bounds_every_coordinate():
+    # A coordinate can equal the orbit radius to the last bit (far_shell,
+    # node_at_a_pole), so the radius must not round below it.
+    largest = 0.0
+    for name, (overrides, _) in PINNED.items():
+        for snap in generate_sagin(desk_params(**overrides)).snapshots.values():
+            top = max(map(abs, chain.from_iterable(positions(snap))))
+            assert top <= snap._radius, (name, top, snap._radius)
+            largest = max(largest, top / snap._radius)
+    assert largest > 1 - 2.0 ** -30  # a bound, not a guess far above every coordinate
+
+
+def test_positions_without_a_radius_are_refused():
+    try:
+        SubstrateSnapshot._from_edges(1, {}, (1,), (1,), None, struct.pack("3d", 0.0, 0.0, 0.0))
+    except ValueError as exc:
+        assert "radius" in str(exc)
+    else:
+        raise AssertionError("positions without a radius were accepted")
 
 
 def test_positions_stay_out_of_equality_and_files():

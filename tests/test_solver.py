@@ -56,6 +56,17 @@ class TestContract:
             dec = make_solver(name).solve(inp, random.Random(1))
             assert dec.reason is FailureReason.NODE_RAM_INSUFFICIENT
 
+    def test_a_leg_sees_the_band_an_earlier_leg_took(self):
+        # only node 0 hosts template 0 (cpu) and only node 2 template 1 (ram),
+        # so legs 0 -> 2 and 2 -> 0 both need edges (0, 1) and (1, 2): 30 Mbps
+        # holds one 20 Mbps leg, not two
+        snap = make_snapshot(3, [(0, 1, 1.0, 30), (1, 2, 1.0, 30)], cpu=[4, 0, 1],
+                             ram=[200, 50, 300])
+        cat = make_catalog([(0, 2, 100), (1, 1, 300)], [(0, 1, 20)])
+        inp = fresh_input(snap, cat, make_request(chain=(0, 1, 0), ingress=0, egress=0))
+        for name in SOLVERS:
+            assert make_solver(name).solve(inp, random.Random(0)).reason is FailureReason.NO_PATH
+
     def test_single_node_everything_colocated(self):
         snap = make_snapshot(1, [], cpu=[10], ram=[4096])
         cat = make_catalog([(0, 1, 64), (1, 1, 64)], [(0, 1, 20)])
