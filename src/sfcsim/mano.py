@@ -65,6 +65,7 @@ class EmbeddingPlan:
 
 
 _ZERO = Fraction(0)  # the demand of the legs to and from the chain's endpoints
+_NO_EDGE = (None, _ZERO)  # find_affected_sfcs: a held edge the snapshot lacks has no band
 
 
 def leg_band_demands(request: SfcRequest, catalog: VnfCatalog) -> tuple[Fraction, ...]:
@@ -348,9 +349,10 @@ class ResourceLedger:
         """Each edge's band capacity in units of the band scale, from one pass
         over the snapshot's rows.  Each band object is converted through
         ``_band_memo``, kept across rebuilds while the scale holds (a generated
-        run shares two objects); it holds only the current snapshot's objects,
-        which keeps their ids from reuse and a file scene's Fraction per cell
-        from growing it.  A denominator the scale lacks widens it once, by one
+        or file scene shares one object per distinct band); it holds only the
+        current snapshot's objects, which keeps their ids from reuse and a
+        snapshot built through the API with a Fraction per edge from growing
+        it.  A denominator the scale lacks widens it once, by one
         ``lcm`` over the snapshot's denominators, and the pass runs again."""
         memo_scale, memo = self._band_memo
         while True:
@@ -502,7 +504,8 @@ def find_affected_sfcs(ledger: ResourceLedger,
     A path fails ``path_is_valid``'s rule (a node outside ``0..n-1``, then a
     hop that is no edge), and a chain's held resource fails when its node's
     or edge's new capacity is over-subscribed by the cumulative active
-    allocations, compared exactly in the ledger's units.  Ordered by
+    allocations, compared exactly in the ledger's units (an edge the new
+    snapshot lacks has none, as in the fit rule).  Ordered by
     ascending sfc_id so migrations run in a deterministic sequence.  Only
     each chain's own nodes and edges are read, so the work grows with what
     the chains hold, not with the substrate; it runs at every snapshot
@@ -546,10 +549,7 @@ def find_affected_sfcs(ledger: ResourceLedger,
         if reason is None:
             for key in plan.band_alloc:
                 u, v = key
-                edge = links[u].get(v)
-                if edge is None:  # a held edge off the plan's paths
-                    raise InvalidPath(f"({u},{v}) is not an edge")
-                cap = edge[1]
+                cap = links[u].get(v, _NO_EDGE)[1]
                 if band_used[key] * cap.denominator > cap.numerator * band_scale:
                     reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT
                     break

@@ -18,7 +18,6 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -658,30 +657,31 @@ def _cells(where: str, convert, value) -> tuple[tuple, ...]:
         return tuple(read_items(f"{where}[{i}]", convert, row) for i, row in enumerate(rows))
 
 
-_FLOAT_SAFE = 2**1023  # an int of smaller magnitude passes the magnitude rule
+def _exact_reader():
+    """``as_fraction`` for one document, memoized for an int or a float by
+    ``(type, value)``: equal numbers share one Fraction, a bool never meets
+    the entry of 1, and any other kind is read anew each time."""
+    memo = {}
 
-
-def _band_kind(value):
-    """A band cell as is, once it is a kind ``as_fraction`` reads: a finite
-    float, or an int of magnitude below ``_FLOAT_SAFE``, is one; anything else,
-    a larger int included, is tried."""
-    if not (type(value) is int and -_FLOAT_SAFE < value < _FLOAT_SAFE
-            or type(value) is float and math.isfinite(value)):
-        as_fraction(value)
-    return value
-
-
-def _edge_fractions(adjacency, band) -> list:
-    """``band`` with the cells where ``adjacency`` is true read as Fractions:
-    the only cells a snapshot keeps."""
-    rows = [list(row) for row in band]
-    for adj_row, row in zip(adjacency, rows):
-        for j in compress(range(len(row)), adj_row):
-            row[j] = as_fraction(row[j])
-    return rows
+    def read(value):
+        kind = type(value)
+        if kind is not int and kind is not float:
+            return as_fraction(value)
+        x = memo.get((kind, value))
+        if x is None:  # a value that raises never enters
+            x = memo[kind, value] = as_fraction(value)
+        return x
+    return read
 
 
 def topology_from_json(doc: dict) -> SubstrateTopology:
+    """Topology from the document ``topology_to_json`` writes.
+
+    Every cell must be of its matrix's kind.  Each exact-quantity cell
+    (``link_band_mbps``, ``node_cpu``, ``node_ram_mb``) is read by one
+    ``as_fraction`` per distinct JSON number in the document, and equal
+    values share one Fraction.  A fault names its snapshot and cell.
+    """
     as_record(doc, ("time_points", "snapshots"))
     times = read_items("time_points", as_float, doc["time_points"])
     raw_snaps = read_items("snapshots", as_record, doc["snapshots"], (
@@ -689,17 +689,16 @@ def topology_from_json(doc: dict) -> SubstrateTopology:
     if len(raw_snaps) != len(times):
         raise ValueError(
             f"snapshots length {len(raw_snaps)} != time_points length {len(times)}")
+    exact = _exact_reader()
     snaps = {}
     for k, (t, raw) in enumerate(zip(times, raw_snaps)):
         where = f"snapshots[{k}]"
-        adjacency, latency, band = [
-            _cells(f"{where}.{key}", convert, raw[key])
-            for key, convert in (("adjacency", _flag), ("latency_ms", as_float),
-                                 ("link_band_mbps", _band_kind))]
-        capacities = [read_items(f"{where}.{key}", as_fraction, raw[key])
+        matrices = [_cells(f"{where}.{key}", convert, raw[key])
+                    for key, convert in (("adjacency", _flag), ("latency_ms", as_float),
+                                         ("link_band_mbps", exact))]
+        capacities = [read_items(f"{where}.{key}", exact, raw[key])
                       for key in ("node_cpu", "node_ram_mb")]
-        snaps[t] = read_at(where, SubstrateSnapshot.from_matrices, adjacency, latency,
-                           _edge_fractions(adjacency, band), *capacities)
+        snaps[t] = read_at(where, SubstrateSnapshot.from_matrices, *matrices, *capacities)
     return SubstrateTopology(time_points=times, snapshots=snaps)
 
 

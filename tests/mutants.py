@@ -103,6 +103,11 @@ MUTANTS = (
            "reason = FailureReason.LINK_BANDWIDTH_INSUFFICIENT",
            "reason = None",
            _in("test_mano", "TestFindAffected::test_band_shrink")),
+    Mutant("a held edge the snapshot lacks raises in the scan", "src/sfcsim/mano.py",
+           "cap = links[u].get(v, _NO_EDGE)[1]",
+           "cap = new_snap.edge_band(u, v)",
+           _in("test_mano", "TestFindAffected::"
+               "test_a_held_edge_off_the_paths_that_vanishes_has_no_band[some]")),
     # The ledger's free view.
     Mutant("the band memo kept across a scale growth", "src/sfcsim/mano.py",
            "            if scale != memo_scale:\n                memo = {}\n",
@@ -125,7 +130,33 @@ MUTANTS = (
            "                    free[key] -= units\n",
            "                    pass\n",
            _in("test_mano", "TestFreeUnits::test_allocate_release_round_trip")),
+    # The file reader and the snapshot checks.
+    Mutant("the exact-cell memo keyed by the value alone", "src/sfcsim/topology.py",
+           ("        kind = type(value)\n"
+            "        if kind is not int and kind is not float:\n",
+            "        x = memo.get((kind, value))\n",
+            "            x = memo[kind, value] = as_fraction(value)\n"),
+           ("        if not isinstance(value, (int, float)):\n",
+            "        x = memo.get(value)\n",
+            "            x = memo[value] = as_fraction(value)\n"),
+           _in("test_exact_literals", "test_a_bool_after_an_equal_number_is_still_a_bool")),
+    Mutant("the exact-cell memo tried for every kind", "src/sfcsim/topology.py",
+           "        if kind is not int and kind is not float:\n"
+           "            return as_fraction(value)\n",
+           "",
+           _in("test_exact_literals", "test_an_unhashable_cell_is_refused_as_a_quantity")),
+    Mutant("the last band's pass taken before its checks", "src/sfcsim/topology.py",
+           ("            if band is not passed and id(band) not in good_bands:\n",
+            "                good_bands[id(band)] = band\n            passed = band\n"),
+           ("            passed = band\n"
+            "            if band is not passed and id(band) not in good_bands:\n",
+            "                good_bands[id(band)] = band\n"),
+           _in("test_topology", "TestSharedObjectChecks::test_bad_band_only_on_the_last_edge[negative]")),
     # The generator.
+    Mutant("the cross-plane skip four times too eager", "src/sfcsim/scenario.py",
+           "if h * h > h2_skip:",
+           "if h * h > h2_skip / 4:",
+           _in("test_scenario", "TestSaginGenerator::test_snapshots_match_pinned_digest[far_planes_5x1]")),
     Mutant("halved ground-satellite latencies", "src/sfcsim/scenario.py",
            "add_edge(g, s, math.dist(pos[g], pos[s]), p.sg_band_mbps)",
            "add_edge(g, s, math.dist(pos[g], pos[s]) / 2, p.sg_band_mbps)",
@@ -148,6 +179,11 @@ MUTANTS = (
            "        if phase_uses[phase]:\n",
            "        if True:\n",
            _in("test_scenario", "TestSaginGenerator::test_a_phase_is_forgotten_after_its_last_snapshot")),
+    # The trace writer.
+    Mutant("a utilization block's texts reused on its usage alone", "src/sfcsim/trace.py",
+           "                values = b[1:]\n",
+           "                values = b[3:]\n",
+           _in("test_trace", "TestUtilizationAgainstReference::test_capacity_changes_while_usage_holds")),
     # The baseline walk and the event order.
     Mutant("no band deduction in the baseline walk", "src/sfcsim/solver.py",
            "                band[key] -= demand\n",

@@ -644,6 +644,21 @@ class TestFindAffected:
                                       total_latency=0.0))
         assert find_affected_sfcs(ledger, snap) == [(4, FailureReason.NO_PATH)]
 
+    @pytest.mark.parametrize("held, affected", [
+        (F(1), [(4, FailureReason.LINK_BANDWIDTH_INSUFFICIENT)]), (F(0), [])],
+        ids=["some", "zero"])
+    def test_a_held_edge_off_the_paths_that_vanishes_has_no_band(self, held, affected):
+        # allocate runs the fit rule only, so it books band on an edge no leg
+        # walks; once the edge is gone its capacity is 0
+        snap = chain_snapshot()
+        ledger = ResourceLedger(snap)
+        ledger.allocate(EmbeddingPlan(sfc_id=4, vnf_placement=(1,),
+                                      virtual_link_paths=(PhysicalPath((1,)),) * 2,
+                                      cpu_alloc={1: F(1)}, ram_alloc={1: F(1)},
+                                      band_alloc={(0, 1): held}, total_latency=0.0))
+        shrunk = make_snapshot(3, [(1, 2)], cpu=[2, 4, 2], ram=[256, 512, 256])
+        assert find_affected_sfcs(ledger, shrunk) == affected
+
 
 class Units(int):
     """An int subclass: equal in value to an int, yet not an exact amount."""

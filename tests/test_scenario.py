@@ -16,6 +16,7 @@ from generator_digests import PINNED, desk_params
 from generator_digests import check as check_digest
 from generator_digests import check_rows
 from sagin_oracle import draw_params, reference_sagin, same_topology
+from test_exact_literals import MALFORMED
 from sfcsim.scenario import (MAX_GENERATED, InvalidParams, ParseError,
                              ValidationError, _above_mask, _clear_chord2, _latlon_to_cart,
                              _line_of_sight, generate_poisson_workload, generate_sagin,
@@ -546,6 +547,21 @@ class TestLoadScenario:
         assert sc.solver_name == "greedy"
         assert sc.catalog.templates[0].cpu_demand == F("0.2")
 
+    def test_a_written_scene_shares_one_object_per_quantity(self, tmp_path):
+        def quantities(topo):
+            """Every snapshot's bands, then every snapshot's capacity entries."""
+            snaps = topo.snapshots.values()
+            return ([band for s in snaps for row in s.links for _, band in row.values()],
+                    [x for s in snaps for x in (*s.node_cpu_capacity, *s.node_ram_capacity)])
+        doc = json.loads((SCENARIO_DIR / "sagin_desk.json").read_text())
+        generated = scenario_from_json(doc).topo
+        doc["substrate"] = topology_to_json(generated)
+        path = tmp_path / "written.json"
+        path.write_text(json.dumps(doc))
+        for values, expected in zip(quantities(load_scenario(path).topo), quantities(generated)):
+            assert values == expected and len(set(values)) > 1
+            assert len(set(map(id, values))) == len(set(values))
+
     def test_inverted_lifecycle_names_sfc(self, tmp_path):
         doc = json.loads((SCENARIO_DIR / "example_a.json").read_text())
         doc["workload"]["sfcs"][1]["end"] = 1
@@ -754,8 +770,7 @@ class TestLoadScenario:
 
     # Every value kind a reader can be handed by mistake, a number beyond
     # float range, and two quantities the magnitude rule refuses.
-    MALFORMED = [None, True, False, "x", "1/0", [], {}, math.nan, math.inf, -math.inf, -1,
-                 10**400, "1e400", "1e-4300"]
+    MALFORMED = MALFORMED
 
     @staticmethod
     def document_nodes(node, path=()):
